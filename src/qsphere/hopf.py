@@ -20,7 +20,7 @@ from .errors import (
     SolutionNotUnique,
     StarViolation,
 )
-from .freealg import DINV, EMPTY, NcPoly, TensorPoly, u, word_name, z, zs
+from .freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from .linalg import nullspace
 from .presentations import (
     Presentation,
@@ -120,68 +120,34 @@ def _expand_delta_leg(t: TensorPoly, P: Presentation, leg: int) -> dict:
     return out
 
 
-def _expand_keys(d: dict, legs) -> dict:
-    """Normalize every leg word of a word-tuple dict and re-expand."""
-    out = {}
-    for key, c in d.items():
-        polys = [legs[i].nf(NcPoly.monomial(w)) for i, w in enumerate(key)]
-        stack = [((), c)]
-        for p in polys:
-            stack = [
-                (pref + (w,), cc * cw)
-                for pref, cc in stack
-                for w, cw in p.terms.items()
-            ]
-        for pref, cc in stack:
-            _triple_add(out, pref, cc)
-    return out
+def tensor_zero(d: dict, legs) -> bool:
+    """Exact zero test of a word-tuple dict with legs in the given algebras.
 
-
-def _clear_keys(d: dict, legs, maxima) -> dict:
-    """Make each leg of a word-tuple dict canonical: uq legs are cleared
-    through determinant powers, suq legs reduced to canonical coset
-    representatives (see Presentation.is_zero_elem)."""
-    out = d
+    Leg by leg, the keys are grouped by their words on the other legs and
+    each group is sent through that leg's ``zero_test_images``; the tensor
+    product of maps injective on the algebras is injective on their tensor
+    product, so the tensor vanishes exactly when nothing is left.
+    """
     for i, P in enumerate(legs):
-        if P.mode == "localize" and maxima[i]:
-            sub = lambda w: P.clear_word(w, maxima[i])
-        elif P.mode == "quotient":
-            sub = lambda w: P.quotient_reduce(NcPoly.monomial(w))
-        else:
-            continue
-        nxt = {}
-        for key, c in out.items():
-            for w, cw in sub(key[i]).terms.items():
-                _triple_add(nxt, key[:i] + (w,) + key[i + 1 :], c * cw)
-        out = nxt
-    return out
-
-
-def _leg_maxima(dicts, legs):
-    from .presentations import dinv_split
-
-    maxima = [0] * len(legs)
-    for i, P in enumerate(legs):
-        if P.mode != "localize":
-            continue
-        for d in dicts:
-            for key in d:
-                k = dinv_split(key[i])[1]
-                if k > maxima[i]:
-                    maxima[i] = k
-    return maxima
+        if not d:
+            break
+        groups = {}
+        for key, c in d.items():
+            rest = key[:i] + key[i + 1 :]
+            groups.setdefault(rest, NcPoly())._iadd_term(key[i], c)
+        d = {}
+        for rest, img in zip(groups, P.zero_test_images(groups.values())):
+            for w, c in img.terms.items():
+                d[rest[:i] + (w,) + rest[i:]] = c
+    return not d
 
 
 def tensor_equal(d1: dict, d2: dict, legs) -> bool:
     """Exact equality of word-tuple dicts with legs in the given algebras."""
-    n1, n2 = _expand_keys(d1, legs), _expand_keys(d2, legs)
-    maxima = _leg_maxima((n1, n2), legs)
-    return _clear_keys(n1, legs, maxima) == _clear_keys(n2, legs, maxima)
-
-
-def tensor_zero(d: dict, legs) -> bool:
-    n = _expand_keys(d, legs)
-    return not _clear_keys(n, legs, _leg_maxima((n,), legs))
+    diff = dict(d1)
+    for key, c in d2.items():
+        _triple_add(diff, key, -c)
+    return tensor_zero(diff, legs)
 
 
 # ---------------------------------------------------------------------------
@@ -453,54 +419,27 @@ def check_intertwine(psi: Morphism, rho_u: Coaction, rho: Coaction) -> bool:
 def _invariance_solution(N: int, P: Presentation, variant: str):
     """Solve the invariance linear system over the scalar field.
 
-    Unknowns X_{kl}; equations, per (i,j):
-      zstar_z:  sum_{k,l} X_{kl} NF(S(u^i_k) u^l_j) = X_{ij} 1
-      z_zstar:  sum_{k,l} X_{kl} NF(u^k_i S(u^j_l)) = X_{ij} 1
+    Unknowns X_{kl}; equations, per (i,j), compared word by word after
+    ``P.zero_test_images``:
+      zstar_z:  sum_{k,l} X_{kl} S(u^i_k) u^l_j = X_{ij} 1
+      z_zstar:  sum_{k,l} X_{kl} u^k_i S(u^j_l) = X_{ij} 1
     """
-    from .presentations import dinv_split
-
     S = P.structure.antipode
     unknowns = [(k, l) for k in range(1, N + 1) for l in range(1, N + 1)]
     col = {kl: idx for idx, kl in enumerate(unknowns)}
     rows = []
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            coeffs = {}
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    if variant == "zstar_z":
-                        p = P.nf(S[u(i, k)] * NcPoly.gen(u(l, j)))
-                    else:
-                        p = P.nf(NcPoly.gen(u(k, i)) * S[u(j, l)])
-                    coeffs[(k, l)] = p
-            unit_side = NcPoly.unit()
-            if P.mode == "localize":
-                # clear dinv through the determinant so that coefficient
-                # vectors live over the canonical companion basis
-                M = max(
-                    (dinv_split(w)[1] for p in coeffs.values() for w in p.terms),
-                    default=0,
-                )
-                if M:
-                    for kl, p in coeffs.items():
-                        acc = NcPoly()
-                        for w, c in p.terms.items():
-                            for w2, c2 in P.clear_word(w, M).terms.items():
-                                acc._iadd_term(w2, c * c2)
-                        coeffs[kl] = acc
-                    unit_side = P.det_power(M)
-            elif P.mode == "quotient":
-                for kl, p in coeffs.items():
-                    coeffs[kl] = P.quotient_reduce(p)
+            if variant == "zstar_z":
+                polys = [S[u(i, k)] * NcPoly.gen(u(l, j)) for k, l in unknowns]
+            else:
+                polys = [NcPoly.gen(u(k, i)) * S[u(j, l)] for k, l in unknowns]
+            *images, unit_side = P.zero_test_images(polys + [NcPoly.unit()])
             words = set(unit_side.terms)
-            for p in coeffs.values():
+            for p in images:
                 words.update(p.terms)
             for w in sorted(words):
-                row = [ZERO] * len(unknowns)
-                for kl, p in coeffs.items():
-                    c = p.coeff(w)
-                    if not c.is_zero:
-                        row[col[kl]] = row[col[kl]] + c
+                row = [p.coeff(w) for p in images]
                 cu = unit_side.coeff(w)
                 if not cu.is_zero:
                     row[col[(i, j)]] = row[col[(i, j)]] - cu

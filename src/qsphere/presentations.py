@@ -44,14 +44,18 @@ class Presentation:
 
     # -- exact zero testing
     #
-    # The rewriting systems of suq and uq (determinant set to 1, resp.
-    # inverse determinant adjoined) need not be confluent, so a nonzero
-    # normal form does not certify nonzero-ness there.  Both algebras sit
-    # over the confluent mq, where exact decisions are available:
+    # ``zero_test_images`` is the one exact zero test: a linear map from
+    # the free algebra to a space spanned by independent words, under which
+    # an element vanishes in the algebra exactly when its image is zero.
+    # For the confluent mq and sphere the map is the normal form.  The
+    # rewriting systems of suq and uq (determinant set to 1, resp. inverse
+    # determinant adjoined) are not confluent, so there the normal form is
+    # followed by one of two steps over the confluent companion mq:
     #
     #   uq ("localize"): uq is mq localized at the central determinant D.
     #   An element written as sum_k A_k dinv^k vanishes iff
-    #   sum_k A_k D^(M-k) vanishes in mq (M the maximal dinv power).
+    #   sum_k A_k D^(M-k) vanishes in mq, for any M at least the largest
+    #   dinv power; one M is shared by all polynomials of a call.
     #
     #   suq ("quotient"): suq = mq / (D - 1) with D central, and because D
     #   is homogeneous of degree N, the degree-bounded slice of the ideal
@@ -117,19 +121,28 @@ class Presentation:
             return a
         return self._eliminate(a, self._elim_rows(a.degree()))
 
-    def is_zero_elem(self, a: NcPoly) -> bool:
-        p = self.nf(a)
-        if p.is_zero or self.mode is None:
-            return p.is_zero
+    def zero_test_images(self, polys) -> list:
+        """Images of the given polynomials under one linear map that is
+        injective on the algebra: each is zero exactly when its polynomial
+        vanishes in the algebra."""
+        images = [self.nf(a) for a in polys]
         if self.mode == "quotient":
-            return self.quotient_reduce(p).is_zero
-        M = max(dinv_split(w)[1] for w in p.terms)
-        acc = NcPoly()
+            return [self.quotient_reduce(p) for p in images]
+        if self.mode == "localize":
+            M = max((dinv_split(w)[1] for p in images for w in p.terms), default=0)
+            if M:
+                images = [self._clear(p, M) for p in images]
+        return images
+
+    def _clear(self, p: NcPoly, M: int) -> NcPoly:
+        out = NcPoly()
         for w, c in p.terms.items():
-            piece = self.clear_word(w, M).scale(c)
-            for w2, c2 in piece.terms.items():
-                acc._iadd_term(w2, c2)
-        return acc.is_zero
+            for w2, c2 in self.clear_word(w, M).terms.items():
+                out._iadd_term(w2, c * c2)
+        return out
+
+    def is_zero_elem(self, a: NcPoly) -> bool:
+        return self.zero_test_images([a])[0].is_zero
 
     def equals(self, a: NcPoly, b: NcPoly) -> bool:
         return self.is_zero_elem(a - b)

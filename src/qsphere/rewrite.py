@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from .freealg import EMPTY, NcPoly, word_name
-from .scalars import ONE
 
 
 class MonomialOrder:
@@ -56,7 +55,6 @@ class Ambiguity:
     rule_a: int
     rule_b: int
     word: tuple
-    resolved: bool
     difference: NcPoly
 
 
@@ -177,7 +175,7 @@ class RewriteSystem:
                         diff = left - right
                         if not diff.is_zero:
                             unresolved.append(
-                                Ambiguity("overlap", ia, ib, word, False, diff)
+                                Ambiguity("overlap", ia, ib, word, diff)
                             )
                 # inclusion: lhs_b a proper subword of lhs_a
                 if ia != ib and len(rb.lhs) < len(ra.lhs):
@@ -193,7 +191,7 @@ class RewriteSystem:
                             diff = left - right
                             if not diff.is_zero:
                                 unresolved.append(
-                                    Ambiguity("inclusion", ia, ib, ra.lhs, False, diff)
+                                    Ambiguity("inclusion", ia, ib, ra.lhs, diff)
                                 )
         return AmbiguityReport(total, unresolved)
 
@@ -221,11 +219,3 @@ class RewriteSystem:
             graded.append(level)
         return graded
 
-
-def make_rule(lhs, rhs: NcPoly) -> Rule:
-    return Rule(tuple(lhs), rhs)
-
-
-def commutation_rule(a, b, coeff=ONE) -> Rule:
-    """Rule (a, b) -> coeff * (b, a)."""
-    return Rule((a, b), NcPoly.monomial((b, a), coeff))

@@ -43,10 +43,6 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return PZERO
@@ -56,12 +52,6 @@ def _pmul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
-
-
-def _pscale(a, k):
-    if k == 0:
-        return PZERO
-    return tuple(x * k for x in a)
 
 
 def _pcontent(a):
@@ -160,12 +150,6 @@ class Scalar:
         return Scalar((n,) if n else PZERO, PONE, _canonical=True)
 
     @staticmethod
-    def from_fraction(f) -> "Scalar":
-        f = Fraction(f)
-        n, d = f.numerator, f.denominator
-        return Scalar((n,) if n else PZERO, (d,), _canonical=True)
-
-    @staticmethod
     def variable() -> "Scalar":
         return Scalar((0, 1), PONE, _canonical=True)
 
@@ -178,13 +162,6 @@ class Scalar:
     @property
     def is_one(self) -> bool:
         return self.num == PONE and self.den == PONE
-
-    def as_fraction(self):
-        """Return self as a Fraction if constant, else None."""
-        if len(self.num) <= 1 and len(self.den) <= 1:
-            n = self.num[0] if self.num else 0
-            return Fraction(n, self.den[0])
-        return None
 
     # -- arithmetic
 
@@ -327,9 +304,6 @@ class DeformationContext:
     def with_root(N: int) -> "DeformationContext":
         v = Scalar.variable()
         return DeformationContext("t", v ** (-N), v, N)
-
-    def q_power(self, n: int) -> Scalar:
-        return self.q ** n
 
     def rebase(self, s: Scalar) -> "Scalar":
         """Map a scalar written in the plain q-context into this context."""

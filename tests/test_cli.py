@@ -173,3 +173,39 @@ def test_cache_dir_warm_run_identical(capsys, tmp_path):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nf", "--algebra", "mq", "--N", "0", "--expr", "u[1,1]"),
+        ("verify", "--algebra", "sphere", "--N", "1", "--checks", "coaction-eq20"),
+        ("verify", "--algebra", "sphere", "--N", "2", "--checks", "confluence", "--q", "0"),
+        ("verify", "--algebra", "sphere", "--N", "2", "--checks", "confluence", "--q", "abc"),
+        ("spectrum", "--N", "1", "--max-eig", "1"),
+        ("verify", "--algebra", "sphere", "--N", "2", "--checks", "confluence",
+         "--json", "{missing}/report.json"),
+        ("verify", "--algebra", "mq", "--N", "2", "--checks", "hopf-axioms",
+         "--max-degree", "-5"),
+    ],
+    ids=["N0", "sphere-N1-coaction", "q0", "q-abc", "spectrum-N1", "json-unwritable",
+         "negative-degree"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "error" in err and "Traceback" not in err
+
+
+def test_hopf_report_records_degree_cap(capsys, tmp_path):
+    path = str(tmp_path / "report.json")
+    code, _, _ = run(
+        capsys, "verify", "--algebra", "mq", "--N", "2", "--checks", "hopf-axioms",
+        "--max-degree", "5", "--json", path,
+    )
+    assert code == 0
+    (report,) = json.load(open(path))
+    assert report["params"] == {"max_degree": 5, "degree_cap": 3}
+    assert report["details"]["degree_bound"] == 3

@@ -14,6 +14,8 @@ from qsphere.hopf import (
     coproduct,
     counit,
     solve_invariant_form,
+    tensor_equal,
+    tensor_zero,
     verify_hopf,
 )
 from qsphere.presentations import (
@@ -83,6 +85,72 @@ def test_det_grouplike():
 
 def test_torus_hopf():
     verify_hopf(build_torus(2), 2)
+
+
+# -- the exact zero test on tensors -----------------------------------------
+
+
+def _tensor(x: NcPoly, other, pos):
+    """The word-tuple dict of x tensored with the word ``other``; x on leg pos."""
+    return {
+        (w, other) if pos == 0 else (other, w): c for w, c in x.terms.items()
+    }
+
+
+def _uq2_hidden_zero(P):
+    """A uq(2) element that is zero, though its normal form is not: one
+    unresolved ambiguity of the non-confluent system."""
+    x = P.system.check_confluence().unresolved[0].difference
+    assert not P.nf(x).is_zero and any(DINV in w for w in x.terms)
+    return x
+
+
+def test_tensor_zero_after_quotient_step():
+    P = build("suq", 3)
+    one = NcPoly.unit()
+    x = P.nf(NcPoly.gen(u(2, 1)) * (quantum_determinant(3) - one))
+    assert not x.is_zero  # plain rewriting does not see this zero
+    assert tensor_zero(_tensor(x, (u(1, 1),), 0), (P, P))
+    assert tensor_zero(_tensor(x, (u(1, 1),), 1), (P, P))
+
+
+@pytest.mark.parametrize("pos", [0, 1])
+def test_tensor_zero_after_clearing_dinv(pos):
+    P = build("uq", 2)
+    x = _uq2_hidden_zero(P)
+    assert tensor_zero(_tensor(x, (u(1, 1),), pos), (P, P))
+    # a sum over several words on the other leg is grouped per word
+    d = _tensor(x, (u(1, 2), DINV), pos)
+    d.update(_tensor(x.scale(q), (u(2, 1),), pos))
+    assert tensor_zero(d, (P, P))
+    # y = y2 in uq(2), only y2 carries dinv, and the words on the other leg
+    # are equal but not identical: cancelling needs one map for both groups
+    y = NcPoly.gen(u(2, 2))
+    y2 = y - x.scale(q)
+    assert any(DINV in w for w in P.nf(y2).terms)
+    d = _tensor(y, (u(2, 1), u(1, 1)), pos)
+    for key, c in _tensor(y2, (u(1, 1), u(2, 1)), pos).items():
+        d[key] = -c * q ** (-1)
+    assert tensor_zero(d, (P, P))
+
+
+def test_tensor_zero_rejects_nonzero():
+    P = build("uq", 2)
+    x = _uq2_hidden_zero(P) + NcPoly.gen(u(1, 2))
+    assert not tensor_zero(_tensor(x, (u(1, 1),), 0), (P, P))
+    assert not tensor_zero(_tensor(x, (u(1, 1),), 1), (P, P))
+    Q = build("suq", 3)
+    assert not tensor_zero({((u(2, 1),), (u(1, 1),)): ONE}, (Q, Q))
+
+
+def test_tensor_equal_beyond_free_dicts():
+    P = build("uq", 2)
+    # dinv D (x) u^1_1 and 1 (x) u^1_1: different free dicts, equal in uq(2)
+    d1 = _tensor(NcPoly.gen(DINV) * quantum_determinant(2), (u(1, 1),), 0)
+    d2 = {((), (u(1, 1),)): ONE}
+    assert d1 != d2
+    assert tensor_equal(d1, d2, (P, P))
+    assert not tensor_equal(d1, {((), (u(1, 2),)): ONE}, (P, P))
 
 
 # -- coactions --------------------------------------------------------------
