@@ -8,6 +8,7 @@ check passed, 1 means at least one failed, 2 means a usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -145,18 +146,19 @@ def _check_spectrum(P, args):
     return (status, {"spectrum": out["spectrum"], "bigraded_1_1": bi}, None)
 
 
+# name -> (check, algebras it applies to, least N it applies to)
 CHECKS = {
-    "confluence": (_check_confluence, ALGEBRAS),
-    "star-laws": (_check_star_closure, ("sphere", "suq", "uq")),
-    "hecke-eq11": (_check_hecke, ALGEBRAS),
-    "kernel-lemma67": (_check_kernel, ("sphere",)),
-    "det-central-rem36": (_check_det_central, ("mq", "uq")),
-    "hopf-axioms": (_check_hopf, ("mq", "suq", "uq")),
-    "matrix-identities": (_check_matrix_identities, ("suq", "uq")),
-    "coaction-eq20": (_check_coaction, ("sphere",)),
-    "cqt-eq2": (_check_cqt, ("suq",)),
-    "invariant-form-rem68": (_check_invariant_form, ("uq",)),
-    "gt-spectrum-thm76": (_check_spectrum, ("sphere",)),
+    "confluence": (_check_confluence, ALGEBRAS, 1),
+    "star-laws": (_check_star_closure, ("sphere", "suq", "uq"), 1),
+    "hecke-eq11": (_check_hecke, ALGEBRAS, 1),
+    "kernel-lemma67": (_check_kernel, ("sphere",), 1),
+    "det-central-rem36": (_check_det_central, ("mq", "uq"), 1),
+    "hopf-axioms": (_check_hopf, ("mq", "suq", "uq"), 1),
+    "matrix-identities": (_check_matrix_identities, ("suq", "uq"), 1),
+    "coaction-eq20": (_check_coaction, ("sphere",), 2),
+    "cqt-eq2": (_check_cqt, ("suq",), 1),
+    "invariant-form-rem68": (_check_invariant_form, ("uq",), 1),
+    "gt-spectrum-thm76": (_check_spectrum, ("sphere",), 2),
 }
 
 
@@ -181,35 +183,47 @@ def _build(args):
     return presentations.build(args.algebra, args.N, cache=cache)
 
 
-def _emit(reports, json_path):
+def _open_json(path):
+    """The ``--json`` file, opened before any work so a bad path costs none."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
+def _emit(reports, fh):
     worst = 0
     for r in reports:
         print(f"{r['check']}: {r['status']}")
         if r["status"] == "fail":
             worst = 1
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(reports, fh, indent=2)
+    if fh is not None:
+        json.dump(reports, fh, indent=2)
     return worst
 
 
-def cmd_verify(args) -> int:
-    P = _build(args)
-    names = (
-        [n for n, (_, algs) in CHECKS.items() if args.algebra in algs]
-        if args.checks == "all"
-        else [s.strip() for s in args.checks.split(",") if s.strip()]
-    )
-    reports = []
-    for name in sorted(names):
+def _check_names(args):
+    """The checks to run; naming one that cannot run here is a usage error."""
+    if args.checks == "all":
+        return [
+            n for n, (_, algs, min_n) in CHECKS.items()
+            if args.algebra in algs and args.N >= min_n
+        ]
+    names = [s.strip() for s in args.checks.split(",") if s.strip()]
+    for name in names:
         entry = CHECKS.get(name)
         if entry is None:
-            print(f"unknown check {name!r}", file=sys.stderr)
-            return 2
-        fn, algs = entry
+            raise ValueError(f"unknown check {name!r}")
+        _, algs, min_n = entry
         if args.algebra not in algs:
-            print(f"check {name!r} does not apply to {args.algebra}", file=sys.stderr)
-            return 2
+            raise ValueError(f"check {name!r} does not apply to {args.algebra}")
+        if args.N < min_n:
+            raise ValueError(f"check {name!r} needs N >= {min_n}")
+    return names
+
+
+def _run_checks(args, names):
+    P = _build(args)
+    reports = []
+    for name in sorted(names):
+        fn = CHECKS[name][0]
         t0 = time.monotonic()
         try:
             status, details, cx = fn(P, args)
@@ -230,7 +244,13 @@ def cmd_verify(args) -> int:
             _report(args.algebra, args.N, "numeric-evaluation",
                     {"q": str(args.q)}, status, details, cx, ms)
         )
-    return _emit(reports, args.json)
+    return reports
+
+
+def cmd_verify(args) -> int:
+    names = _check_names(args)
+    with _open_json(args.json) as fh:
+        return _emit(_run_checks(args, names), fh)
 
 
 def cmd_basis(args) -> int:
@@ -257,13 +277,13 @@ def cmd_det(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    out = spectrum.spectrum_with_multiplicities(args.N, args.max_eig)
-    for entry in out["spectrum"]:
-        print(f"eigenvalue {entry['eigenvalue']}: multiplicity {entry['multiplicity']}")
-    if out["status"] == "flagged":
-        print(f"flagged: {out['note']}")
-    if args.json:
-        with open(args.json, "w") as fh:
+    with _open_json(args.json) as fh:
+        out = spectrum.spectrum_with_multiplicities(args.N, args.max_eig)
+        for entry in out["spectrum"]:
+            print(f"eigenvalue {entry['eigenvalue']}: multiplicity {entry['multiplicity']}")
+        if out["status"] == "flagged":
+            print(f"flagged: {out['note']}")
+        if fh is not None:
             json.dump(out, fh, indent=2)
     return 0
 

@@ -104,39 +104,71 @@ class RewriteSystem:
                         raise AlphabetMismatch(f"rule uses unknown generator {g}")
             r.validate(self.order)
         self._lhs_index = seen
+        self._lhs_lengths = sorted({len(r.lhs) for r in self.rules})
         self._nf_cache: dict[tuple, NcPoly] = {}
-        self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
 
     # -- single-word machinery
 
     def _find_redex(self, word):
         """Leftmost reducible position; ties broken by rule list order."""
-        for pos in range(len(word)):
-            for idx, rule in enumerate(self.rules):
-                if word[pos : pos + len(rule.lhs)] == rule.lhs:
-                    return (pos, idx)
+        index = self._lhs_index
+        n = len(word)
+        for pos in range(n):
+            best = None
+            for L in self._lhs_lengths:
+                if pos + L > n:
+                    break
+                idx = index.get(word[pos : pos + L])
+                if idx is not None and (best is None or idx < best):
+                    best = idx
+            if best is not None:
+                return (pos, best)
         return None
 
     def reduce_word(self, word) -> NcPoly:
-        """Fully reduce a single word (memoized)."""
+        """Fully reduce a single word (memoized).
+
+        Iterative over an explicit stack, so a long chain of rewrite steps
+        is not limited by the interpreter's recursion depth.  A word's
+        normal form is its redex's rhs terms, each reduced in place of the
+        lhs and scaled by its coefficient, summed in rhs order.
+        """
         word = tuple(word)
-        cached = self._nf_cache.get(word)
+        cache = self._nf_cache
+        cached = cache.get(word)
         if cached is not None:
             return cached
-        hit = self._find_redex(word)
-        if hit is None:
-            result = NcPoly.monomial(word)
-        else:
-            pos, idx = hit
-            rule = self.rules[idx]
-            pre, suf = word[:pos], word[pos + len(rule.lhs) :]
+        stack = [(word, None)]
+        while stack:
+            w, children = stack[-1]
+            if children is None:
+                if w in cache:
+                    stack.pop()
+                    continue
+                hit = self._find_redex(w)
+                if hit is None:
+                    cache[w] = NcPoly.monomial(w)
+                    stack.pop()
+                    continue
+                pos, idx = hit
+                rule = self.rules[idx]
+                pre, suf = w[:pos], w[pos + len(rule.lhs) :]
+                children = [(pre + r + suf, c) for r, c in rule.rhs.terms.items()]
+                stack[-1] = (w, children)
+                pending = [(x, None) for x, _ in reversed(children) if x not in cache]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            stack.pop()
             result = NcPoly()
-            for w, c in rule.rhs.terms.items():
-                piece = self.reduce_word(pre + w + suf).scale(c)
+            for x, c in children:
+                piece = cache[x]
+                if not c.is_one:
+                    piece = piece.scale(c)
                 for w2, c2 in piece.terms.items():
                     result._iadd_term(w2, c2)
-        self._nf_cache[word] = result
-        return result
+            cache[w] = result
+        return cache[word]
 
     # -- public operations
 

@@ -5,13 +5,18 @@ bound to the base variable v directly (q := v), or, when the root t with
 t^N = q^{-1} is needed, via the re-based binding q := v^{-N}, t := v.  Either
 way the coefficient domain stays a plain rational-function field in one
 variable with arbitrary-precision integer coefficients.
+
+Almost every coefficient the algebras produce is a Laurent polynomial, so an
+element is stored as v^val * cf(v) / dn(v) with cf(0) and dn(0) nonzero.
+Laurent elements have a constant dn and are normalised by one integer gcd;
+the polynomial gcd runs only for true denominators such as [N]_q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd
 
 from .errors import PoleAtPoint
 
@@ -30,76 +35,47 @@ def _trim(c):
     return tuple(c[:n])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
 def _pmul(a, b):
-    if not a or not b:
-        return PZERO
+    """Product of polynomials with nonzero leading coefficients."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return b if c == 1 else tuple(c * y for y in b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _pcontent(a):
-    c = 0
-    for x in a:
-        c = _int_gcd(c, x)
-    return c
-
-
-def _pdiv_int(a, k):
-    return tuple(x // k for x in a)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
 def _pgcd(a, b):
-    """Primitive gcd in Z[v] with positive leading coefficient."""
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        fa = [Fraction(x) for x in a]
-        fb = [Fraction(x) for x in b]
-        while fb:
-            # fa mod fb
-            while len(fa) >= len(fb) and any(fa):
-                k = len(fa) - len(fb)
-                f = fa[-1] / fb[-1]
-                for i, y in enumerate(fb):
-                    fa[i + k] -= f * y
-                while fa and fa[-1] == 0:
-                    fa.pop()
-            fa, fb = fb, fa
-        den_lcm = 1
-        for x in fa:
-            den_lcm = den_lcm * x.denominator // _int_gcd(den_lcm, x.denominator)
-        g = _trim([int(x * den_lcm) for x in fa])
-    if not g:
-        return PZERO
-    c = _pcontent(g)
+    """Primitive gcd in Z[v] of nonzero a and b, positive leading coefficient."""
+    fa = [Fraction(x) for x in a]
+    fb = [Fraction(x) for x in b]
+    while fb:
+        # fa mod fb
+        while len(fa) >= len(fb) and any(fa):
+            k = len(fa) - len(fb)
+            f = fa[-1] / fb[-1]
+            for i, y in enumerate(fb):
+                fa[i + k] -= f * y
+            while fa and fa[-1] == 0:
+                fa.pop()
+        fa, fb = fb, fa
+    den_lcm = 1
+    for x in fa:
+        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
+    g = _trim([int(x * den_lcm) for x in fa])
+    c = gcd(*g)
     if g[-1] < 0:
         c = -c
-    return _pdiv_int(g, c)
+    return tuple(x // c for x in g)
 
 
 def _pdivexact(a, b):
     """Exact division in Z[v]; caller guarantees divisibility."""
-    if not a:
-        return PZERO
     out = [0] * (len(a) - len(b) + 1)
     rem = list(a)
     for k in range(len(out) - 1, -1, -1):
@@ -127,71 +103,120 @@ def _peval(a, x0: Fraction) -> Fraction:
 
 
 class Scalar:
-    """A rational function num/den in Z[v], kept in canonical form.
+    """A rational function v^val * cf / dn over Z, kept in canonical form.
 
-    Canonical form: gcd(num, den) = 1 (including integer content), den has
-    positive leading coefficient, zero is 0/1.  Equal field elements therefore
-    have identical representations, so ``==`` and ``hash`` are structural.
+    Canonical form: cf(0) != 0 != dn(0), gcd(cf, dn) = 1 (including integer
+    content), dn has positive leading coefficient, zero is (0, (), (1,)).
+    Equal field elements therefore have identical representations, so
+    ``==`` and ``hash`` are structural.  ``num`` and ``den`` give the same
+    element as one lowest-terms fraction of polynomials in v.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("val", "cf", "dn", "_hash")
 
-    def __init__(self, num, den=PONE, _canonical=False):
-        if not _canonical:
-            num, den = _canon(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=PONE):
+        num = _trim(num)
+        den = _trim(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            s = ZERO
+        else:
+            lo_n = next(i for i, x in enumerate(num) if x)
+            lo_d = next(i for i, x in enumerate(den) if x)
+            s = _make(lo_n - lo_d, num[lo_n:], den[lo_d:])
+        self.val, self.cf, self.dn = s.val, s.cf, s.dn
         self._hash = None
 
     # -- constructors
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
-        return Scalar((n,) if n else PZERO, PONE, _canonical=True)
+        return _new(0, (n,), PONE) if n else ZERO
 
     @staticmethod
     def variable() -> "Scalar":
-        return Scalar((0, 1), PONE, _canonical=True)
+        return _new(1, PONE, PONE)
+
+    # -- the lowest-terms fraction num/den in Z[v]
+
+    @property
+    def num(self):
+        return (0,) * self.val + self.cf if self.val > 0 else self.cf
+
+    @property
+    def den(self):
+        return (0,) * -self.val + self.dn if self.val < 0 else self.dn
 
     # -- predicates
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.cf
 
     @property
     def is_one(self) -> bool:
-        return self.num == PONE and self.den == PONE
+        return self.val == 0 and self.cf == PONE and self.dn == PONE
 
     # -- arithmetic
 
     def __add__(self, other):
-        if self.is_zero:
+        if not self.cf:
             return other
-        if other.is_zero:
+        if not other.cf:
             return self
-        if self.den == other.den:
-            return Scalar(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den))
+        a, b, da, db = self.cf, other.cf, self.dn, other.dn
+        if da == db:
+            dn = da
+        elif len(da) == 1 and len(db) == 1:
+            # both Laurent: bring them over the lcm of the two integers
+            x, y = da[0], db[0]
+            g = gcd(x, y)
+            dn = (x // g * y,)
+            a, b = _pmul((y // g,), a), _pmul((x // g,), b)
+        else:
+            dn = _pmul(da, db)
+            a, b = _pmul(a, db), _pmul(b, da)
+        va, vb = self.val, other.val
+        if va > vb:
+            va, vb, a, b = vb, va, b, a
+        shift = vb - va
+        out = list(a)
+        top = shift + len(b)
+        if top > len(out):
+            out.extend([0] * (top - len(out)))
+        for i, y in enumerate(b, shift):
+            out[i] += y
+        while out and not out[-1]:
+            out.pop()
+        if not out:
+            return ZERO
+        lo = 0
+        while not out[lo]:
+            lo += 1
+        return _make(va + lo, tuple(out[lo:]), dn)
 
     def __neg__(self):
-        return Scalar(_pneg(self.num), self.den, _canonical=True)
+        return _new(self.val, tuple(-x for x in self.cf), self.dn)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
+        if not self.cf or not other.cf:
             return ZERO
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return _make(
+            self.val + other.val, _pmul(self.cf, other.cf), _pmul(self.dn, other.dn)
+        )
 
     def __truediv__(self, other):
-        if other.is_zero:
+        if not other.cf:
             raise ZeroDivisionError("division by the zero scalar")
-        if self.is_zero:
+        if not self.cf:
             return ZERO
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return _make(
+            self.val - other.val, _pmul(self.cf, other.dn), _pmul(self.dn, other.cf)
+        )
 
     def inverse(self) -> "Scalar":
         return ONE / self
@@ -215,13 +240,14 @@ class Scalar:
     def __eq__(self, other):
         return (
             isinstance(other, Scalar)
-            and self.num == other.num
-            and self.den == other.den
+            and self.val == other.val
+            and self.cf == other.cf
+            and self.dn == other.dn
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self.val, self.cf, self.dn))
         return self._hash
 
     def __repr__(self):
@@ -232,10 +258,10 @@ class Scalar:
     def eval_at(self, v0) -> Fraction:
         """Exact value at v = v0; raises PoleAtPoint when den(v0) = 0."""
         v0 = Fraction(v0)
-        d = _peval(self.den, v0)
-        if d == 0:
+        d = _peval(self.dn, v0)
+        if d == 0 or (self.val < 0 and v0 == 0):
             raise PoleAtPoint(f"denominator vanishes at {v0}")
-        return _peval(self.num, v0) / d
+        return v0 ** self.val * _peval(self.cf, v0) / d
 
     def compose(self, val: "Scalar") -> "Scalar":
         """Substitute v -> val (a field homomorphism where defined)."""
@@ -253,29 +279,46 @@ def _scalar_horner(poly, val: Scalar) -> Scalar:
     return acc
 
 
-def _canon(num, den):
-    num = _trim(num)
-    den = _trim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return PZERO, PONE
+def _new(val, cf, dn) -> Scalar:
+    """A Scalar from a triple already in canonical form."""
+    s = object.__new__(Scalar)
+    s.val = val
+    s.cf = cf
+    s.dn = dn
+    s._hash = None
+    return s
+
+
+def _make(val, num, den) -> Scalar:
+    """Canonical v^val * num / den; num and den are nonzero polynomials whose
+    constant and leading coefficients are nonzero."""
+    if len(den) == 1:
+        # Laurent: no polynomial gcd, one integer gcd of the contents
+        d = den[0]
+        if d < 0:
+            d = -d
+            num = tuple(-x for x in num)
+        if d != 1:
+            g = gcd(d, *num)
+            if g != 1:
+                d //= g
+                num = tuple(x // g for x in num)
+        return _new(val, num, (d,) if d != 1 else PONE)
     g = _pgcd(num, den)
     if g != PONE:
         num = _pdivexact(num, g)
         den = _pdivexact(den, g)
-    cn, cd = _pcontent(num), _pcontent(den)
-    c = _int_gcd(cn, cd)
+    c = gcd(*num, *den)
     if den[-1] < 0:
         c = -c
     if c != 1:
-        num = _pdiv_int(num, c)
-        den = _pdiv_int(den, c)
-    return num, den
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return _new(val, num, den)
 
 
-ZERO = Scalar.from_int(0)
-ONE = Scalar.from_int(1)
+ZERO = _new(0, PZERO, PONE)
+ONE = _new(0, PONE, PONE)
 
 
 # ---------------------------------------------------------------------------

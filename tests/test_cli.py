@@ -187,16 +187,38 @@ def test_cache_dir_warm_run_identical(capsys, tmp_path):
          "--json", "{missing}/report.json"),
         ("verify", "--algebra", "mq", "--N", "2", "--checks", "hopf-axioms",
          "--max-degree", "-5"),
+        ("verify", "--algebra", "sphere", "--N", "1", "--checks", "gt-spectrum-thm76"),
+        ("verify", "--algebra", "suq", "--N", "2", "--checks", "confluence",
+         "--json", "{missing}/r.json"),
+        ("spectrum", "--N", "2", "--max-eig", "1", "--json", "{missing}/r.json"),
     ],
     ids=["N0", "sphere-N1-coaction", "q0", "q-abc", "spectrum-N1", "json-unwritable",
-         "negative-degree"],
+         "negative-degree", "sphere-N1-spectrum", "json-unwritable-suq",
+         "spectrum-json-unwritable"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "error" in err and "Traceback" not in err
+
+
+def test_check_below_its_least_N_is_named(capsys):
+    for check in ("coaction-eq20", "gt-spectrum-thm76"):
+        code, _, err = run(capsys, "verify", "--algebra", "sphere", "--N", "1",
+                           "--checks", check)
+        assert code == 2
+        assert err.strip() == f"error: check {check!r} needs N >= 2"
+
+
+def test_verify_all_skips_checks_below_their_least_N(capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "1")
+    assert code == 0
+    assert [l.split(":")[0] for l in out.splitlines()] == [
+        "confluence", "hecke-eq11", "kernel-lemma67", "star-laws",
+    ]
 
 
 def test_hopf_report_records_degree_cap(capsys, tmp_path):
@@ -209,3 +231,11 @@ def test_hopf_report_records_degree_cap(capsys, tmp_path):
     (report,) = json.load(open(path))
     assert report["params"] == {"max_degree": 5, "degree_cap": 3}
     assert report["details"]["degree_bound"] == 3
+
+
+def test_nf_deep_word_has_no_recursion_limit(capsys):
+    code, out, err = run(
+        capsys, "nf", "--algebra", "sphere", "--N", "2", "--expr", "z[2]^1500*z[1]"
+    )
+    assert (code, err) == (0, "")
+    assert out.strip() == "q^-1500*z[1]" + "*z[2]" * 1500

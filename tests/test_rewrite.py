@@ -1,5 +1,7 @@
 """Rewriting engine: termination, determinism, confluence, basis counts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,3 +114,35 @@ def test_inclusion_ambiguities_counted():
     rep = P.system.check_confluence()
     assert rep.confluent
     assert rep.total > 0
+
+
+def _linear_scan_redex(system, word):
+    """Reference redex search: every rule at every position, in list order."""
+    for pos in range(len(word)):
+        for idx, rule in enumerate(system.rules):
+            if word[pos : pos + len(rule.lhs)] == rule.lhs:
+                return (pos, idx)
+    return None
+
+
+@pytest.mark.parametrize(
+    "algebra,N",
+    [(a, n) for a in ("mq", "suq", "uq", "sphere") for n in (2, 3)] + [("uq", 4)],
+)
+def test_indexed_redex_matches_linear_scan(algebra, N):
+    # suq and uq are not confluent, so their normal forms depend on the redex
+    # choice: the lhs index must pick the same (position, rule) as the scan.
+    # The built systems list the long determinant rules last; the reversed
+    # list makes a long lhs win a tie at the same position.
+    built = build(algebra, N).system
+    rng = random.Random(f"{algebra}{N}")
+    gens = built.order.precedence
+    long_lhs = [r.lhs for r in built.rules if len(r.lhs) > 2]
+    for system in (built, RewriteSystem(built.order, built.rules[::-1])):
+        for _ in range(300):
+            word = [rng.choice(gens) for _ in range(rng.randint(0, 9))]
+            if long_lhs and rng.random() < 0.5:
+                at = rng.randint(0, len(word))
+                word[at:at] = rng.choice(long_lhs)
+            word = tuple(word)
+            assert system._find_redex(word) == _linear_scan_redex(system, word)

@@ -1,9 +1,10 @@
 """The exact coefficient field and parameter bindings."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qsphere.errors import PoleAtPoint
 from qsphere.scalars import ONE, ZERO, DeformationContext, Scalar
@@ -122,3 +123,168 @@ class TestContexts:
         assert ctx.qnum(1) == ONE
         assert ctx.qnum(2) == q + q ** (-1)
         assert ctx.qnum(3) == q ** 2 + ONE + q ** (-2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the general-denominator canonicalisation, kept as the reference for
+# the Laurent representation (Fraction Euclid gcd, exact division, content
+# and sign, on plain num/den coefficient tuples)
+# ---------------------------------------------------------------------------
+
+
+def _ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_pgcd(a, b):
+    fa = [Fraction(x) for x in a]
+    fb = [Fraction(x) for x in b]
+    while fb:
+        while len(fa) >= len(fb) and any(fa):
+            k = len(fa) - len(fb)
+            f = fa[-1] / fb[-1]
+            for i, y in enumerate(fb):
+                fa[i + k] -= f * y
+            while fa and fa[-1] == 0:
+                fa.pop()
+        fa, fb = fb, fa
+    lcm = 1
+    for x in fa:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    g = _ref_trim([int(x * lcm) for x in fa])
+    c = gcd(*g) * (1 if g[-1] > 0 else -1)
+    return tuple(x // c for x in g)
+
+
+def _ref_divexact(a, b):
+    out = [0] * (len(a) - len(b) + 1)
+    rem = list(a)
+    for k in range(len(out) - 1, -1, -1):
+        c, r = divmod(rem[k + len(b) - 1], b[-1])
+        assert r == 0
+        out[k] = c
+        for i, y in enumerate(b):
+            rem[i + k] -= c * y
+    assert not any(rem)
+    return _ref_trim(out)
+
+
+def _ref_canon(num, den):
+    """Lowest-terms (num, den) in Z[v]: coprime with content, den[-1] > 0."""
+    num, den = _ref_trim(num), _ref_trim(den)
+    if not num:
+        return (), (1,)
+    g = _ref_pgcd(num, den)
+    num, den = _ref_divexact(num, g), _ref_divexact(den, g)
+    c = gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    return tuple(x // c for x in num), tuple(x // c for x in den)
+
+
+def _ref_eval(num, den, v0):
+    """Value of the lowest-terms fraction at v0, or "pole" where den vanishes."""
+    ev = lambda p: sum((c * v0 ** i for i, c in enumerate(p)), Fraction(0))
+    d = ev(den)
+    return "pole" if d == 0 else ev(num) / d
+
+
+def _ref_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return tuple(x + y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
+
+
+def _ref_neg(a):
+    return tuple(-x for x in a)
+
+
+nonzero_ints = st.integers(min_value=-6, max_value=6).filter(bool)
+monomials = st.builds(
+    lambda k, c: (0,) * k + (c,), st.integers(min_value=0, max_value=4), nonzero_ints
+)
+general = st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=5).filter(
+    lambda p: any(p[1:])
+)
+numerators = st.one_of(st.just(()), monomials, general)
+# constant, monomial c*v^k and general denominators, some with low zeros
+denominators = st.one_of(
+    st.builds(lambda c: (c,), nonzero_ints),
+    monomials,
+    st.builds(lambda k, p: (0,) * k + tuple(p), st.integers(0, 2), general),
+)
+fractions_ = st.tuples(numerators, denominators)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+class TestAgainstGeneralForm:
+    @settings(max_examples=200)
+    @given(fractions_)
+    def test_num_den_are_lowest_terms(self, nd):
+        s = Scalar(*nd)
+        assert (s.num, s.den) == _ref_canon(*nd)
+        assert Scalar(s.num, s.den) == s
+
+    @settings(max_examples=200)
+    @given(fractions_, fractions_, st.integers(min_value=-3, max_value=3))
+    def test_ops_match_reference(self, x, y, k):
+        a, b = Scalar(*x), Scalar(*y)
+        (an, ad), (bn, bd) = _ref_canon(*x), _ref_canon(*y)
+        cross = _ref_mul(an, bd), _ref_mul(bn, ad)
+        s = a + b
+        assert (s.num, s.den) == _ref_canon(_ref_add(*cross), _ref_mul(ad, bd))
+        s = a - b
+        assert (s.num, s.den) == _ref_canon(
+            _ref_add(cross[0], _ref_neg(cross[1])), _ref_mul(ad, bd)
+        )
+        s = a * b
+        assert (s.num, s.den) == _ref_canon(_ref_mul(an, bn), _ref_mul(ad, bd))
+        if bn:
+            s = a / b
+            assert (s.num, s.den) == _ref_canon(_ref_mul(an, bd), _ref_mul(ad, bn))
+        if an or k >= 0:
+            base = (an, ad) if k >= 0 else (ad, an)
+            pn, pd = (1,), (1,)
+            for _ in range(abs(k)):
+                pn, pd = _ref_mul(pn, base[0]), _ref_mul(pd, base[1])
+            s = a ** k
+            assert (s.num, s.den) == _ref_canon(pn, pd)
+
+    @settings(max_examples=200)
+    @given(fractions_, fractions_, points, st.integers(min_value=-3, max_value=3))
+    def test_ops_commute_with_eval(self, x, y, v0, k):
+        a, b = Scalar(*x), Scalar(*y)
+        va, vb = _ref_eval(*_ref_canon(*x), v0), _ref_eval(*_ref_canon(*y), v0)
+        if va == "pole" or vb == "pole":
+            return
+        assert (a + b).eval_at(v0) == va + vb
+        assert (a - b).eval_at(v0) == va - vb
+        assert (a * b).eval_at(v0) == va * vb
+        if vb:
+            assert (a / b).eval_at(v0) == va / vb
+        if va or k >= 0:
+            assert (a ** k).eval_at(v0) == va ** k
+
+    @settings(max_examples=200)
+    @given(fractions_, st.one_of(points, st.just(Fraction(0))))
+    def test_poles_where_the_lowest_terms_den_vanishes(self, nd, v0):
+        want = _ref_eval(*_ref_canon(*nd), v0)
+        s = Scalar(*nd)
+        if want == "pole":
+            with pytest.raises(PoleAtPoint):
+                s.eval_at(v0)
+        else:
+            assert s.eval_at(v0) == want
+
+    def test_pole_at_zero_from_a_negative_valuation(self):
+        with pytest.raises(PoleAtPoint):
+            (q ** (-2) * (q + ONE)).eval_at(0)
+        assert (q ** 2 * (q + ONE)).eval_at(0) == 0
