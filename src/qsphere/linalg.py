@@ -72,7 +72,7 @@ def rref(A):
         for i in range(rows):
             if i != r and not M[i][c].is_zero:
                 f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+                M[i] = [x if y.is_zero else x - f * y for x, y in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
         if r == rows:

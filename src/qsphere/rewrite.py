@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from .freealg import EMPTY, NcPoly, word_name
+from .scalars import ONE
 
 
 class MonomialOrder:
@@ -83,6 +84,26 @@ class AmbiguityReport:
         }
 
 
+def _add_scaled(acc, terms, c):
+    """acc += c * terms in place, in the order of ``terms``; c is nonzero.
+
+    Sums that cancel are deleted, so ``acc`` never holds a zero coefficient.
+    """
+    one = c.is_one
+    for w, c2 in terms.items():
+        if not one:
+            c2 = c2 * c
+        cur = acc.get(w)
+        if cur is None:
+            acc[w] = c2
+        else:
+            c2 = cur + c2
+            if c2.is_zero:
+                del acc[w]
+            else:
+                acc[w] = c2
+
+
 class RewriteSystem:
     """Alphabet, monomial order and oriented rules, with a normal-form cache."""
 
@@ -109,11 +130,14 @@ class RewriteSystem:
 
     # -- single-word machinery
 
-    def _find_redex(self, word):
-        """Leftmost reducible position; ties broken by rule list order."""
+    def _find_redex(self, word, start=0):
+        """Leftmost reducible position; ties broken by rule list order.
+
+        The caller guarantees that no redex begins before ``start``.
+        """
         index = self._lhs_index
         n = len(word)
-        for pos in range(n):
+        for pos in range(start, n):
             best = None
             for L in self._lhs_lengths:
                 if pos + L > n:
@@ -128,46 +152,67 @@ class RewriteSystem:
     def reduce_word(self, word) -> NcPoly:
         """Fully reduce a single word (memoized).
 
-        Iterative over an explicit stack, so a long chain of rewrite steps
-        is not limited by the interpreter's recursion depth.  A word's
-        normal form is its redex's rhs terms, each reduced in place of the
-        lhs and scaled by its coefficient, summed in rhs order.
+        A word's normal form is its leftmost redex's rhs terms, each reduced
+        in place of the lhs and scaled by its coefficient, summed in rhs
+        order.  A run of rules with a one-term rhs is followed in place, and
+        only its first and last words are cached.  After a rewrite at ``pos``
+        the untouched prefix still holds no whole lhs, so the next redex
+        search starts ``maxL - 1`` letters before ``pos``.  Iterative over an
+        explicit stack, so a long chain of rewrite steps is not limited by
+        the interpreter's recursion depth.
         """
         word = tuple(word)
         cache = self._nf_cache
         cached = cache.get(word)
         if cached is not None:
             return cached
-        stack = [(word, None)]
+        rules = self.rules
+        find = self._find_redex
+        back = max(self._lhs_lengths, default=1) - 1
+        # (word, redex search start, None) to reduce, or
+        # (word, None, [(child, coef), ...]) once its children are queued
+        stack = [(word, 0, None)]
         while stack:
-            w, children = stack[-1]
+            w, start, children = stack.pop()
             if children is None:
                 if w in cache:
-                    stack.pop()
                     continue
-                hit = self._find_redex(w)
+                x, coef = w, ONE
+                hit = find(x, start)
+                while hit is not None:
+                    pos, idx = hit
+                    rule = rules[idx]
+                    if len(rule.rhs.terms) != 1:
+                        break
+                    ((r, c),) = rule.rhs.terms.items()
+                    x = x[:pos] + r + x[pos + len(rule.lhs) :]
+                    if not c.is_one:
+                        coef = coef * c
+                    start = max(0, pos - back)
+                    if x in cache:
+                        break
+                    hit = find(x, start)
+                if x is not w:  # at least one step was taken
+                    stack.append((w, None, [(x, coef)]))
+                    if x in cache:
+                        continue
                 if hit is None:
-                    cache[w] = NcPoly.monomial(w)
-                    stack.pop()
+                    cache[x] = NcPoly.monomial(x)
                     continue
                 pos, idx = hit
-                rule = self.rules[idx]
-                pre, suf = w[:pos], w[pos + len(rule.lhs) :]
+                rule = rules[idx]
+                pre, suf = x[:pos], x[pos + len(rule.lhs) :]
                 children = [(pre + r + suf, c) for r, c in rule.rhs.terms.items()]
-                stack[-1] = (w, children)
-                pending = [(x, None) for x, _ in reversed(children) if x not in cache]
-                if pending:
-                    stack.extend(pending)
-                    continue
-            stack.pop()
-            result = NcPoly()
+                stack.append((x, None, children))
+                start = max(0, pos - back)
+                stack.extend(
+                    (y, start, None) for y, _ in reversed(children) if y not in cache
+                )
+                continue
+            out = NcPoly()
             for x, c in children:
-                piece = cache[x]
-                if not c.is_one:
-                    piece = piece.scale(c)
-                for w2, c2 in piece.terms.items():
-                    result._iadd_term(w2, c2)
-            cache[w] = result
+                _add_scaled(out.terms, cache[x].terms, c)
+            cache[w] = out
         return cache[word]
 
     # -- public operations
@@ -179,9 +224,8 @@ class RewriteSystem:
                     raise AlphabetMismatch(f"unknown generator {g}")
         out = NcPoly()
         for w, c in a.terms.items():
-            piece = self.reduce_word(w).scale(c)
-            for w2, c2 in piece.terms.items():
-                out._iadd_term(w2, c2)
+            if not c.is_zero:
+                _add_scaled(out.terms, self.reduce_word(w).terms, c)
         return out
 
     def is_irreducible_word(self, word) -> bool:

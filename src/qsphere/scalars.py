@@ -205,6 +205,10 @@ class Scalar:
     def __mul__(self, other):
         if not self.cf or not other.cf:
             return ZERO
+        if self.dn == PONE and other.dn == PONE:
+            # Laurent times Laurent: cf(0) of the product is a product of
+            # nonzero integers and dn = 1, so the triple is already canonical
+            return _new(self.val + other.val, _pmul(self.cf, other.cf), PONE)
         return _make(
             self.val + other.val, _pmul(self.cf, other.cf), _pmul(self.dn, other.dn)
         )

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsphere.errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from qsphere.freealg import NcPoly, z, zs
-from qsphere.presentations import build
+from qsphere.presentations import build, build_free_matrix
 from qsphere.rewrite import MonomialOrder, RewriteSystem, Rule
 from qsphere.scalars import DeformationContext, ONE
 
@@ -125,24 +125,127 @@ def _linear_scan_redex(system, word):
     return None
 
 
-@pytest.mark.parametrize(
+SYSTEMS = pytest.mark.parametrize(
     "algebra,N",
     [(a, n) for a in ("mq", "suq", "uq", "sphere") for n in (2, 3)] + [("uq", 4)],
 )
-def test_indexed_redex_matches_linear_scan(algebra, N):
-    # suq and uq are not confluent, so their normal forms depend on the redex
-    # choice: the lhs index must pick the same (position, rule) as the scan.
-    # The built systems list the long determinant rules last; the reversed
-    # list makes a long lhs win a tie at the same position.
+
+
+def _systems_and_words(algebra, N, count, max_len=9):
+    """The built rule order and the reversed one, each with random words.
+
+    The built systems list the long determinant rules last; the reversed
+    list makes a long lhs win a tie at the same position.  About half of
+    the words have a long lhs inserted, so that determinant rules fire.
+    """
     built = build(algebra, N).system
     rng = random.Random(f"{algebra}{N}")
     gens = built.order.precedence
     long_lhs = [r.lhs for r in built.rules if len(r.lhs) > 2]
     for system in (built, RewriteSystem(built.order, built.rules[::-1])):
-        for _ in range(300):
-            word = [rng.choice(gens) for _ in range(rng.randint(0, 9))]
+        words = []
+        for _ in range(count):
+            word = [rng.choice(gens) for _ in range(rng.randint(0, max_len))]
             if long_lhs and rng.random() < 0.5:
                 at = rng.randint(0, len(word))
                 word[at:at] = rng.choice(long_lhs)
-            word = tuple(word)
+            words.append(tuple(word))
+        yield system, words, rng
+
+
+@SYSTEMS
+def test_indexed_redex_matches_linear_scan(algebra, N):
+    # suq and uq are not confluent, so their normal forms depend on the redex
+    # choice: the lhs index must pick the same (position, rule) as the scan.
+    for system, words, _ in _systems_and_words(algebra, N, 300):
+        for word in words:
             assert system._find_redex(word) == _linear_scan_redex(system, word)
+
+
+@SYSTEMS
+def test_redex_search_from_start_matches_linear_scan(algebra, N):
+    # any start at or before the leftmost redex finds that same redex
+    for system, words, rng in _systems_and_words(algebra, N, 300):
+        for word in words:
+            hit = _linear_scan_redex(system, word)
+            start = rng.randint(0, len(word) if hit is None else hit[0])
+            assert system._find_redex(word, start) == hit
+
+
+def _reference_reduce_word(system, word, cache):
+    """Normal form by the plain engine: every word met is cached, and every
+    redex search starts at position 0.  Each step rewrites the leftmost
+    redex with the lowest rule index and sums the reduced rhs terms in rhs
+    order, so the result, its term order included, is what ``reduce_word``
+    must give.
+    """
+    stack = [(word, None)]
+    while stack:
+        w, children = stack[-1]
+        if children is None:
+            if w in cache:
+                stack.pop()
+                continue
+            hit = system._find_redex(w)
+            if hit is None:
+                cache[w] = NcPoly.monomial(w)
+                stack.pop()
+                continue
+            pos, idx = hit
+            rule = system.rules[idx]
+            pre, suf = w[:pos], w[pos + len(rule.lhs) :]
+            children = [(pre + r + suf, c) for r, c in rule.rhs.terms.items()]
+            stack[-1] = (w, children)
+            pending = [(x, None) for x, _ in reversed(children) if x not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+        stack.pop()
+        result = NcPoly()
+        for x, c in children:
+            for w2, c2 in cache[x].scale(c).terms.items():
+                result._iadd_term(w2, c2)
+        cache[w] = result
+    return cache[word]
+
+
+def _assert_matches_reference(system, words):
+    ref_cache = {}
+    for word in words:
+        got = system.reduce_word(word)
+        want = _reference_reduce_word(system, word, ref_cache)
+        assert list(got.terms.items()) == list(want.terms.items())
+    # every word the engine caches is one the reference met, with the same
+    # normal form in the same term order
+    assert system._nf_cache.keys() <= ref_cache.keys()
+    for w, nf in system._nf_cache.items():
+        assert list(nf.terms.items()) == list(ref_cache[w].terms.items())
+
+
+@SYSTEMS
+def test_reduce_word_matches_reference_engine(algebra, N):
+    # suq and uq are not confluent, so this pins the redex choice of every
+    # step, not only the linear map on a confluent system
+    max_len = 6 if (algebra, N) == ("uq", 4) else 8
+    for system, words, _ in _systems_and_words(algebra, N, 150, max_len):
+        _assert_matches_reference(system, words)
+
+
+def test_reduce_word_without_rules():
+    system = build_free_matrix(2).system
+    gens = system.order.precedence
+    rng = random.Random("free")
+    words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 6))) for _ in range(50)]
+    _assert_matches_reference(system, words)
+    assert all(system.reduce_word(w) == NcPoly.monomial(w) for w in words)
+
+
+def test_single_term_chain_caches_only_its_ends():
+    # z[2]^k*z[1] -> q^-k z[1]*z[2]^k is k one-term steps; the words in
+    # between are not cached
+    built = build("sphere", 2).system
+    system = RewriteSystem(built.order, built.rules)
+    k = 1500
+    nf = system.normal_form(NcPoly.monomial((z(2),) * k + (z(1),)))
+    assert list(nf.terms) == [(z(1),) + (z(2),) * k]
+    assert len(system._nf_cache) <= 2
