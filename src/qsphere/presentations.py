@@ -28,7 +28,6 @@ class Presentation:
     structure: "object | None" = None  # hopf.StructureMaps
     aux: "Presentation | None" = None  # confluent companion (mq)
     det: NcPoly | None = None  # the central determinant element
-    mode: str | None = None  # zero-test refinement: "localize" or "quotient"
 
     @property
     def generators(self):
@@ -50,18 +49,20 @@ class Presentation:
     # For the confluent mq and sphere the map is the normal form.  The
     # rewriting systems of suq and uq (determinant set to 1, resp. inverse
     # determinant adjoined) are not confluent, so there the normal form is
-    # followed by one of two steps over the confluent companion mq:
+    # followed by a clearing step into the confluent companion mq.  The
+    # determinant D is central, homogeneous of degree N and not a zero
+    # divisor in mq (mq is a domain).  Each normal word w gets a level
+    # g(w); with M the largest level in the call, w is sent to
+    # core(w) D^(M - g(w)) in mq:
     #
-    #   uq ("localize"): uq is mq localized at the central determinant D.
-    #   An element written as sum_k A_k dinv^k vanishes iff
-    #   sum_k A_k D^(M-k) vanishes in mq, for any M at least the largest
-    #   dinv power; one M is shared by all polynomials of a call.
+    #   uq = mq[D^-1]: w = core dinv^k and g(w) = k.  sum_k A_k dinv^k
+    #   vanishes iff sum_k A_k D^(M-k) vanishes in mq.
     #
-    #   suq ("quotient"): suq = mq / (D - 1) with D central, and because D
-    #   is homogeneous of degree N, the degree-bounded slice of the ideal
-    #   is exactly span{(D - 1) m : m an mq-normal word}.  Reducing against
-    #   an echelonized basis of that span yields canonical coset
-    #   representatives.
+    #   suq = mq / (D - 1): core(w) = w and g(w) = len(w) // N.  Since
+    #   D = 1 in suq the image is congruent to a, and each degree class mod
+    #   N lands in one degree, where the image of (D - 1) b telescopes to 0.
+    #
+    # The suq level must not be used on uq, where it sends 1 - D to 0.
 
     def det_power(self, m: int) -> NcPoly:
         pows = getattr(self, "_det_pows", None)
@@ -72,66 +73,28 @@ class Presentation:
             pows.append(self.aux.nf(pows[-1] * self.det))
         return pows[m]
 
+    def _level(self, word):
+        """The mq core of a normal word and its level g."""
+        if DINV in self.system.order.rank:
+            return dinv_split(word)
+        return word, len(word) // self.N
+
     def clear_word(self, word, M: int) -> NcPoly:
-        """Image of a normal word W*dinv^k under multiplication by D^M,
-        expressed in the companion algebra (no dinv left)."""
-        core, k = dinv_split(word)
+        """Image core(W) * D^(M - g(W)) of a normal word W in the companion
+        algebra mq, for M at least its level g(W)."""
+        core, k = self._level(word)
         return self.aux.nf(NcPoly.monomial(core) * self.det_power(M - k))
-
-    def _elim_rows(self, d: int) -> dict:
-        """Echelonized span of the degree-<= d slice of (det - 1) mq,
-        as a dict leading-word -> monic polynomial.  Cached incrementally."""
-        state = getattr(self, "_elim", None)
-        if state is None:
-            state = [-1, {}]
-            self._elim = state
-        built, elim = state
-        if d > built:
-            key = self.aux.system.order.key
-            gens = []
-            if d >= self.N:
-                graded = self.aux.system.enumerate_basis(d - self.N)
-                for deg, level in enumerate(graded):
-                    if deg + self.N <= built:
-                        continue
-                    for m in level:
-                        gens.append(
-                            self.aux.nf((self.det - NcPoly.unit()) * NcPoly.monomial(m))
-                        )
-            for row in gens:
-                row = self._eliminate(row, elim)
-                if not row.is_zero:
-                    lead = max(row.terms, key=key)
-                    elim[lead] = row.scale(row.terms[lead].inverse())
-            state[0] = d
-        return elim
-
-    @staticmethod
-    def _eliminate(a: NcPoly, elim: dict) -> NcPoly:
-        while True:
-            hits = [w for w in a.terms if w in elim]
-            if not hits:
-                return a
-            w = hits[0]
-            a = a - elim[w].scale(a.terms[w])
-
-    def quotient_reduce(self, a: NcPoly) -> NcPoly:
-        """Canonical coset representative modulo (det - 1)."""
-        if a.is_zero:
-            return a
-        return self._eliminate(a, self._elim_rows(a.degree()))
 
     def zero_test_images(self, polys) -> list:
         """Images of the given polynomials under one linear map that is
         injective on the algebra: each is zero exactly when its polynomial
         vanishes in the algebra."""
         images = [self.nf(a) for a in polys]
-        if self.mode == "quotient":
-            return [self.quotient_reduce(p) for p in images]
-        if self.mode == "localize":
-            M = max((dinv_split(w)[1] for p in images for w in p.terms), default=0)
-            if M:
-                images = [self._clear(p, M) for p in images]
+        if self.det is None:
+            return images
+        M = max((self._level(w)[1] for p in images for w in p.terms), default=0)
+        if M:  # with M = 0 every normal word is already mq-normal
+            images = [self._clear(p, M) for p in images]
         return images
 
     def _clear(self, p: NcPoly, M: int) -> NcPoly:
@@ -334,7 +297,7 @@ def build(
         )
         return Presentation(
             "suq", N, ctx, system, star=star, structure=structure,
-            aux=build("mq", N, ctx), det=det, mode="quotient",
+            aux=build("mq", N, ctx), det=det,
         )
 
     if name == "uq":
@@ -367,7 +330,7 @@ def build(
         structure = StructureMaps(delta=delta, epsilon=epsilon, antipode=antipode)
         return Presentation(
             "uq", N, ctx, system, star=star, structure=structure,
-            aux=build("mq", N, ctx), det=det, mode="localize",
+            aux=build("mq", N, ctx), det=det,
         )
 
     raise ValueError(f"unknown presentation {name!r}")

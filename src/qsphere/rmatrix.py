@@ -313,7 +313,6 @@ def check_cqt(N: int, degree_bound: int = 2, sample: int = 20, seed: int = 0) ->
             if not commutation_holds((a,), (b,)):
                 raise AxiomFails("commutation-law", (a, b))
     rng = random.Random(seed)
-    deg2 = [(a, b) for a in gens for b in gens]
     sampled = 0
     for _ in range(sample):
         wa = tuple(rng.choice(gens) for _ in range(2))
