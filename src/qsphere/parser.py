@@ -157,12 +157,10 @@ class _Parser:
             if ctx.t is None:
                 raise UnknownGenerator("t is not bound in this context")
             return NcPoly.monomial(EMPTY, ctx.t)
-        if name == "dinv":
-            if DINV not in self.P.generators:
-                raise UnknownGenerator("dinv")
+        if name == "dinv" and DINV in self.P.generators:
             return NcPoly.gen(DINV)
         if name not in self.families:
-            raise UnknownGenerator(name)
+            raise UnknownGenerator(f"{name} is not a generator of {self.P.name}({self.P.N})")
         self._expect("[")
         i = self._int()
         if self._accept(","):

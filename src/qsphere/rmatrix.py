@@ -190,6 +190,7 @@ class RFormEvaluator:
                     for l in range(1, N + 1):
                         self._table[(u(i, j), u(k, l))] = t * R[idx[(k, i)]][idx[(j, l)]]
         self._memo = {}
+        self._bar_memo = {}  # (wa, wb) -> r(S(wa), wb)
 
     def _eps_word(self, w) -> Scalar:
         from .hopf import counit
@@ -232,10 +233,20 @@ class RFormEvaluator:
         return total
 
     def eval_bar(self, a: NcPoly, b: NcPoly) -> Scalar:
-        """Convolution inverse, realized as r composed with (S (x) id)."""
+        """Convolution inverse, realized as r composed with (S (x) id).
+        On two monomials the value is memoised on their word pair."""
         from .hopf import antipode
 
-        return self.eval(antipode(a, self.P), b)
+        if len(a.terms) != 1 or len(b.terms) != 1:
+            return self.eval(antipode(a, self.P), b)
+        (wa, ca), = a.terms.items()
+        (wb, cb), = b.terms.items()
+        key = (wa, wb)
+        val = self._bar_memo.get(key)
+        if val is None:
+            val = self.eval(antipode(NcPoly.monomial(wa), self.P), NcPoly.monomial(wb))
+            self._bar_memo[key] = val
+        return ca * cb * val
 
     def sigma_matrix(self):
         """The induced braiding on V (x) V computed FROM the r-form:

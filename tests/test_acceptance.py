@@ -108,10 +108,11 @@ def test_06_matrix_identities():
 
 def test_07_hopf_axioms():
     for name in ("suq", "uq"):
-        stats = verify_hopf(build(name, 2), 3)
-        assert stats["basis_words_checked"] > 1
+        P = build(name, 2)
+        stats = verify_hopf(P)
+        assert stats["generators_checked"] == len(P.generators)
         assert stats["antipode_checked"]
-    _ok("hopf-axioms", "coassociativity/counit/antipode laws to degree 3, suq(2)+uq(2)")
+    _ok("hopf-axioms", "coassociativity/counit/antipode laws in every degree, suq(2)+uq(2)")
 
 
 def test_08_embedding_and_coactions():

@@ -191,10 +191,12 @@ def test_cache_dir_warm_run_identical(capsys, tmp_path):
         ("verify", "--algebra", "suq", "--N", "2", "--checks", "confluence",
          "--json", "{missing}/r.json"),
         ("spectrum", "--N", "2", "--max-eig", "1", "--json", "{missing}/r.json"),
+        ("verify", "--algebra", "mq", "--N", "2", "--checks", ","),
+        ("verify", "--algebra", "mq", "--N", "2", "--checks", ""),
     ],
     ids=["N0", "sphere-N1-coaction", "q0", "q-abc", "spectrum-N1", "json-unwritable",
          "negative-degree", "sphere-N1-spectrum", "json-unwritable-suq",
-         "spectrum-json-unwritable"],
+         "spectrum-json-unwritable", "checks-comma", "checks-empty"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -221,7 +223,26 @@ def test_verify_all_skips_checks_below_their_least_N(capsys):
     ]
 
 
-def test_hopf_report_records_degree_cap(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--algebra", "mq", "--N", "2", "--checks", ","), "no checks named"),
+        (("nf", "--algebra", "suq", "--N", "2", "--expr", "dinv"),
+         "dinv is not a generator of suq(2)"),
+        (("nf", "--algebra", "sphere", "--N", "2", "--expr", "w[1]"),
+         "w is not a generator of sphere(2)"),
+        (("rform", "--N", "2", "--left", "dinv", "--right", "u[1,1]"),
+         "dinv is not a generator of suq(2)"),
+    ],
+    ids=["empty-checks", "nf-dinv", "nf-family", "rform-dinv"],
+)
+def test_bad_input_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_hopf_report_records_generators_checked(capsys, tmp_path):
     path = str(tmp_path / "report.json")
     code, _, _ = run(
         capsys, "verify", "--algebra", "mq", "--N", "2", "--checks", "hopf-axioms",
@@ -229,8 +250,8 @@ def test_hopf_report_records_degree_cap(capsys, tmp_path):
     )
     assert code == 0
     (report,) = json.load(open(path))
-    assert report["params"] == {"max_degree": 5, "degree_cap": 3}
-    assert report["details"]["degree_bound"] == 3
+    assert report["params"] == {"max_degree": 5}
+    assert report["details"]["generators_checked"] == 4
 
 
 def test_nf_deep_word_has_no_recursion_limit(capsys):

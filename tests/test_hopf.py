@@ -1,10 +1,13 @@
 """Hopf axioms, coactions, the morphism builder and the invariant form."""
 
+from dataclasses import replace
+
 import pytest
 
-from qsphere.errors import HypothesisFails, MissingStructureMaps
-from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
+from qsphere.errors import AxiomFails, HypothesisFails, MissingStructureMaps
+from qsphere.freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from qsphere.hopf import (
+    _expand_delta_leg,
     antipode,
     build_coaction,
     build_u_morphism,
@@ -13,6 +16,7 @@ from qsphere.hopf import (
     check_intertwine,
     coproduct,
     counit,
+    delta_word,
     solve_invariant_form,
     tensor_equal,
     tensor_zero,
@@ -25,7 +29,7 @@ from qsphere.presentations import (
     invariant_form_matrix,
     quantum_determinant,
 )
-from qsphere.scalars import DeformationContext, ONE, ZERO
+from qsphere.scalars import DeformationContext, ONE, ZERO, Scalar
 
 ctx = DeformationContext.standard()
 q = ctx.q
@@ -69,11 +73,60 @@ def test_mq_has_no_antipode():
 # -- axioms -----------------------------------------------------------------
 
 
+def _reference_verify_hopf(P, degree_bound):
+    """The laws on every basis word up to ``degree_bound``, after the same
+    relation kills: the check ``verify_hopf`` replaced, kept as its oracle."""
+    maps = P.structure
+    legs3 = (P, P, P)
+
+    for r in P.relations:
+        if not tensor_zero(coproduct(r, P).terms, (P, P)):
+            raise AxiomFails("delta-kills-relations", repr(r), coproduct(r, P))
+        if not counit(r, P).is_zero:
+            raise AxiomFails("epsilon-kills-relations", repr(r), counit(r, P))
+        if maps.antipode is not None and not P.is_zero_elem(antipode(r, P)):
+            raise AxiomFails("antipode-kills-relations", repr(r), antipode(r, P))
+
+    graded = P.system.enumerate_basis(degree_bound)
+    checked = 0
+    for level in graded:
+        for w in level:
+            dw = delta_word(w, P)
+            left = _expand_delta_leg(dw, P, 0)
+            right = _expand_delta_leg(dw, P, 1)
+            if not tensor_equal(left, right, legs3):
+                raise AxiomFails("coassociativity", word_name(w))
+            wp = NcPoly.monomial(w)
+            ce_left = NcPoly()
+            ce_right = NcPoly()
+            for (w1, w2), c in dw.terms.items():
+                ce_left = ce_left + NcPoly.monomial(w2, c * counit(NcPoly.monomial(w1), P))
+                ce_right = ce_right + NcPoly.monomial(w1, c * counit(NcPoly.monomial(w2), P))
+            if not P.equals(ce_left, wp) or not P.equals(ce_right, wp):
+                raise AxiomFails("counit-law", word_name(w))
+            if maps.antipode is not None:
+                target = NcPoly.unit(counit(wp, P))
+                m_s_id = NcPoly()
+                m_id_s = NcPoly()
+                for (w1, w2), c in dw.terms.items():
+                    m_s_id = m_s_id + antipode(NcPoly.monomial(w1), P).scale(c) * NcPoly.monomial(w2)
+                    m_id_s = m_id_s + NcPoly.monomial(w1, c) * antipode(NcPoly.monomial(w2), P)
+                if not P.equals(m_s_id, target) or not P.equals(m_id_s, target):
+                    raise AxiomFails("antipode-law", word_name(w))
+            checked += 1
+    return {
+        "basis_words_checked": checked,
+        "degree_bound": degree_bound,
+        "relations_checked": len(P.relations),
+        "antipode_checked": maps.antipode is not None,
+    }
+
+
 @pytest.mark.parametrize("name", ["mq", "suq", "uq"])
 def test_verify_hopf_degree2(name):
     P = build(name, 2)
-    stats = verify_hopf(P, 2)
-    assert stats["basis_words_checked"] > 0
+    stats = verify_hopf(P)
+    assert stats["generators_checked"] == len(P.generators) > 0
     assert stats["antipode_checked"] == (name != "mq")
 
 
@@ -84,7 +137,109 @@ def test_det_grouplike():
 
 
 def test_torus_hopf():
-    verify_hopf(build_torus(2), 2)
+    verify_hopf(build_torus(2))
+
+
+# N = 3 runs the oracle to degree 2 only: degree 3 takes about 20 s there
+@pytest.mark.parametrize(
+    "make, degree_bound",
+    [
+        (lambda: build("mq", 2), 3),
+        (lambda: build("suq", 2), 3),
+        (lambda: build("uq", 2), 3),
+        (lambda: build("mq", 3), 2),
+        (lambda: build("suq", 3), 2),
+        (lambda: build("uq", 3), 2),
+        (lambda: build_torus(2), 3),
+    ],
+    ids=["mq2", "suq2", "uq2", "mq3", "suq3", "uq3", "torus2"],
+)
+def test_verify_hopf_matches_basis_word_oracle(make, degree_bound):
+    P = make()
+    stats = verify_hopf(P)
+    ref = _reference_verify_hopf(P, degree_bound)
+    assert ref["basis_words_checked"] > stats["generators_checked"] == len(P.generators)
+    for key in ("relations_checked", "antipode_checked"):
+        assert stats[key] == ref[key]
+
+
+# -- axioms that fail -------------------------------------------------------
+
+
+def _mutate(P, delta=None, epsilon=None, antipode=None):
+    """P with some generator values of its structure maps replaced."""
+    maps = P.structure
+    P.structure = replace(
+        maps,
+        delta={**maps.delta, **(delta or {})},
+        epsilon={**maps.epsilon, **(epsilon or {})},
+        antipode=None if maps.antipode is None else {**maps.antipode, **(antipode or {})},
+    )
+    return P
+
+
+def _entries(P):
+    return [g for g in P.generators if g != DINV]
+
+
+def _eps_u12_one(P):
+    return _mutate(P, epsilon={u(1, 2): ONE})
+
+
+def _delta_u11_grouplike(P):
+    return _mutate(P, delta={u(1, 1): TensorPoly.monomial((u(1, 1),), (u(1, 1),))})
+
+
+def _antipode_u12_doubled(P):
+    S = P.structure.antipode
+    return _mutate(P, antipode={u(1, 2): S[u(1, 2)].scale(Scalar.from_int(2))})
+
+
+def _delta_doubled_left(P):
+    two = Scalar.from_int(2)
+    return _mutate(P, delta={g: TensorPoly.monomial((g,), (), two) for g in _entries(P)})
+
+
+def _eps_zero(P):
+    return _mutate(P, epsilon={g: ZERO for g in P.generators})
+
+
+def _antipode_conjugated(P):
+    # S o phi with phi(u^i_j) = 2^(i-j) u^i_j, an automorphism fixing D:
+    # it kills every relation and breaks only the antipode law
+    S = P.structure.antipode
+    two = Scalar.from_int(2)
+    return _mutate(P, antipode={g: S[g].scale(two ** (g[1] - g[2])) for g in _entries(P)})
+
+
+@pytest.mark.parametrize(
+    "name, N, mutate, axiom",
+    [
+        ("mq", 2, _eps_u12_one, "epsilon-kills-relations"),
+        ("suq", 2, _eps_u12_one, "epsilon-kills-relations"),
+        ("uq", 2, _eps_u12_one, "epsilon-kills-relations"),
+        ("mq", 2, _delta_u11_grouplike, "delta-kills-relations"),
+        ("suq", 2, _delta_u11_grouplike, "delta-kills-relations"),
+        ("uq", 2, _delta_u11_grouplike, "delta-kills-relations"),
+        ("suq", 2, _antipode_u12_doubled, "antipode-kills-relations"),
+        ("uq", 2, _antipode_u12_doubled, "antipode-kills-relations"),
+        ("mq", 2, _delta_doubled_left, "coassociativity"),
+        ("mq", 3, _delta_doubled_left, "coassociativity"),
+        ("mq", 2, _eps_zero, "counit-law"),
+        ("mq", 3, _eps_zero, "counit-law"),
+        ("suq", 2, _antipode_conjugated, "antipode-law"),
+        ("uq", 2, _antipode_conjugated, "antipode-law"),
+        ("suq", 3, _antipode_conjugated, "antipode-law"),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_broken_structure_map_fails_both_checks(name, N, mutate, axiom):
+    with pytest.raises(AxiomFails) as exc:
+        verify_hopf(mutate(build(name, N)))
+    assert exc.value.axiom == axiom
+    with pytest.raises(AxiomFails) as exc:
+        _reference_verify_hopf(mutate(build(name, N)), 2)
+    assert exc.value.axiom == axiom
 
 
 # -- the exact zero test on tensors -----------------------------------------

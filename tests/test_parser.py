@@ -50,9 +50,9 @@ def test_scalar_division():
 
 
 def test_unknown_generator():
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(UnknownGenerator, match=r"^w is not a generator of sphere\(2\)$"):
         parse_expr("w[1]", sphere)
-    with pytest.raises(UnknownGenerator):
+    with pytest.raises(UnknownGenerator, match=r"^dinv is not a generator of sphere\(2\)$"):
         parse_expr("dinv", sphere)
     with pytest.raises(UnknownGenerator):
         parse_expr("t", sphere)

@@ -141,6 +141,33 @@ def test_cqt_n2():
     assert stats["sigma_entrywise"]
 
 
+def test_eval_bar_memo_matches_fresh_antipode():
+    import random
+
+    from qsphere.hopf import antipode
+
+    ev = RFormEvaluator(2)
+    ref = RFormEvaluator(2)
+    t = ev.ctx.t
+    gens = [u(i, j) for i in range(1, 3) for j in range(1, 3)]
+    rng = random.Random(0)
+    pairs = [((a,), (b,)) for a in gens for b in gens]
+    pairs += [
+        (tuple(rng.choice(gens) for _ in range(2)), tuple(rng.choice(gens) for _ in range(2)))
+        for _ in range(20)
+    ]
+    for wa, wb in pairs:
+        for ca, cb in ((ONE, ONE), (t, t ** (-2) + ONE)):
+            a, b = NcPoly.monomial(wa, ca), NcPoly.monomial(wb, cb)
+            want = ref.eval(antipode(a, ref.P), b)
+            assert ev.eval_bar(a, b) == want
+    assert len(ev._bar_memo) == len(set(pairs))
+    # a polynomial argument takes the unmemoised path
+    a = NcPoly.gen(u(1, 1)) + NcPoly.gen(u(2, 1), t)
+    b = NcPoly.gen(u(1, 2))
+    assert ev.eval_bar(a, b) == ref.eval(antipode(a, ref.P), b)
+
+
 def test_eigenspace_orthogonality():
     assert check_eigenspace_orthogonality(2, Fraction(1, 3))
     assert check_eigenspace_orthogonality(3, 2)
