@@ -63,7 +63,7 @@ def coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
         piece = delta_word(w, P).scale(c)
         for k, c2 in piece.terms.items():
             out._iadd_term(k, c2)
-    return out.map_legs(P.nf, P.nf)
+    return out.map_legs(P.reduce, P.reduce)
 
 
 def counit(a: NcPoly, P: Presentation) -> Scalar:
@@ -79,19 +79,30 @@ def counit(a: NcPoly, P: Presentation) -> Scalar:
     return total
 
 
-def antipode(a: NcPoly, P: Presentation) -> NcPoly:
-    """Antimultiplicative extension of the generator antipode, normalized."""
+def _antipode_table(P: Presentation) -> dict:
     maps = _require_structure(P)
     if maps.antipode is None:
         raise MissingStructureMaps(f"{P.name}({P.N}) has no antipode")
+    return maps.antipode
+
+
+def antipode(a: NcPoly, P: Presentation) -> NcPoly:
+    """Antimultiplicative extension of the generator antipode, with
+    ``P.reduce`` applied after each factor.
+
+    Reducing factor by factor gives the same polynomial as expanding first,
+    because ``reduce`` works in the confluent mq.  The result is congruent
+    to S(a), not its normal form: compare it through the zero test.
+    """
+    table = _antipode_table(P)
     out = NcPoly()
     for w, c in a.terms.items():
         img = NcPoly.unit(c)
         for g in reversed(w):
-            img = img * maps.antipode[g]
+            img = P.reduce(img * table[g])
         for w2, c2 in img.terms.items():
             out._iadd_term(w2, c2)
-    return P.nf(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +166,9 @@ def tensor_equal(d1: dict, d2: dict, legs) -> bool:
 
 
 def check_grouplike(x: NcPoly, P: Presentation) -> bool:
-    """Delta(x) = x (x) x and epsilon(x) = 1, after normalization."""
+    """Delta(x) = x (x) x and epsilon(x) = 1, decided by the zero test."""
     dx = coproduct(x, P)
-    xx = TensorPoly.of(P.nf(x), P.nf(x))
+    xx = TensorPoly.of(P.reduce(x), P.reduce(x))
     return tensor_equal(dx.terms, xx.terms, (P, P)) and counit(x, P) == ONE
 
 
@@ -231,7 +242,7 @@ class Morphism:
                 img = img * self.images[g]
             for w2, c2 in img.terms.items():
                 out._iadd_term(w2, c2)
-        return self.target.nf(out)
+        return self.target.reduce(out)
 
     def verify(self):
         """Check relations map to zero, and star-compatibility when defined."""
@@ -267,7 +278,7 @@ class Coaction:
                 img = img * self.images[g]
             for k, c2 in img.terms.items():
                 out._iadd_term(k, c2)
-        return out.map_legs(self.source.nf, self.coeff.nf)
+        return out.map_legs(self.source.reduce, self.coeff.reduce)
 
     def matrix(self):
         """qmat with qmat[j][i] = coefficient of z_j in the image of z_i."""
@@ -395,7 +406,11 @@ def build_u_morphism(Q: Presentation, qmat, N: int | None = None) -> Morphism:
     uq = build("uq", N, ctx)
     det_image = tmp.apply(quantum_determinant(N, ctx))
     images = dict(subs)
-    images[DINV] = antipode(det_image, Q)
+    # the printed image of dinv is the normal form of the free expansion of
+    # S(det image): ``star`` with the antipode table is that expansion, as
+    # both are antimultiplicative and fix scalars.  A reduced antipode is
+    # not canonical, so its normal form can differ (21 terms on uq 3).
+    images[DINV] = Q.nf(det_image.star(_antipode_table(Q)))
     psi = Morphism(uq, Q, images)
     psi.verify()
     return psi
@@ -406,7 +421,7 @@ def check_intertwine(psi: Morphism, rho_u: Coaction, rho: Coaction) -> bool:
     B = rho.source
     H = rho.coeff
     for g in rho_u.images:
-        pushed = rho_u.apply(NcPoly.gen(g)).map_legs(B.nf, psi.apply)
+        pushed = rho_u.apply(NcPoly.gen(g)).map_legs(B.reduce, psi.apply)
         if not tensor_equal(pushed.terms, rho.apply(NcPoly.gen(g)).terms, (B, H)):
             return False
     return True

@@ -57,7 +57,8 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.P = P
-        self.families = {g[0] for g in P.generators}
+        # dinv is spelled by name only; its internal family is not a name
+        self.families = {g[0] for g in P.generators if g != DINV}
 
     def _peek(self):
         return self.toks[self.pos]

@@ -41,6 +41,33 @@ class Presentation:
     def nf(self, a: NcPoly) -> NcPoly:
         return self.system.normal_form(a)
 
+    def reduce(self, a: NcPoly) -> NcPoly:
+        """A polynomial congruent to ``a`` in the algebra, computed with a
+        confluent system only.
+
+        Without an mq companion (mq, sphere) this is the normal form.  On
+        suq it is the mq normal form.  On uq each word loses its dinv
+        letters, which are central, its core takes the mq normal form and
+        dinv^k is appended again.  Since mq is confluent,
+        reduce(reduce(x) y) = reduce(x y) as polynomials, so products may be
+        reduced factor by factor.  On suq and uq the result is not a
+        canonical form of the element: only the zero test decides.
+        """
+        if self.aux is None:
+            return self.nf(a)
+        if DINV not in self.system.order.rank:
+            return self.aux.nf(a)
+        by_count = {}
+        for w, c in a.terms.items():
+            core = tuple(g for g in w if g != DINV)
+            by_count.setdefault(len(w) - len(core), NcPoly())._iadd_term(core, c)
+        out = NcPoly()
+        for k, p in by_count.items():
+            tail = (DINV,) * k
+            for w, c in self.aux.nf(p).terms.items():
+                out.terms[w + tail] = c
+        return out
+
     # -- exact zero testing
     #
     # ``zero_test_images`` is the one exact zero test: a linear map from
@@ -48,12 +75,12 @@ class Presentation:
     # an element vanishes in the algebra exactly when its image is zero.
     # For the confluent mq and sphere the map is the normal form.  The
     # rewriting systems of suq and uq (determinant set to 1, resp. inverse
-    # determinant adjoined) are not confluent, so there the normal form is
-    # followed by a clearing step into the confluent companion mq.  The
-    # determinant D is central, homogeneous of degree N and not a zero
-    # divisor in mq (mq is a domain).  Each normal word w gets a level
-    # g(w); with M the largest level in the call, w is sent to
-    # core(w) D^(M - g(w)) in mq:
+    # determinant adjoined) are not confluent and are not used here: the
+    # map starts from ``reduce``, which works in the confluent companion
+    # mq, and follows it by a clearing step in mq.  The determinant D is
+    # central, homogeneous of degree N and not a zero divisor in mq (mq is
+    # a domain).  Each reduced word w gets a level g(w); with M the largest
+    # level in the call, w is sent to core(w) D^(M - g(w)) in mq:
     #
     #   uq = mq[D^-1]: w = core dinv^k and g(w) = k.  sum_k A_k dinv^k
     #   vanishes iff sum_k A_k D^(M-k) vanishes in mq.
@@ -62,6 +89,7 @@ class Presentation:
     #   D = 1 in suq the image is congruent to a, and each degree class mod
     #   N lands in one degree, where the image of (D - 1) b telescopes to 0.
     #
+    # Both are exact on any free polynomial, not only on normal forms.
     # The suq level must not be used on uq, where it sends 1 - D to 0.
 
     def det_power(self, m: int) -> NcPoly:
@@ -74,13 +102,13 @@ class Presentation:
         return pows[m]
 
     def _level(self, word):
-        """The mq core of a normal word and its level g."""
+        """The mq core of a reduced word and its level g."""
         if DINV in self.system.order.rank:
             return dinv_split(word)
         return word, len(word) // self.N
 
     def clear_word(self, word, M: int) -> NcPoly:
-        """Image core(W) * D^(M - g(W)) of a normal word W in the companion
+        """Image core(W) * D^(M - g(W)) of a reduced word W in the companion
         algebra mq, for M at least its level g(W)."""
         core, k = self._level(word)
         return self.aux.nf(NcPoly.monomial(core) * self.det_power(M - k))
@@ -89,11 +117,11 @@ class Presentation:
         """Images of the given polynomials under one linear map that is
         injective on the algebra: each is zero exactly when its polynomial
         vanishes in the algebra."""
-        images = [self.nf(a) for a in polys]
+        images = [self.reduce(a) for a in polys]
         if self.det is None:
             return images
         M = max((self._level(w)[1] for p in images for w in p.terms), default=0)
-        if M:  # with M = 0 every normal word is already mq-normal
+        if M:  # with M = 0 every reduced word is already mq-normal
             images = [self._clear(p, M) for p in images]
         return images
 
@@ -112,7 +140,9 @@ class Presentation:
 
 
 def dinv_split(word):
-    """Split a normal word into its dinv-free core and trailing dinv count."""
+    """Split a word into its part before the trailing dinv letters and their
+    count.  On a reduced uq word (see ``Presentation.reduce``) every dinv
+    trails, so the part before is the mq-normal core."""
     k = 0
     while k < len(word) and word[len(word) - 1 - k] == DINV:
         k += 1
@@ -392,7 +422,7 @@ def matrix_mul(A, B, P: Presentation):
             acc = NcPoly()
             for k in range(N):
                 acc = acc + A[i][k] * B[k][j]
-            out[i][j] = P.nf(acc)
+            out[i][j] = P.reduce(acc)
     return out
 
 

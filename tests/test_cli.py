@@ -152,6 +152,55 @@ def test_morphism_presets(capsys):
         assert "morphism: ok" in out
 
 
+_IDENTITY_3 = "morphism: ok\n  dinv -> dinv\n" + "".join(
+    f"  u[{i},{j}] -> u[{i},{j}]\n" for i in (1, 2, 3) for j in (1, 2, 3)
+)
+_TORUS_2 = """morphism: ok
+  dinv -> Ts[1]*Ts[2]
+  u[1,1] -> T[1]
+  u[1,2] -> 0
+  u[2,1] -> 0
+  u[2,2] -> T[2]
+"""
+_SUQ3_LEAD = (
+    "-q^-3+q^-3*u[1,1]*u[2,2]*u[3,3]-q^-2*u[1,1]*u[2,3]*u[3,2]"
+    "-q^-2*u[1,2]*u[2,1]*u[3,3]+q^-1*u[1,2]*u[2,3]*u[3,1]+q^-1*u[1,3]*u[2,1]*u[3,2]"
+)
+_UQ3_LEAD = (
+    "-q^-3+q^-3*u[1,1]*u[2,2]*u[3,3]*dinv-q^-2*u[1,1]*u[2,3]*u[3,2]*dinv"
+    "-q^-2*u[1,2]*u[2,1]*u[3,3]*dinv+q^-1*u[1,2]*u[2,3]*u[3,1]*dinv"
+    "+q^-1*u[1,3]*u[2,1]*u[3,2]*dinv"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("morphism", "--N", "3", "--target", "identity"), _IDENTITY_3),
+        (("morphism", "--N", "2", "--target", "torus"), _TORUS_2),
+        (("nf", "--algebra", "suq", "--N", "2", "--expr", "u[1,2]*u[2,1]"),
+         "-q^-1+q^-1*u[1,1]*u[2,2]\n"),
+        (("nf", "--algebra", "suq", "--N", "2", "--expr", "u[2,2]*u[1,2]*u[2,1]*u[1,1]"),
+         "(-q^-3+q^-5)+(q^-3-q^-5-q^-7)*u[1,1]*u[2,2]+q^-7*u[1,1]*u[1,1]*u[2,2]*u[2,2]\n"),
+        (("nf", "--algebra", "uq", "--N", "2", "--expr", "u[2,1]*dinv*u[1,2]"),
+         "-q^-1+q^-1*u[1,1]*u[2,2]*dinv\n"),
+        (("nf", "--algebra", "uq", "--N", "2", "--expr",
+          "u[1,1]*u[2,2]*dinv-q*u[1,2]*u[2,1]*dinv"), "1\n"),
+        (("nf", "--algebra", "suq", "--N", "3", "--expr", "u[1,3]*u[2,2]*u[3,1]"),
+         _SUQ3_LEAD + "\n"),
+        (("nf", "--algebra", "uq", "--N", "3", "--expr", "dinv*u[1,3]*u[2,2]*u[3,1]"),
+         _UQ3_LEAD + "\n"),
+    ],
+    ids=["morphism-identity-3", "morphism-torus-2", "nf-suq2-lead", "nf-suq2-deg4",
+         "nf-uq2-lead", "nf-uq2-det-dinv", "nf-suq3-lead", "nf-uq3-lead"],
+)
+def test_printed_output_is_the_normal_form(capsys, argv, want):
+    # what users read comes from the suq/uq normal form, not from the
+    # mq-reduced forms that the checks compare through the zero test; on
+    # uq 3 the normal form of a reduced S(D) is not dinv
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_morphism_free_fail(capsys):
     code, out, _ = run(capsys, "morphism", "--N", "2", "--target", "free-fail")
     assert code == 0
@@ -233,8 +282,12 @@ def test_verify_all_skips_checks_below_their_least_N(capsys):
          "w is not a generator of sphere(2)"),
         (("rform", "--N", "2", "--left", "dinv", "--right", "u[1,1]"),
          "dinv is not a generator of suq(2)"),
+        (("nf", "--algebra", "uq", "--N", "2", "--expr", "d[1]"),
+         "d is not a generator of uq(2)"),
+        (("nf", "--algebra", "uq", "--N", "2", "--expr", "d"),
+         "d is not a generator of uq(2)"),
     ],
-    ids=["empty-checks", "nf-dinv", "nf-family", "rform-dinv"],
+    ids=["empty-checks", "nf-dinv", "nf-family", "rform-dinv", "uq-d-indexed", "uq-d"],
 )
 def test_bad_input_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)

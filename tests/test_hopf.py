@@ -7,6 +7,7 @@ import pytest
 from qsphere.errors import AxiomFails, HypothesisFails, MissingStructureMaps
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from qsphere.hopf import (
+    Morphism,
     _expand_delta_leg,
     antipode,
     build_coaction,
@@ -340,6 +341,17 @@ def test_morphism_identity_preset():
         if g != DINV:
             assert psi.images[g] == NcPoly.gen(g)
     assert Q.equals(psi.images[DINV], NcPoly.gen(DINV))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_morphism_identity_prints_dinv(monkeypatch, N):
+    # the printed image of dinv is the normal form of the free expansion
+    # of S(D); the normal form of the factor-by-factor reduced S(D) has 21
+    # terms on uq 3.  Verification is stubbed out to look at the image alone.
+    monkeypatch.setattr(Morphism, "verify", lambda self: True)
+    Q = build("uq", N)
+    qmat = [[NcPoly.gen(u(i + 1, j + 1)) for j in range(N)] for i in range(N)]
+    assert build_u_morphism(Q, qmat).images[DINV] == NcPoly.gen(DINV)
 
 
 def test_morphism_torus_preset():

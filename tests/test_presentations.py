@@ -7,8 +7,9 @@ from math import comb
 
 import pytest
 
+from qsphere.errors import AlphabetMismatch
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
-from qsphere.hopf import tensor_zero
+from qsphere.hopf import antipode, tensor_zero
 from qsphere.presentations import (
     antipode_matrix,
     build,
@@ -326,6 +327,94 @@ def test_tensor_zero_matches_echelon_quotient(N, leg):
         if trial % 2:
             legs[rng.randrange(len(legs))] = rng.choice(nonzeros)
         assert tensor_zero(tensor(legs), (P, P)) == (trial % 2 == 0)
+
+
+# -- the zero test from the suq/uq normal form as an oracle -----------------
+
+
+def _reference_zero_test_images(P, polys):
+    """The zero test as it was before it started from ``P.reduce``: the
+    normal form in the non-confluent suq/uq system, then the clearing of
+    each normal word into mq."""
+    images = [P.nf(a) for a in polys]
+    M = max((P._level(w)[1] for p in images for w in p.terms), default=0)
+    if not M:
+        return images
+    out = []
+    for p in images:
+        img = NcPoly()
+        for w, c in p.terms.items():
+            img = img + P.clear_word(w, M).scale(c)
+        out.append(img)
+    return out
+
+
+@cache
+def _reduce_oracle_cases(name, N):
+    """Seeded inputs: multiples of relations, differences of unresolved
+    ambiguities, both plus a word, and the determinant cases."""
+    P = build(name, N)
+    gens = list(P.generators)
+    rng = random.Random(f"{name}{N}-reduce-oracle")
+    rels = P.relations
+    # half of the multiples use a relation beyond those of mq, which
+    # ``reduce`` alone does not kill
+    beyond_mq = rels[len(P.aux.relations):]
+    diffs = [a.difference for a in P.system.check_confluence().unresolved]
+    zeros = []
+    for i in range(12):
+        w = _random_word(rng, gens, 0, 3)
+        cut = rng.randint(0, len(w))
+        rel = rng.choice(beyond_mq if i % 2 else rels)
+        m = NcPoly.monomial(w[:cut]) * rel * NcPoly.monomial(w[cut:])
+        zeros.append(m.scale(q ** rng.randint(-2, 2)))
+    zeros += rng.sample(diffs, min(6, len(diffs)))
+    cases = zeros + [a + NcPoly.monomial(_random_word(rng, gens, 1, N)) for a in zeros]
+    D = quantum_determinant(N)
+    one = NcPoly.unit()
+    cases.append(D - one)
+    if name == "uq":
+        dinv, g = NcPoly.gen(DINV), NcPoly.gen(u(1, 1))
+        cases += [dinv * D - one, D * dinv * g - g]
+    return P, cases
+
+
+@pytest.mark.parametrize("name,N", [("suq", 2), ("suq", 3), ("uq", 2), ("uq", 3)])
+def test_zero_test_matches_normal_form_oracle(name, N):
+    P, cases = _reduce_oracle_cases(name, N)
+    want = [img.is_zero for img in _reference_zero_test_images(P, cases)]
+    got = [img.is_zero for img in P.zero_test_images(cases)]
+    assert got == want
+    # one by one as well, where each input sets its own largest level
+    assert [P.is_zero_elem(a) for a in cases] == want
+    assert any(want) and not all(want)
+    # the clearing step decides some zeros that ``reduce`` leaves nonzero
+    assert any(not P.reduce(a).is_zero for a, v in zip(cases, want) if v)
+    # D - 1 is zero on suq only; dinv D - 1 and D dinv u11 - u11 on uq
+    tail = want[-3:] if name == "uq" else want[-1:]
+    assert tail == ([False, True, True] if name == "uq" else [True])
+    if N > 2 or name == "uq":
+        # unresolved ambiguities exist, and their differences are zeros
+        # with a nonzero normal form
+        assert any(not P.nf(a).is_zero for a, v in zip(cases, want) if v)
+
+
+@pytest.mark.parametrize("name,N", [("suq", 2), ("suq", 3), ("uq", 2), ("uq", 3)])
+def test_antipode_matches_free_expansion(name, N):
+    P = build(name, N)
+    S = P.structure.antipode
+    gens = list(P.generators)
+    rng = random.Random(f"{name}{N}-antipode")
+    words = [(g,) for g in gens] + [_random_word(rng, gens, 2, 2) for _ in range(12)]
+    for w in words:
+        free = NcPoly.monomial(w).star(S)  # the antimultiplicative expansion
+        assert P.is_zero_elem(antipode(NcPoly.monomial(w), P) - P.nf(free)), w
+
+
+def test_reduce_keeps_the_alphabet_check():
+    for name in ("suq", "uq"):
+        with pytest.raises(AlphabetMismatch):
+            build(name, 2).reduce(NcPoly.gen(z(1)))
 
 
 def test_dinv_split():

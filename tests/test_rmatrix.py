@@ -168,6 +168,41 @@ def test_eval_bar_memo_matches_fresh_antipode():
     assert ev.eval_bar(a, b) == ref.eval(antipode(a, ref.P), b)
 
 
+def _relation_kills_failing(ev):
+    """Pairs (relation, generator) on either side on which r is not zero."""
+    gens = [NcPoly.gen(g) for g in ev.P.generators]
+    bad = []
+    for rel in ev.P.relations:
+        for g in gens:
+            if not ev.eval(rel, g).is_zero:
+                bad.append((rel, g))
+            if not ev.eval(g, rel).is_zero:
+                bad.append((g, rel))
+    return bad
+
+
+@pytest.mark.parametrize("N, pairs", [(2, 56), (3, 666)])
+def test_rform_kills_suq_relations(N, pairs):
+    # r(rel, g) = r(g, rel) = 0 for every relation and generator: with the
+    # coproduct relation kills this makes r well defined on suq, so it may
+    # be evaluated on any representative, e.g. an mq-reduced S(w)
+    ev = RFormEvaluator(N)
+    assert 2 * len(ev.P.relations) * len(ev.P.generators) == pairs
+    assert _relation_kills_failing(ev) == []
+
+
+@pytest.mark.parametrize(
+    "entry, broken", [((u(1, 1), u(1, 1)), 4), ((u(1, 2), u(2, 1)), 12)]
+)
+def test_rform_relation_kills_catch_a_broken_table(entry, broken):
+    # a generator value that breaks an FRT relation: the diagonal entry
+    # doubled, or t where the table holds 0
+    ev = RFormEvaluator(2)
+    old = ev._table[entry]
+    ev._table[entry] = ev.ctx.t if old.is_zero else old + old
+    assert len(_relation_kills_failing(ev)) == broken
+
+
 def test_eigenspace_orthogonality():
     assert check_eigenspace_orthogonality(2, Fraction(1, 3))
     assert check_eigenspace_orthogonality(3, 2)
