@@ -22,6 +22,7 @@ from .hopf import (
     check_intertwine,
     coproduct,
     counit,
+    invariant_forms,
     solve_invariant_form,
     verify_hopf,
 )

@@ -118,8 +118,7 @@ def _check_cqt(P, args):
 
 def _check_invariant_form(P, args):
     N, ctx = P.N, P.ctx
-    F = hopf.solve_invariant_form(N, "z_zstar", ctx, P)
-    H = hopf.solve_invariant_form(N, "zstar_z", ctx, P)
+    F, H = hopf.invariant_forms(N, ctx, P)
     E = presentations.invariant_form_matrix(N, ctx)
     q = ctx.q
     denom = sum((q ** (2 * m) for m in range(1, N + 1)), start=q - q)
@@ -434,6 +433,14 @@ def main(argv=None) -> int:
         # inputs outside what a command supports (N too small for a check,
         # an unwritable --json path) are usage errors, not failed checks
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the expression parser recurses once per nesting level, the r-form
+        # evaluator once per letter
+        print("error: input too deep for the recursion limit", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -87,22 +87,9 @@ def _antipode_table(P: Presentation) -> dict:
 
 
 def antipode(a: NcPoly, P: Presentation) -> NcPoly:
-    """Antimultiplicative extension of the generator antipode, with
-    ``P.reduce`` applied after each factor.
-
-    Reducing factor by factor gives the same polynomial as expanding first,
-    because ``reduce`` works in the confluent mq.  The result is congruent
-    to S(a), not its normal form: compare it through the zero test.
-    """
-    table = _antipode_table(P)
-    out = NcPoly()
-    for w, c in a.terms.items():
-        img = NcPoly.unit(c)
-        for g in reversed(w):
-            img = P.reduce(img * table[g])
-        for w2, c2 in img.terms.items():
-            out._iadd_term(w2, c2)
-    return out
+    """S(a), reduced after each factor (``Presentation.anti_extend``): a
+    polynomial congruent to S(a), not its normal form."""
+    return P.anti_extend(a, _antipode_table(P))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +240,7 @@ class Morphism:
         if self.source.star is not None and self.target.star is not None:
             for g in self.images:
                 lhs = self.apply(self.source.star[g])
-                rhs = self.images[g].star(self.target.star)
+                rhs = self.target.anti_extend(self.images[g], self.target.star)
                 if not self.target.equals(lhs, rhs):
                     raise StarViolation(f"star breaks at {word_name((g,))}")
         return True
@@ -320,7 +307,10 @@ class Coaction:
         if B.star is not None and H.star is not None:
             for g in self.images:
                 lhs = self.apply(B.star[g])
-                rhs = self.apply(NcPoly.gen(g)).star(B.star, H.star)
+                rhs = self.apply(NcPoly.gen(g)).map_legs(
+                    lambda a: B.anti_extend(a, B.star),
+                    lambda h: H.anti_extend(h, H.star),
+                )
                 if not tensor_equal(lhs.terms, rhs.terms, (B, H)):
                     raise StarViolation(f"coaction star breaks at {word_name((g,))}")
         return True
@@ -477,6 +467,35 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
     return [[v[col[(k, l)]] for l in range(1, N + 1)] for k in range(1, N + 1)]
 
 
+def _trace_normalized_form(N: int, P: Presentation):
+    """The z_zstar solution F, normalized to trace 1 (the unit relation of
+    the sphere)."""
+    F = _invariance_solution(N, P, "z_zstar")
+    tr = ZERO
+    for k in range(N):
+        tr = tr + F[k][k]
+    if tr.is_zero:
+        raise Inconsistent("trace of the z_zstar solution vanishes")
+    return [[x / tr for x in row] for row in F]
+
+
+def invariant_forms(N: int, ctx: DeformationContext | None = None,
+                    P: Presentation | None = None):
+    """Both invariant forms (F, H), each invariance system solved once.
+
+    H is normalized through the rewriting link between the two variants:
+    the corner entries agree, H_NN = F_NN.
+    """
+    P = P or build("uq", N, ctx)
+    F = _trace_normalized_form(N, P)
+    H = _invariance_solution(N, P, "zstar_z")
+    corner = H[N - 1][N - 1]
+    if corner.is_zero:
+        raise Inconsistent("corner entry of the zstar_z solution vanishes")
+    scale = F[N - 1][N - 1] / corner
+    return F, [[x * scale for x in row] for row in H]
+
+
 def solve_invariant_form(
     N: int,
     variant: str,
@@ -487,29 +506,14 @@ def solve_invariant_form(
     generators, as the unique normalized solution of the invariance system.
 
     ``z_zstar`` returns the matrix F with F_{ij} ~ h(z_i z*_j), normalized to
-    trace 1 (the unit relation of the sphere).  ``zstar_z`` returns H with
-    H_{ij} ~ h(z*_i z_j), normalized through the rewriting link between the
-    two variants (the corner entries agree: H_NN = F_NN).
+    trace 1.  ``zstar_z`` returns H with H_{ij} ~ h(z*_i z_j), normalized as
+    in ``invariant_forms``.
     """
     if variant not in ("zstar_z", "z_zstar"):
         raise ValueError(f"unknown variant {variant!r}")
-    ctx = ctx or DeformationContext.standard()
-    P = P or build("uq", N, ctx)
-    F = _invariance_solution(N, P, "z_zstar")
-    tr = ZERO
-    for k in range(N):
-        tr = tr + F[k][k]
-    if tr.is_zero:
-        raise Inconsistent("trace of the z_zstar solution vanishes")
-    F = [[x / tr for x in row] for row in F]
-    if variant == "z_zstar":
-        return F
-    H = _invariance_solution(N, P, "zstar_z")
-    corner = H[N - 1][N - 1]
-    if corner.is_zero:
-        raise Inconsistent("corner entry of the zstar_z solution vanishes")
-    scale = F[N - 1][N - 1] / corner
-    return [[x * scale for x in row] for row in H]
+    if variant == "zstar_z":
+        return invariant_forms(N, ctx, P)[1]
+    return _trace_normalized_form(N, P or build("uq", N, ctx))
 
 
 def check_form_preservation(rho: Coaction, hmat) -> bool:

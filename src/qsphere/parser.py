@@ -119,8 +119,11 @@ class _Parser:
         a = self.atom()
         if self._accept("^"):
             e = self._int(signed=True)
-            if len(a.terms) == 1 and EMPTY in a.terms:
-                return NcPoly.monomial(EMPTY, a.terms[EMPTY] ** e)
+            if len(a.terms) == 1:
+                # (c w)^e = c^e w^e in one step; only a scalar takes e < 0
+                ((w, c),) = a.terms.items()
+                if e >= 0 or w == EMPTY:
+                    return NcPoly.monomial(w * e, c**e)
             if e < 0:
                 raise ExprSyntaxError(self.toks[self.pos - 1][2], "nonnegative exponent")
             out = NcPoly.unit()

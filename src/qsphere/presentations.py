@@ -68,6 +68,26 @@ class Presentation:
                 out.terms[w + tail] = c
         return out
 
+    def anti_extend(self, a: NcPoly, table: dict) -> NcPoly:
+        """Antimultiplicative extension of a generator table (the antipode
+        or the star), with ``reduce`` applied after each factor.
+
+        Reducing factor by factor gives the same polynomial as expanding
+        first, because ``reduce`` works in a confluent system.  The result
+        is congruent to the image of ``a``, not its normal form: compare it
+        through the zero test.  Both maps fix scalars (real rational
+        functions of the real parameter).  ``NcPoly.star`` is the free
+        expansion.
+        """
+        out = NcPoly()
+        for w, c in a.terms.items():
+            img = NcPoly.unit(c)
+            for g in reversed(w):
+                img = self.reduce(img * table[g])
+            for w2, c2 in img.terms.items():
+                out._iadd_term(w2, c2)
+        return out
+
     # -- exact zero testing
     #
     # ``zero_test_images`` is the one exact zero test: a linear map from
@@ -505,18 +525,18 @@ def check_matrix_identities(P: Presentation) -> dict:
 
 
 def check_star_closure(P: Presentation) -> bool:
-    """Star of every defining relation normalizes to zero."""
+    """Star of every defining relation is zero, by the zero test."""
     if P.star is None:
         return True
-    return all(P.is_zero_elem(r.star(P.star)) for r in P.relations)
+    return all(P.is_zero_elem(P.anti_extend(r, P.star)) for r in P.relations)
 
 
 def check_star_involution(P: Presentation) -> bool:
-    """g** = g for every generator, after normalization."""
+    """g** = g for every generator, by the zero test."""
     if P.star is None:
         return True
     for g in P.generators:
-        if not P.equals(P.star[g].star(P.star), NcPoly.gen(g)):
+        if not P.equals(P.anti_extend(P.star[g], P.star), NcPoly.gen(g)):
             return False
     return True
 

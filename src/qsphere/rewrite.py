@@ -133,16 +133,18 @@ class RewriteSystem:
     def _find_redex(self, word, start=0):
         """Leftmost reducible position; ties broken by rule list order.
 
-        The caller guarantees that no redex begins before ``start``.
+        ``word`` is a tuple or a list.  The caller guarantees that no redex
+        begins before ``start``.
         """
-        index = self._lhs_index
+        get = self._lhs_index.get
+        lengths = self._lhs_lengths
         n = len(word)
         for pos in range(start, n):
             best = None
-            for L in self._lhs_lengths:
+            for L in lengths:
                 if pos + L > n:
                     break
-                idx = index.get(word[pos : pos + L])
+                idx = get(tuple(word[pos : pos + L]))
                 if idx is not None and (best is None or idx < best):
                     best = idx
             if best is not None:
@@ -154,12 +156,18 @@ class RewriteSystem:
 
         A word's normal form is its leftmost redex's rhs terms, each reduced
         in place of the lhs and scaled by its coefficient, summed in rhs
-        order.  A run of rules with a one-term rhs is followed in place, and
-        only its first and last words are cached.  After a rewrite at ``pos``
-        the untouched prefix still holds no whole lhs, so the next redex
-        search starts ``maxL - 1`` letters before ``pos``.  Iterative over an
-        explicit stack, so a long chain of rewrite steps is not limited by
-        the interpreter's recursion depth.
+        order.  A run of rules with a one-term rhs is followed on a list:
+        each step overwrites the redex in place, and the word becomes a
+        tuple again once, at the end of the run.  The cache is not looked up
+        inside the run, and only its first and last words are cached.  After
+        a rewrite at ``pos`` the untouched prefix still holds no whole lhs,
+        so the next redex search starts ``maxL - 1`` letters before ``pos``.
+        For N >= 2 every one-term rule keeps the word length (the
+        commutation rules and ``dinv u -> u dinv``), so each step of a run
+        costs the length of its rule, not of the word; the one-term rules
+        that shorten a word exist only at N = 1.  Iterative over an explicit
+        stack, so a long chain of rewrite steps is not limited by the
+        interpreter's recursion depth.
         """
         word = tuple(word)
         cache = self._nf_cache
@@ -177,22 +185,24 @@ class RewriteSystem:
             if children is None:
                 if w in cache:
                     continue
-                x, coef = w, ONE
-                hit = find(x, start)
+                x = w
+                buf, coef = None, ONE
+                hit = find(w, start)
                 while hit is not None:
                     pos, idx = hit
                     rule = rules[idx]
                     if len(rule.rhs.terms) != 1:
                         break
                     ((r, c),) = rule.rhs.terms.items()
-                    x = x[:pos] + r + x[pos + len(rule.lhs) :]
+                    if buf is None:
+                        buf = list(w)
+                    buf[pos : pos + len(rule.lhs)] = r
                     if not c.is_one:
                         coef = coef * c
                     start = max(0, pos - back)
-                    if x in cache:
-                        break
-                    hit = find(x, start)
-                if x is not w:  # at least one step was taken
+                    hit = find(buf, start)
+                if buf is not None:  # at least one step was taken
+                    x = tuple(buf)
                     stack.append((w, None, [(x, coef)]))
                     if x in cache:
                         continue

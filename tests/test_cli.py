@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qsphere import cli, hopf
 from qsphere.cli import REPORT_VERSION, main
 
 
@@ -286,13 +287,41 @@ def test_verify_all_skips_checks_below_their_least_N(capsys):
          "d is not a generator of uq(2)"),
         (("nf", "--algebra", "uq", "--N", "2", "--expr", "d"),
          "d is not a generator of uq(2)"),
+        (("nf", "--algebra", "sphere", "--N", "2", "--expr",
+          "(" * 2000 + "z[1]" + ")" * 2000),
+         "input too deep for the recursion limit"),
     ],
-    ids=["empty-checks", "nf-dinv", "nf-family", "rform-dinv", "uq-d-indexed", "uq-d"],
+    ids=["empty-checks", "nf-dinv", "nf-family", "rform-dinv", "uq-d-indexed", "uq-d",
+         "deep-parentheses"],
 )
 def test_bad_input_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    code, out, err = run(capsys, "verify", "--algebra", "mq", "--N", "2")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):
+    calls = []
+    solve = hopf._invariance_solution
+
+    def counted(N, P, variant):
+        calls.append(variant)
+        return solve(N, P, variant)
+
+    monkeypatch.setattr(hopf, "_invariance_solution", counted)
+    code, out, _ = run(capsys, "verify", "--algebra", "uq", "--N", "3",
+                       "--checks", "invariant-form-rem68")
+    assert (code, out) == (0, "invariant-form-rem68: pass\n")
+    assert sorted(calls) == ["z_zstar", "zstar_z"]
 
 
 def test_hopf_report_records_generators_checked(capsys, tmp_path):

@@ -18,6 +18,7 @@ from qsphere.hopf import (
     coproduct,
     counit,
     delta_word,
+    invariant_forms,
     solve_invariant_form,
     tensor_equal,
     tensor_zero,
@@ -384,6 +385,20 @@ def test_intertwine_identity():
     assert check_intertwine(psi, rho_u, rho)
 
 
+@pytest.mark.parametrize("name,N", [("deltaR", 2), ("rho_u", 2), ("rho_u", 3)])
+def test_coaction_star_legs_match_free_expansion(name, N):
+    # Coaction.verify stars each leg reduced after each factor; TensorPoly.star
+    # is the free expansion
+    rho = build_coaction(name, N)
+    B, H = rho.source, rho.coeff
+    for g in rho.images:
+        img = rho.apply(NcPoly.gen(g))
+        reduced = img.map_legs(
+            lambda a: B.anti_extend(a, B.star), lambda h: H.anti_extend(h, H.star)
+        )
+        assert tensor_zero((reduced - img.star(B.star, H.star)).terms, (B, H)), g
+
+
 # -- invariant form ---------------------------------------------------------
 
 
@@ -396,6 +411,7 @@ def test_invariant_form_closed_forms(N):
     for i in range(N):
         for j in range(N):
             assert H[i][j] == (c if i == j else ZERO)
+    assert invariant_forms(N) == (F, H)
 
 
 def test_form_preserved_by_coaction():

@@ -38,6 +38,30 @@ def test_negative_exponent_scalars_only():
         parse_expr("z[1]^-1", sphere)
 
 
+@pytest.mark.parametrize(
+    "base",
+    ["z[1]", "q^2*z[1]*zs[2]", "-3*z[2]", "q", "2",
+     "z[1]+q*zs[1]", "z[1]*z[2]-2*q^-1*zs[2]+1"],
+)
+def test_power_is_the_repeated_product(base):
+    # a one-term base is raised in one step, a longer one by multiplying
+    a = parse_expr(base, sphere)
+    want = NcPoly.unit()
+    for e in range(6):
+        assert parse_expr(f"({base})^{e}", sphere) == want, e
+        want = want * a
+
+
+def test_deep_word_parses_and_reduces():
+    # z[2]^k*z[1] -> q^-k z[1]*z[2]^k: a power of one word is built
+    # directly and the rewrite chain is edited in place, both linear in k
+    k = 12000
+    a = parse_expr(f"z[2]^{k}*z[1]", sphere)
+    assert a == NcPoly.monomial((z(2),) * k + (z(1),))
+    nf = build("sphere", 2).nf(a)
+    assert list(nf.terms.items()) == [((z(1),) + (z(2),) * k, q ** (-k))]
+
+
 def test_unary_minus_and_parens():
     got = parse_expr("-(z[1] - z[2])", sphere)
     assert got == NcPoly.gen(z(2)) - NcPoly.gen(z(1))

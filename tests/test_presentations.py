@@ -1,6 +1,7 @@
 """Presentations: rule counts, determinant, antipode tables, zero testing."""
 
 import random
+from dataclasses import replace
 from functools import cache
 from itertools import product
 from math import comb
@@ -409,6 +410,28 @@ def test_antipode_matches_free_expansion(name, N):
     for w in words:
         free = NcPoly.monomial(w).star(S)  # the antimultiplicative expansion
         assert P.is_zero_elem(antipode(NcPoly.monomial(w), P) - P.nf(free)), w
+
+
+@pytest.mark.parametrize("name,N", [("suq", 2), ("suq", 3), ("uq", 2), ("uq", 3)])
+def test_star_matches_free_expansion(name, N):
+    # the star reduced after each factor against NcPoly.star, the free
+    # expansion, on every relation and generator
+    P = build(name, N)
+    elems = P.relations + [NcPoly.gen(g) for g in P.generators]
+    for a in elems:
+        got = P.anti_extend(a, P.star)
+        assert P.is_zero_elem(got - a.star(P.star)), a
+    assert sum(P.is_zero_elem(P.anti_extend(a, P.star)) for a in elems) == len(P.relations)
+
+
+@pytest.mark.parametrize("name,N", [("suq", 2), ("uq", 2)])
+def test_star_checks_catch_a_broken_table(name, N):
+    P = build(name, N)
+    bad = dict(P.star)
+    bad[u(1, 2)] = bad[u(1, 2)].scale(Scalar.from_int(2))
+    P_bad = replace(P, star=bad)
+    assert not check_star_closure(P_bad)
+    assert not check_star_involution(P_bad)
 
 
 def test_reduce_keeps_the_alphabet_check():

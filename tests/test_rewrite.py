@@ -172,6 +172,17 @@ def test_redex_search_from_start_matches_linear_scan(algebra, N):
             assert system._find_redex(word, start) == hit
 
 
+@SYSTEMS
+def test_redex_search_on_a_list_matches_the_tuple(algebra, N):
+    # reduce_word follows one-term runs on a list; suq and uq are not
+    # confluent, so the list must give the tuple's (position, rule)
+    for system, words, rng in _systems_and_words(algebra, N, 300):
+        for word in words:
+            start = rng.randint(0, len(word))
+            assert system._find_redex(list(word)) == system._find_redex(word)
+            assert system._find_redex(list(word), start) == system._find_redex(word, start)
+
+
 def _reference_reduce_word(system, word, cache):
     """Normal form by the plain engine: every word met is cached, and every
     redex search starts at position 0.  Each step rewrites the leftmost
