@@ -78,14 +78,43 @@ class Presentation:
         through the zero test.  Both maps fix scalars (real rational
         functions of the real parameter).  ``NcPoly.star`` is the free
         expansion.
+
+        On uq both maps send dinv to the determinant D (degree N, N! terms),
+        which is never multiplied out.  When the table sends dinv to D, the
+        dinv letters of a word are counted and skipped, and D^m is applied
+        to the reduced image of the rest as a level shift
+        (``_times_det_power``).  This is exact: D is central, so where its
+        factors sit does not matter, and dinv D = 1.  Any other dinv image
+        (a broken table) is multiplied out like every other generator.
         """
+        shift = self.det is not None and table.get(DINV) == self.det
         out = NcPoly()
         for w, c in a.terms.items():
             img = NcPoly.unit(c)
+            m = 0
             for g in reversed(w):
-                img = self.reduce(img * table[g])
+                if shift and g == DINV:
+                    m += 1
+                else:
+                    img = self.reduce(img * table[g])
+            if m:
+                img = self._times_det_power(img, m)
             for w2, c2 in img.terms.items():
                 out._iadd_term(w2, c2)
+        return out
+
+    def _times_det_power(self, p: NcPoly, m: int) -> NcPoly:
+        """A reduced uq polynomial congruent to p D^m, for p reduced: a word
+        core dinv^k becomes core dinv^(k-m) when k >= m (dinv D = 1), and
+        otherwise the mq normal form of core D^(m-k)."""
+        out = NcPoly()
+        for w, c in p.terms.items():
+            core, k = dinv_split(w)
+            if k >= m:
+                out._iadd_term(core + (DINV,) * (k - m), c)
+            else:
+                for w2, c2 in self.clear_word(w, m).terms.items():
+                    out._iadd_term(w2, c * c2)
         return out
 
     # -- exact zero testing

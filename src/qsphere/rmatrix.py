@@ -167,12 +167,13 @@ def flip_operator(N: int):
 
 
 class RFormEvaluator:
-    """Recursive evaluator of the universal r-form on the special unitary
+    """Evaluator of the universal r-form on the special unitary
     coordinate algebra, in the context with the root t (q = t^-N).
 
     Generator values: r(u^i_j (x) u^k_l) = t * R[(k,i)][(j,l)].  The left
     argument splits through r(ab, c) = r(a, c_1) r(b, c_2), the right through
-    r(a, bc) = r(a_1, c) r(a_2, b); unit cases give the counit.
+    r(a, bc) = r(a_1, c) r(a_2, b); unit cases give the counit.  The
+    splitting runs on an explicit stack (``eval_words``).
     """
 
     def __init__(self, N: int):
@@ -197,33 +198,59 @@ class RFormEvaluator:
 
         return counit(NcPoly.monomial(w), self.P)
 
+    def _split(self, a, b):
+        """r(a, b) as a scalar (unit and generator cases), or as a list of
+        terms (c, k1, k2) with r(a, b) = sum c r(k1) r(k2) over word pairs
+        k1, k2 shorter than (a, b) in total length."""
+        from .hopf import delta_word
+
+        if not a:
+            return self._eps_word(b)
+        if not b:
+            return self._eps_word(a)
+        if len(a) == 1 and len(b) == 1:
+            return self._table[(a[0], b[0])]
+        if len(a) > 1:
+            g, rest = (a[0],), a[1:]
+            return [(c, (g, b1), (rest, b2))
+                    for (b1, b2), c in delta_word(b, self.P).terms.items()]
+        h, rest = (b[0],), b[1:]
+        return [(c, (a1, rest), (a2, h))
+                for (a1, a2), c in delta_word(a, self.P).terms.items()]
+
     def eval_words(self, a, b) -> Scalar:
-        key = (a, b)
-        hit = self._memo.get(key)
+        """r(a, b) on two words, memoised on the pair.  The splitting runs
+        on an explicit stack, so the word length is not bounded by the
+        recursion limit."""
+        memo = self._memo
+        hit = memo.get((a, b))
         if hit is not None:
             return hit
-        if not a:
-            val = self._eps_word(b)
-        elif not b:
-            val = self._eps_word(a)
-        elif len(a) == 1 and len(b) == 1:
-            val = self._table[(a[0], b[0])]
-        elif len(a) > 1:
-            from .hopf import delta_word
-
-            g, rest = (a[0],), a[1:]
-            val = ZERO
-            for (b1, b2), c in delta_word(b, self.P).terms.items():
-                val = val + c * self.eval_words(g, b1) * self.eval_words(rest, b2)
-        else:
-            from .hopf import delta_word
-
-            h, rest = (b[0],), b[1:]
-            val = ZERO
-            for (a1, a2), c in delta_word(a, self.P).terms.items():
-                val = val + c * self.eval_words(a1, rest) * self.eval_words(a2, h)
-        self._memo[key] = val
-        return val
+        stack = [((a, b), None)]
+        while stack:
+            key, split = stack.pop()
+            if split is None:
+                if key in memo:
+                    continue
+                split = self._split(*key)
+                if not isinstance(split, list):
+                    memo[key] = split
+                    continue
+            val, todo = ZERO, []
+            for c, k1, k2 in split:
+                v1, v2 = memo.get(k1), memo.get(k2)
+                if v1 is None:
+                    todo.append(k1)
+                if v2 is None:
+                    todo.append(k2)
+                if not todo:
+                    val = val + c * v1 * v2
+            if todo:
+                stack.append((key, split))
+                stack.extend((k, None) for k in todo)
+            else:
+                memo[key] = val
+        return memo[(a, b)]
 
     def eval(self, a: NcPoly, b: NcPoly) -> Scalar:
         total = ZERO

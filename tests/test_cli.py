@@ -146,6 +146,17 @@ def test_rform_command(capsys):
     assert out.strip() == "t^-1"
 
 
+@pytest.mark.parametrize("side", ["--left", "--right"])
+def test_rform_deep_word(capsys, side):
+    # r(u11^n, u11) = r(u11, u11^n) = t^-n; n = 1,100 is past the recursion
+    # limit of a per-letter recursive evaluation
+    other = "--right" if side == "--left" else "--left"
+    code, out, err = run(
+        capsys, "rform", "--N", "2", side, "u[1,1]^1100", other, "u[1,1]"
+    )
+    assert (code, out.strip(), err) == (0, "t^-1100", "")
+
+
 def test_morphism_presets(capsys):
     for target in ("identity", "torus"):
         code, out, _ = run(capsys, "morphism", "--N", "2", "--target", target)

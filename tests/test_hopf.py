@@ -197,6 +197,12 @@ def _antipode_u12_doubled(P):
     return _mutate(P, antipode={u(1, 2): S[u(1, 2)].scale(Scalar.from_int(2))})
 
 
+def _antipode_dinv_doubled(P):
+    # S(dinv) = 2 D: a dinv image other than D is multiplied out, not
+    # applied as a level shift
+    return _mutate(P, antipode={DINV: P.det.scale(Scalar.from_int(2))})
+
+
 def _delta_doubled_left(P):
     two = Scalar.from_int(2)
     return _mutate(P, delta={g: TensorPoly.monomial((g,), (), two) for g in _entries(P)})
@@ -225,6 +231,8 @@ def _antipode_conjugated(P):
         ("uq", 2, _delta_u11_grouplike, "delta-kills-relations"),
         ("suq", 2, _antipode_u12_doubled, "antipode-kills-relations"),
         ("uq", 2, _antipode_u12_doubled, "antipode-kills-relations"),
+        ("uq", 2, _antipode_dinv_doubled, "antipode-kills-relations"),
+        ("uq", 3, _antipode_dinv_doubled, "antipode-kills-relations"),
         ("mq", 2, _delta_doubled_left, "coassociativity"),
         ("mq", 3, _delta_doubled_left, "coassociativity"),
         ("mq", 2, _eps_zero, "counit-law"),

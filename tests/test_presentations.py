@@ -400,6 +400,18 @@ def test_zero_test_matches_normal_form_oracle(name, N):
         assert any(not P.nf(a).is_zero for a, v in zip(cases, want) if v)
 
 
+def _det_relations(P):
+    """The two uq relations dinv D = 1 and D dinv = 1, the only ones with a
+    word of the determinant (N >= 2)."""
+    return [r for r in P.relations if any(len(w) == P.N + 1 for w in r.terms)]
+
+
+def _dinv_words(P):
+    """Words with dinv first, in the middle and last, and dinv^2."""
+    a, b = u(1, 2), u(P.N, 1)
+    return [(DINV, a, b), (a, DINV, b), (a, b, DINV), (DINV, DINV)]
+
+
 @pytest.mark.parametrize("name,N", [("suq", 2), ("suq", 3), ("uq", 2), ("uq", 3)])
 def test_antipode_matches_free_expansion(name, N):
     P = build(name, N)
@@ -407,29 +419,63 @@ def test_antipode_matches_free_expansion(name, N):
     gens = list(P.generators)
     rng = random.Random(f"{name}{N}-antipode")
     words = [(g,) for g in gens] + [_random_word(rng, gens, 2, 2) for _ in range(12)]
-    for w in words:
-        free = NcPoly.monomial(w).star(S)  # the antimultiplicative expansion
-        assert P.is_zero_elem(antipode(NcPoly.monomial(w), P) - P.nf(free)), w
+    elems = [NcPoly.monomial(w) for w in words]
+    if name == "uq":
+        elems += [NcPoly.monomial(w) for w in _dinv_words(P)] + _det_relations(P)
+    for a in elems:
+        free = a.star(S)  # the antimultiplicative expansion
+        assert P.is_zero_elem(antipode(a, P) - P.nf(free)), a
 
 
 @pytest.mark.parametrize("name,N", [("suq", 2), ("suq", 3), ("uq", 2), ("uq", 3)])
 def test_star_matches_free_expansion(name, N):
     # the star reduced after each factor against NcPoly.star, the free
-    # expansion, on every relation and generator
+    # expansion, on every relation and generator (and on uq on words with
+    # dinv letters)
     P = build(name, N)
     elems = P.relations + [NcPoly.gen(g) for g in P.generators]
-    for a in elems:
+    extra = [NcPoly.monomial(w) for w in _dinv_words(P)] if name == "uq" else []
+    for a in elems + extra:
         got = P.anti_extend(a, P.star)
         assert P.is_zero_elem(got - a.star(P.star)), a
     assert sum(P.is_zero_elem(P.anti_extend(a, P.star)) for a in elems) == len(P.relations)
 
 
-@pytest.mark.parametrize("name,N", [("suq", 2), ("uq", 2)])
-def test_star_checks_catch_a_broken_table(name, N):
+@pytest.mark.parametrize("N", [2, 3])
+def test_dinv_images_are_level_shifts(N):
+    # the image of dinv*lead is N cofactors, each carrying one dinv, times
+    # D.  As a level shift D cancels one trailing dinv: N - 1 dinv letters
+    # and cores of length N(N - 1).  Multiplied out it gives N and N^2.
+    P = build("uq", N)
+    rels = _det_relations(P)
+    assert len(rels) == 2
+    for table in (P.structure.antipode, P.star):
+        for r in rels:
+            splits = [dinv_split(w) for w in P.anti_extend(r, table).terms]
+            assert max(len(core) for core, _ in splits) == N * (N - 1)
+            assert max(k for _, k in splits) == N - 1
+
+
+def _star_u12_doubled(P):
+    return {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
+
+
+def _star_dinv_doubled(P):
+    # a dinv image other than D is multiplied out, not applied as a shift
+    return {**P.star, DINV: P.det.scale(Scalar.from_int(2))}
+
+
+@pytest.mark.parametrize(
+    "name,N,mutate",
+    [
+        pytest.param("suq", 2, _star_u12_doubled, id="suq-2"),
+        pytest.param("uq", 2, _star_u12_doubled, id="uq-2"),
+        pytest.param("uq", 2, _star_dinv_doubled, id="uq-2-dinv"),
+    ],
+)
+def test_star_checks_catch_a_broken_table(name, N, mutate):
     P = build(name, N)
-    bad = dict(P.star)
-    bad[u(1, 2)] = bad[u(1, 2)].scale(Scalar.from_int(2))
-    P_bad = replace(P, star=bad)
+    P_bad = replace(P, star=mutate(P))
     assert not check_star_closure(P_bad)
     assert not check_star_involution(P_bad)
 

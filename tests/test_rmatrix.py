@@ -129,6 +129,58 @@ def test_rform_split_consistency():
                     assert left == val
 
 
+def _reference_eval_words(ev, a, b, memo):
+    """The recursive r-form evaluation that ``eval_words`` replaced: one
+    Python call per split, so its depth grows with the word length."""
+    from qsphere.hopf import delta_word
+
+    key = (a, b)
+    if key in memo:
+        return memo[key]
+    if not a:
+        val = ev._eps_word(b)
+    elif not b:
+        val = ev._eps_word(a)
+    elif len(a) == 1 and len(b) == 1:
+        val = ev._table[(a[0], b[0])]
+    elif len(a) > 1:
+        val = ZERO
+        for (b1, b2), c in delta_word(b, ev.P).terms.items():
+            val = val + c * _reference_eval_words(ev, a[:1], b1, memo) * _reference_eval_words(
+                ev, a[1:], b2, memo
+            )
+    else:
+        val = ZERO
+        for (a1, a2), c in delta_word(a, ev.P).terms.items():
+            val = val + c * _reference_eval_words(ev, a1, b[1:], memo) * _reference_eval_words(
+                ev, a2, b[:1], memo
+            )
+    memo[key] = val
+    return val
+
+
+def test_eval_words_matches_recursive_oracle():
+    import random
+
+    ev = RFormEvaluator(2)
+    memo = {}
+    t = ev.ctx.t
+    u11 = (u(1, 1),)
+    for n in range(1, 31):
+        for a, b in ((u11 * n, u11), (u11, u11 * n)):
+            got = ev.eval_words(a, b)
+            assert got == _reference_eval_words(ev, a, b, memo) == t ** (-n), (n, a, b)
+    # mixed words of length up to 3 on both sides, from fresh memos
+    ev = RFormEvaluator(2)
+    memo = {}
+    gens = [u(i, j) for i in range(1, 3) for j in range(1, 3)]
+    rng = random.Random(1)
+    for _ in range(40):
+        a = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+        b = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+        assert ev.eval_words(a, b) == _reference_eval_words(ev, a, b, memo), (a, b)
+
+
 def test_sigma_matrix_matches_scaled_braiding():
     for N in (2, 3):
         ev = RFormEvaluator(N)
