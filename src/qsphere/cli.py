@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 
 from . import hopf, parser, presentations, rmatrix, spectrum
-from .cache import ArtifactCache
 from .errors import (
     AxiomFails,
     ExprSyntaxError,
@@ -174,11 +173,6 @@ def _numeric_checks(P, q0):
 # ---------------------------------------------------------------------------
 
 
-def _build(args):
-    cache = ArtifactCache(args.cache_dir) if getattr(args, "cache_dir", None) else None
-    return presentations.build(args.algebra, args.N, cache=cache)
-
-
 def _open_json(path):
     """The ``--json`` file, opened before any work so a bad path costs none."""
     return open(path, "w") if path else contextlib.nullcontext()
@@ -218,7 +212,7 @@ def _check_names(args):
 
 
 def _run_checks(args, names):
-    P = _build(args)
+    P = presentations.build(args.algebra, args.N)
     reports = []
     for name in sorted(names):
         fn = CHECKS[name][0]
@@ -250,7 +244,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    P = _build(args)
+    P = presentations.build(args.algebra, args.N)
     graded = P.system.enumerate_basis(args.max_degree)
     for d, level in enumerate(graded):
         print(f"degree {d}: {len(level)}")
@@ -260,7 +254,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    P = _build(args)
+    P = presentations.build(args.algebra, args.N)
     a = parser.parse_expr(args.expr, P)
     print(parser.render(P.nf(a)))
     return 0
@@ -371,7 +365,6 @@ def _make_argparser():
         if algebra:
             p.add_argument("--algebra", choices=ALGEBRAS, required=True)
         p.add_argument("--N", type=_int_at_least(1), required=True)
-        p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("verify", help="run named checks on an algebra")
     common(p)
@@ -435,8 +428,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the expression parser recurses once per nesting level, the r-form
-        # evaluator once per letter
+        # the parser, the normal form and the r-form all run on explicit
+        # stacks; this keeps the one-line contract should anything recurse
         print("error: input too deep for the recursion limit", file=sys.stderr)
         return 2
     except MemoryError:

@@ -52,6 +52,41 @@ def _tokenize(src: str):
     return toks
 
 
+class _Expr:
+    """An expression being parsed: the sum of its finished terms and the
+    product of the finished factors of its current term."""
+
+    __slots__ = ("negate", "total", "sign", "term", "op", "at")
+
+    def __init__(self, negate: bool):
+        self.negate = negate  # a leading "-" negates the first term
+        self.total = None
+        self.sign = 1  # the operator before the current term
+        self.term = None
+        self.op = None  # "*" or "/" before the next factor
+        self.at = None  # where a divisor starts
+
+    def add_factor(self, a: NcPoly):
+        if self.term is None:
+            self.term = a
+        elif self.op == "*":
+            self.term = self.term * a
+        else:
+            c = a.terms.get(EMPTY)
+            if len(a.terms) != 1 or c is None:
+                raise ExprSyntaxError(self.at, "scalar divisor")
+            self.term = self.term.scale(c.inverse())
+
+    def add_term(self):
+        t, self.term = self.term, None
+        if self.total is None:
+            self.total = -t if self.negate else t
+        elif self.sign > 0:
+            self.total = self.total + t
+        else:
+            self.total = self.total - t
+
+
 class _Parser:
     def __init__(self, src: str, P):
         self.toks = _tokenize(src)
@@ -81,42 +116,44 @@ class _Parser:
         return False
 
     def parse(self) -> NcPoly:
-        out = self.expr()
-        kind, _, at = self._peek()
-        if kind != "end":
-            raise ExprSyntaxError(at, "end of input")
-        return out
-
-    def expr(self) -> NcPoly:
-        negate = self._accept("-")
-        out = self.term()
-        if negate:
-            out = -out
+        """The grammar above, with each open parenthesis pushing the state of
+        the enclosing expression on an explicit stack, so the nesting depth
+        is not bounded by the recursion limit."""
+        outer = []
+        f = _Expr(self._accept("-"))
         while True:
-            if self._accept("+"):
-                out = out + self.term()
-            elif self._accept("-"):
-                out = out - self.term()
-            else:
-                return out
+            kind, val, at = self._next()
+            if kind == "sym" and val == "(":
+                outer.append(f)
+                f = _Expr(self._accept("-"))
+                continue
+            a = self._atom(kind, val, at)
+            while True:
+                f.add_factor(self._power(a))
+                if self._accept("*"):
+                    f.op = "*"
+                elif self._accept("/"):
+                    f.op, f.at = "/", self._peek()[2]
+                else:
+                    f.add_term()
+                    if self._accept("+"):
+                        f.sign = 1
+                    elif self._accept("-"):
+                        f.sign = -1
+                    elif outer:
+                        # the closed expression is the next atom of the
+                        # enclosing one
+                        self._expect(")")
+                        a, f = f.total, outer.pop()
+                        continue
+                    else:
+                        kind, _, at = self._peek()
+                        if kind != "end":
+                            raise ExprSyntaxError(at, "end of input")
+                        return f.total
+                break
 
-    def term(self) -> NcPoly:
-        out = self.factor()
-        while True:
-            if self._accept("*"):
-                out = out * self.factor()
-            elif self._accept("/"):
-                _, _, at = self._peek()
-                div = self.factor()
-                c = div.terms.get(EMPTY)
-                if len(div.terms) != 1 or c is None:
-                    raise ExprSyntaxError(at, "scalar divisor")
-                out = out.scale(c.inverse())
-            else:
-                return out
-
-    def factor(self) -> NcPoly:
-        a = self.atom()
+    def _power(self, a: NcPoly) -> NcPoly:
         if self._accept("^"):
             e = self._int(signed=True)
             if len(a.terms) == 1:
@@ -141,14 +178,10 @@ class _Parser:
             raise ExprSyntaxError(at, "integer")
         return sign * val
 
-    def atom(self) -> NcPoly:
-        kind, val, at = self._next()
+    def _atom(self, kind, val, at) -> NcPoly:
+        """An atom other than a parenthesised expression."""
         if kind == "int":
             return NcPoly.monomial(EMPTY, Scalar.from_int(val))
-        if kind == "sym" and val == "(":
-            out = self.expr()
-            self._expect(")")
-            return out
         if kind == "name":
             return self._named(val, at)
         raise ExprSyntaxError(at, "atom")

@@ -326,7 +326,6 @@ def build(
     name: str,
     N: int,
     ctx: DeformationContext | None = None,
-    cache=None,
 ) -> Presentation:
     """Build one of the named presentations: mq, suq, uq, sphere."""
     from .hopf import StructureMaps
@@ -359,14 +358,14 @@ def build(
         return Presentation("mq", N, ctx, system, structure=structure)
 
     if name == "suq":
-        det = _cached_poly(cache, "suq", N, "determinant", lambda: quantum_determinant(N, ctx), ctx)
+        det = quantum_determinant(N, ctx)
         lead, c = _det_leading(N, ctx)
         rest = det - NcPoly.monomial(lead, c)
         rhs = (NcPoly.unit() - rest).scale(c.inverse())
         rules = _mq_rules(N, q) + [Rule(lead, rhs)]
         order = MonomialOrder(u_prec)
         system = RewriteSystem(order, rules)
-        sl = _cached_table(cache, "suq", N, "antipode-sl", lambda: antipode_matrix(N, "sl", ctx), ctx)
+        sl = antipode_matrix(N, "sl", ctx)
         star = {u(i, j): sl[j - 1][i - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
         antipode = {u(i, j): sl[i - 1][j - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
         structure = StructureMaps(
@@ -380,7 +379,7 @@ def build(
         )
 
     if name == "uq":
-        det = _cached_poly(cache, "uq", N, "determinant", lambda: quantum_determinant(N, ctx), ctx)
+        det = quantum_determinant(N, ctx)
         lead, c = _det_leading(N, ctx)
         rest = det - NcPoly.monomial(lead, c)
         cinv = c.inverse()
@@ -397,7 +396,7 @@ def build(
         rules.append(Rule(lead + (DINV,), rhs_right))
         order = MonomialOrder(u_prec + [DINV])
         system = RewriteSystem(order, rules)
-        gl = _cached_table(cache, "uq", N, "antipode-gl", lambda: antipode_matrix(N, "gl", ctx), ctx)
+        gl = antipode_matrix(N, "gl", ctx)
         star = {u(i, j): gl[j - 1][i - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
         star[DINV] = det
         antipode = {u(i, j): gl[i - 1][j - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
@@ -434,23 +433,6 @@ def _matrix_epsilon(N):
         for i in range(1, N + 1)
         for j in range(1, N + 1)
     }
-
-
-def _ctx_token(ctx) -> str:
-    # distinct bindings of q must not share cache entries
-    return f"{ctx.var_name}:{ctx.q.num}:{ctx.q.den}"
-
-
-def _cached_poly(cache, algebra, N, artifact, thunk, ctx):
-    if cache is None:
-        return thunk()
-    return cache.poly(f"{algebra}-{N}-{artifact}-{_ctx_token(ctx)}", thunk)
-
-
-def _cached_table(cache, algebra, N, artifact, thunk, ctx):
-    if cache is None:
-        return thunk()
-    return cache.table(f"{algebra}-{N}-{artifact}-{_ctx_token(ctx)}", thunk)
 
 
 # ---------------------------------------------------------------------------

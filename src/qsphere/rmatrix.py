@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import AxiomFails
 from .freealg import NcPoly, u, z
+from .hopf import _triple_add, antipode, counit, delta_word, verify_hopf
 from .linalg import (
     identity,
     is_zero_matrix,
@@ -194,29 +195,59 @@ class RFormEvaluator:
         self._bar_memo = {}  # (wa, wb) -> r(S(wa), wb)
 
     def _eps_word(self, w) -> Scalar:
-        from .hopf import counit
-
         return counit(NcPoly.monomial(w), self.P)
 
     def _split(self, a, b):
         """r(a, b) as a scalar (unit and generator cases), or as a list of
-        terms (c, k1, k2) with r(a, b) = sum c r(k1) r(k2) over word pairs
-        k1, k2 shorter than (a, b) in total length."""
-        from .hopf import delta_word
+        terms (c, k) with r(a, b) = sum c r(k) over word pairs k shorter
+        than (a, b) in total length; terms with c = 0 are left out.
 
+        The coproduct of a generator is a sum of letter pairs (the matrix
+        coproduct).  With a one letter: r(a, h rest) = sum r(a_1, rest)
+        r(a_2, h), each r(a_2, h) read from the table.  With a = g rest
+        longer: r(g rest, b) = sum r(g, b_1) r(rest, b_2), and b is walked
+        letter by letter instead of expanding its coproduct.  By the right
+        rule, r(g, y_1 ... y_m) pairs y_1 with the last leg of the m-fold
+        coproduct of g, y_2 with the one before it, and so on.  So each step
+        splits the current leg x of g, pairs x_2 with the left leg y of the
+        next letter of b, appends that letter's right leg to b_2 and keeps
+        x_1; the last letter pairs with x itself.  A path ends as soon as a
+        table value is 0, and the generator table is sparse.
+        """
         if not a:
             return self._eps_word(b)
         if not b:
             return self._eps_word(a)
-        if len(a) == 1 and len(b) == 1:
-            return self._table[(a[0], b[0])]
-        if len(a) > 1:
-            g, rest = (a[0],), a[1:]
-            return [(c, (g, b1), (rest, b2))
-                    for (b1, b2), c in delta_word(b, self.P).terms.items()]
-        h, rest = (b[0],), b[1:]
-        return [(c, (a1, rest), (a2, h))
-                for (a1, a2), c in delta_word(a, self.P).terms.items()]
+        table = self._table
+        delta = self.P.structure.delta
+        if len(a) == 1:
+            if len(b) == 1:
+                return table[(a[0], b[0])]
+            h, rest = b[0], b[1:]
+            out = []
+            for ((x1,), (x2,)), c in delta[a[0]].terms.items():
+                v = table[(x2, h)]
+                if not v.is_zero:
+                    out.append((c * v, ((x1,), rest)))
+            return out
+        paths = {(a[0], ()): ONE}  # (current leg of g, b_2 so far) -> coefficient
+        last = len(b) - 1
+        for n, h in enumerate(b):
+            step = {}
+            for (x, b2), c in paths.items():
+                for ((y,), (w,)), cy in delta[h].terms.items():
+                    if n == last:
+                        v = table[(x, y)]
+                        if not v.is_zero:
+                            _triple_add(step, (None, b2 + (w,)), c * cy * v)
+                        continue
+                    for ((x1,), (x2,)), cx in delta[x].terms.items():
+                        v = table[(x2, y)]
+                        if not v.is_zero:
+                            _triple_add(step, (x1, b2 + (w,)), c * cy * cx * v)
+            paths = step
+        rest = a[1:]
+        return [(c, (rest, b2)) for (_, b2), c in paths.items()]
 
     def eval_words(self, a, b) -> Scalar:
         """r(a, b) on two words, memoised on the pair.  The splitting runs
@@ -236,19 +267,14 @@ class RFormEvaluator:
                 if not isinstance(split, list):
                     memo[key] = split
                     continue
-            val, todo = ZERO, []
-            for c, k1, k2 in split:
-                v1, v2 = memo.get(k1), memo.get(k2)
-                if v1 is None:
-                    todo.append(k1)
-                if v2 is None:
-                    todo.append(k2)
-                if not todo:
-                    val = val + c * v1 * v2
+            todo = [k for _, k in split if k not in memo]
             if todo:
                 stack.append((key, split))
                 stack.extend((k, None) for k in todo)
             else:
+                val = ZERO
+                for c, k in split:
+                    val = val + c * memo[k]
                 memo[key] = val
         return memo[(a, b)]
 
@@ -262,8 +288,6 @@ class RFormEvaluator:
     def eval_bar(self, a: NcPoly, b: NcPoly) -> Scalar:
         """Convolution inverse, realized as r composed with (S (x) id).
         On two monomials the value is memoised on their word pair."""
-        from .hopf import antipode
-
         if len(a.terms) != 1 or len(b.terms) != 1:
             return self.eval(antipode(a, self.P), b)
         (wa, ca), = a.terms.items()
@@ -292,17 +316,90 @@ class RFormEvaluator:
         return M
 
 
-def check_cqt(N: int, degree_bound: int = 2, sample: int = 20, seed: int = 0) -> dict:
-    """Verify the coquasitriangularity axioms on generator pairs, the
-    commutation law additionally on sampled degree-2 monomials, reality of
-    the r-form, and numerical symmetry of the braiding matrix."""
-    import random
+def _relation_kills_failing(ev: RFormEvaluator):
+    """Pairs (relation, generator), on either side, on which r is not 0."""
+    gens = [NcPoly.gen(g) for g in ev.P.generators]
+    bad = []
+    for rel in ev.P.relations:
+        for g in gens:
+            if not ev.eval(rel, g).is_zero:
+                bad.append((rel, g))
+            if not ev.eval(g, rel).is_zero:
+                bad.append((g, rel))
+    return bad
 
-    from .hopf import delta_word
 
+def _commutation_holds(ev: RFormEvaluator, wa, wb) -> bool:
+    """The commutation law b a = r(a_1, b_1) a_2 b_2 rbar(a_3, b_3) on two
+    words, decided in the algebra."""
+    P = ev.P
+    lhs = NcPoly.monomial(wb) * NcPoly.monomial(wa)
+    rhs = NcPoly()
+    for (a1, arest), ca in delta_word(wa, P).terms.items():
+        for (b1, brest), cb in delta_word(wb, P).terms.items():
+            r1 = ev.eval_words(a1, b1)
+            if r1.is_zero:
+                continue
+            for (a2, a3), c2 in delta_word(arest, P).terms.items():
+                for (b2, b3), d2 in delta_word(brest, P).terms.items():
+                    r3 = ev.eval_bar(NcPoly.monomial(a3), NcPoly.monomial(b3))
+                    if not r3.is_zero:
+                        rhs._iadd_term(a2 + b2, ca * cb * r1 * c2 * d2 * r3)
+    return P.equals(rhs, lhs)
+
+
+def check_cqt(N: int) -> dict:
+    """Prove the coquasitriangularity axioms of the r-form on suq(N), check
+    its reality on generators, and the braiding it induces.
+
+    Hypotheses, checked on the evaluator's algebra A = F/I (F free, I the
+    ideal of the relations):
+      (H1) ``verify_hopf``: Delta, epsilon and S kill the relations, and the
+           Hopf laws hold on generators, so A is a Hopf algebra and
+           Delta(I) lies in I (x) F + F (x) I.
+      (H2) r(rel, g) = r(g, rel) = 0 for every relation and generator.
+    The evaluator defines r on F (x) F by the two splitting rules, which
+    agree there: both give r(x_1 ... x_n, y_1 ... y_m) as the sum, over the
+    coproduct legs of all letters, of the products of table values over the
+    n-by-m grid of letter pairs.  So r is a skew pairing on F.
+
+    r descends to a skew pairing on A.  Suppose r(I, w) = 0 for all words w
+    of length at most n.  Delta(rel) lies in I (x) F + F (x) I, so in
+    r(rel, w h) = sum r(rel_1, h) r(rel_2, w) each term has rel_1 in I,
+    where r(., h) = 0, or rel_2 in I, where r(., w) = 0.  Here r(I, h) = 0
+    by H2, since r(x rel' y, h) = sum r(x, h_1) r(rel', h_2) r(y, h_3) and
+    the coproduct of a generator has generator legs.  The same split of
+    x rel y carries this from the relations to I, and r(rel, 1) = eps(rel)
+    = 0 starts the induction.  The mirror argument gives r(F, I) = 0.
+
+    Convolution inverse: on a Hopf algebra rbar = r o (S (x) id) inverts r,
+    since sum r(a_1, b_1) r(S a_2, b_2) = r(a_1 S(a_2), b) = eps(a) eps(b),
+    and likewise with S on the first leg.  It is still checked on
+    generator pairs.
+
+    Commutation law b a = r(a_1, b_1) a_2 b_2 rbar(a_3, b_3), checked on
+    generator pairs.  It extends in b for every generator a: with
+    r(a, bc) = r(a_1, c) r(a_2, b) and rbar(a, bc) = rbar(a_1, b)
+    rbar(a_2, c), b c a = b (c a) expands to the law for (a, bc) by the law
+    for (a, c) and then for (a_i, b), the legs a_i being generators; for
+    b = 1 the law is the counit law.  It then extends in a, for every word
+    b: with r(xy, b) = r(x, b_1) r(y, b_2) and rbar(xy, b) = rbar(y, b_1)
+    rbar(x, b_2), b x y expands by the law for (x, b) and then for
+    (y, b_2).  So the law holds on all of A.
+
+    Reality r(a, b) = r(b*, a*) extends only through the star laws, which
+    this check does not assume, so it is checked on generator pairs only;
+    so are sigma (entrywise) and its hermiticity at sample points.
+    """
     ev = RFormEvaluator(N)
     P = ev.P
     gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+
+    hopf_report = verify_hopf(P)
+    bad = _relation_kills_failing(ev)
+    if bad:
+        raise AxiomFails("rform-kills-relations", repr(bad[0]))
+    kills = 2 * len(P.relations) * len(P.generators)
 
     # Eq: r * rbar = rbar * r = eps (x) eps, on generator pairs
     for a in gens:
@@ -324,40 +421,10 @@ def check_cqt(N: int, degree_bound: int = 2, sample: int = 20, seed: int = 0) ->
             if lhs != want or rhs != want:
                 raise AxiomFails("convolution-inverse", (a, b))
 
-    # commutation law: b a = r(a1,b1) a2 b2 rbar(a3,b3)
-    def commutation_holds(wa, wb) -> bool:
-        pa = NcPoly.monomial(wa)
-        pb = NcPoly.monomial(wb)
-        lhs = pb * pa
-        rhs = NcPoly()
-        for (a1, arest), c1 in delta_word(wa, P).terms.items():
-            for (a2, a3), c2 in delta_word(arest, P).terms.items():
-                for (b1, brest), d1 in delta_word(wb, P).terms.items():
-                    for (b2, b3), d2 in delta_word(brest, P).terms.items():
-                        coeff = (
-                            c1
-                            * c2
-                            * d1
-                            * d2
-                            * ev.eval_words(a1, b1)
-                            * ev.eval_bar(NcPoly.monomial(a3), NcPoly.monomial(b3))
-                        )
-                        if not coeff.is_zero:
-                            rhs = rhs + NcPoly.monomial(a2 + b2, coeff)
-        return P.equals(rhs, lhs)
-
     for a in gens:
         for b in gens:
-            if not commutation_holds((a,), (b,)):
+            if not _commutation_holds(ev, (a,), (b,)):
                 raise AxiomFails("commutation-law", (a, b))
-    rng = random.Random(seed)
-    sampled = 0
-    for _ in range(sample):
-        wa = tuple(rng.choice(gens) for _ in range(2))
-        wb = tuple(rng.choice(gens) for _ in range(min(degree_bound, 2)))
-        if not commutation_holds(wa, wb):
-            raise AxiomFails("commutation-law-degree2", (wa, wb))
-        sampled += 1
 
     # reality: r(a (x) b) = r(b* (x) a*) (coefficients are real)
     for a in gens:
@@ -382,7 +449,8 @@ def check_cqt(N: int, degree_bound: int = 2, sample: int = 20, seed: int = 0) ->
 
     return {
         "generator_pairs": len(gens) ** 2,
-        "degree2_samples": sampled,
+        "relation_kills": kills,
+        "hopf_hypotheses": hopf_report,
         "sigma_entrywise": True,
         "hermitian_at": ["1/2", "2"],
     }

@@ -157,6 +157,15 @@ def test_rform_deep_word(capsys, side):
     assert (code, out.strip(), err) == (0, "t^-1100", "")
 
 
+def test_rform_deep_words_on_both_sides(capsys):
+    # r(u11^n, u11^n) = t^-(n*n): the left split walks the right word letter
+    # by letter, where expanding its coproduct would take 2^n terms per split
+    code, out, err = run(
+        capsys, "rform", "--N", "2", "--left", "u[1,1]^12", "--right", "u[1,1]^12"
+    )
+    assert (code, out, err) == (0, "t^-144\n", "")
+
+
 def test_morphism_presets(capsys):
     for target in ("identity", "torus"):
         code, out, _ = run(capsys, "morphism", "--N", "2", "--target", target)
@@ -224,16 +233,33 @@ def test_bad_arguments(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-def test_cache_dir_warm_run_identical(capsys, tmp_path):
+def test_cache_dir_is_a_usage_error(capsys, tmp_path):
+    # the artifact cache is gone; the option is an unknown argument
     cache = str(tmp_path / "cache")
-    args = (
-        "verify", "--algebra", "suq", "--N", "2",
+    code, out, err = run(
+        capsys, "verify", "--algebra", "suq", "--N", "2",
         "--checks", "matrix-identities", "--cache-dir", cache,
     )
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    assert (code, out) == (2, "")
+    assert err == f"qsphere: error: unrecognized arguments: --cache-dir {cache}\n"
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
+    path = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--algebra", "suq", "--N", "2",
+                       "--checks", "cqt-eq2", "--json", path)
+    assert (code, out) == (0, "cqt-eq2: pass\n")
+    (report,) = json.load(open(path))
+    assert report["details"] == {
+        "generator_pairs": 16,
+        "relation_kills": 56,
+        "hopf_hypotheses": {
+            "generators_checked": 4, "relations_checked": 7, "antipode_checked": True,
+        },
+        "sigma_entrywise": True,
+        "hermitian_at": ["1/2", "2"],
+    }
 
 
 @pytest.mark.parametrize(
@@ -254,10 +280,12 @@ def test_cache_dir_warm_run_identical(capsys, tmp_path):
         ("spectrum", "--N", "2", "--max-eig", "1", "--json", "{missing}/r.json"),
         ("verify", "--algebra", "mq", "--N", "2", "--checks", ","),
         ("verify", "--algebra", "mq", "--N", "2", "--checks", ""),
+        ("nf", "--algebra", "sphere", "--N", "2", "--expr", "(" * 2000 + "z[1]"),
     ],
     ids=["N0", "sphere-N1-coaction", "q0", "q-abc", "spectrum-N1", "json-unwritable",
          "negative-degree", "sphere-N1-spectrum", "json-unwritable-suq",
-         "spectrum-json-unwritable", "checks-comma", "checks-empty"],
+         "spectrum-json-unwritable", "checks-comma", "checks-empty",
+         "deep-parentheses-unclosed"],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -299,8 +327,8 @@ def test_verify_all_skips_checks_below_their_least_N(capsys):
         (("nf", "--algebra", "uq", "--N", "2", "--expr", "d"),
          "d is not a generator of uq(2)"),
         (("nf", "--algebra", "sphere", "--N", "2", "--expr",
-          "(" * 2000 + "z[1]" + ")" * 2000),
-         "input too deep for the recursion limit"),
+          "(" * 2000 + "w[1]" + ")" * 2000),
+         "w is not a generator of sphere(2)"),
     ],
     ids=["empty-checks", "nf-dinv", "nf-family", "rform-dinv", "uq-d-indexed", "uq-d",
          "deep-parentheses"],
@@ -309,6 +337,18 @@ def test_bad_input_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("algebra, inner, want", [
+    ("sphere", "z[1]", "z[1]"),
+    ("suq", "u[1,2]*u[2,1]", "-q^-1+q^-1*u[1,1]*u[2,2]"),
+])
+def test_deep_parentheses_accepted(capsys, algebra, inner, want):
+    # 2,000 nested parentheses are past the recursion limit of a recursive
+    # descent; the parser keeps the nesting on an explicit stack
+    code, out, err = run(capsys, "nf", "--algebra", algebra, "--N", "2", "--expr",
+                         "(" * 2000 + inner + ")" * 2000)
+    assert (code, out, err) == (0, want + "\n", "")
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):

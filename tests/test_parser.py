@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsphere.errors import ExprSyntaxError, IndexOutOfRange, UnknownGenerator
+from qsphere.errors import ExprSyntaxError, IndexOutOfRange, QsphereError, UnknownGenerator
 from qsphere.freealg import DINV, EMPTY, NcPoly, u, z, zs
-from qsphere.parser import parse_expr, render, render_scalar
+from qsphere.parser import _Parser, parse_expr, render, render_scalar
 from qsphere.presentations import build
 from qsphere.scalars import ONE, Scalar
 
@@ -60,6 +60,95 @@ def test_deep_word_parses_and_reduces():
     assert a == NcPoly.monomial((z(2),) * k + (z(1),))
     nf = build("sphere", 2).nf(a)
     assert list(nf.terms.items()) == [((z(1),) + (z(2),) * k, q ** (-k))]
+
+
+class _RecursiveParser(_Parser):
+    """The recursive descent that ``_Parser.parse`` replaced: one Python
+    call per nesting level.  Kept as the oracle of the explicit stack."""
+
+    def parse(self):
+        out = self._expr()
+        kind, _, at = self._peek()
+        if kind != "end":
+            raise ExprSyntaxError(at, "end of input")
+        return out
+
+    def _expr(self):
+        negate = self._accept("-")
+        out = self._term()
+        if negate:
+            out = -out
+        while True:
+            if self._accept("+"):
+                out = out + self._term()
+            elif self._accept("-"):
+                out = out - self._term()
+            else:
+                return out
+
+    def _term(self):
+        out = self._factor()
+        while True:
+            if self._accept("*"):
+                out = out * self._factor()
+            elif self._accept("/"):
+                _, _, at = self._peek()
+                div = self._factor()
+                c = div.terms.get(EMPTY)
+                if len(div.terms) != 1 or c is None:
+                    raise ExprSyntaxError(at, "scalar divisor")
+                out = out.scale(c.inverse())
+            else:
+                return out
+
+    def _factor(self):
+        kind, val, at = self._next()
+        if kind == "sym" and val == "(":
+            a = self._expr()
+            self._expect(")")
+        else:
+            a = self._atom(kind, val, at)
+        return self._power(a)
+
+
+def _outcome(parser_cls, src):
+    try:
+        return ("ok", parser_cls(src, sphere).parse())
+    except QsphereError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_PIECES = ["z[1]", "zs[2]", "q", "2", "0", "(", "(", ")", ")", "+", "-", "*", "/",
+           "^", "2", "^-1", "w[1]", "z[3]", "[", "$"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=14))
+def test_parse_matches_recursive_oracle(pieces):
+    # same polynomial, or the same error at the same position
+    src = " ".join(pieces)
+    assert _outcome(_Parser, src) == _outcome(_RecursiveParser, src)
+
+
+@pytest.mark.parametrize("src", [
+    "-(z[1] - z[2])*(q+1)^2/(2*q) + ((zs[2]))^3 - -1",
+    "((z[1]+q)*(zs[2]-1))^2/3",
+    "z[1]/(q-q)", "z[1]/(z[2])", "(z[1]", "z[1])", "(z[1]]", "()", "(-)",
+    "(q)^-2*(z[1])^-1", "2^", "z[1]*-z[2]",
+])
+def test_parse_matches_recursive_oracle_on_examples(src):
+    assert _outcome(_Parser, src) == _outcome(_RecursiveParser, src)
+
+
+def test_deep_parentheses_parse():
+    # nesting is held on an explicit stack, not in Python frames
+    n = 20000
+    assert parse_expr("(" * n + "z[1]" + ")" * n, sphere) == NcPoly.gen(z(1))
+    got = parse_expr("-(" * n + "z[1]*(q+z[2])" + ")^1" * n, sphere)
+    assert got == NcPoly.gen(z(1), q) + NcPoly.monomial((z(1), z(2)))
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr("(" * n + "z[1]", sphere)
+    assert (exc.value.position, exc.value.expected) == (n + 4, ")")
 
 
 def test_unary_minus_and_parens():

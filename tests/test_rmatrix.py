@@ -1,15 +1,21 @@
 """The braiding matrix, its eigenstructure, and the r-form calculus."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsphere import rmatrix
+from qsphere.errors import AxiomFails
 from qsphere.freealg import NcPoly, u
 from qsphere.linalg import identity, is_zero_matrix, mat_mul, mat_sub, rank
 from qsphere.presentations import build
 from qsphere.rmatrix import (
     RFormEvaluator,
+    _commutation_holds,
+    _relation_kills_failing,
     check_comodule_morphism,
     check_cqt,
     check_eigenspace_orthogonality,
@@ -21,7 +27,7 @@ from qsphere.rmatrix import (
     rhat_inverse,
     sigma,
 )
-from qsphere.scalars import DeformationContext, ONE, ZERO
+from qsphere.scalars import DeformationContext, ONE, ZERO, Scalar
 
 ctx = DeformationContext.standard()
 q = ctx.q
@@ -160,8 +166,6 @@ def _reference_eval_words(ev, a, b, memo):
 
 
 def test_eval_words_matches_recursive_oracle():
-    import random
-
     ev = RFormEvaluator(2)
     memo = {}
     t = ev.ctx.t
@@ -179,6 +183,30 @@ def test_eval_words_matches_recursive_oracle():
         a = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
         b = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
         assert ev.eval_words(a, b) == _reference_eval_words(ev, a, b, memo), (a, b)
+    # at N = 3, left words of 2-4 letters against right words of 2-4
+    # letters, where the left split walks the right word
+    ev = RFormEvaluator(3)
+    memo = {}
+    gens = [u(i, j) for i in range(1, 4) for j in range(1, 4)]
+    rng = random.Random(3)
+    nonzero = 0
+    for _ in range(40):
+        a = tuple(rng.choice(gens) for _ in range(rng.randint(2, 4)))
+        b = tuple(rng.choice(gens) for _ in range(rng.randint(2, 4)))
+        want = _reference_eval_words(ev, a, b, memo)
+        assert ev.eval_words(a, b) == want, (a, b)
+        nonzero += not want.is_zero
+    assert nonzero == 2
+    # pairs with values of several terms, such as -t^15+2*t^9-2*t^-3+t^-9
+    for a, b in (
+        ((u(3, 1), u(2, 1), u(3, 2)), (u(1, 3), u(1, 1), u(1, 3))),
+        ((u(3, 1), u(3, 1)), (u(1, 3), u(3, 3), u(1, 3), u(3, 3))),
+        ((u(3, 1), u(2, 1), u(2, 1)), (u(1, 3), u(1, 2), u(1, 2))),
+        ((u(3, 1), u(3, 1)), (u(1, 1), u(1, 3), u(2, 2), u(1, 3))),
+    ):
+        want = _reference_eval_words(ev, a, b, memo)
+        assert ev.eval_words(a, b) == want, (a, b)
+        assert sum(c != 0 for c in want.num) == 4
 
 
 def test_sigma_matrix_matches_scaled_braiding():
@@ -194,8 +222,6 @@ def test_cqt_n2():
 
 
 def test_eval_bar_memo_matches_fresh_antipode():
-    import random
-
     from qsphere.hopf import antipode
 
     ev = RFormEvaluator(2)
@@ -220,19 +246,6 @@ def test_eval_bar_memo_matches_fresh_antipode():
     assert ev.eval_bar(a, b) == ref.eval(antipode(a, ref.P), b)
 
 
-def _relation_kills_failing(ev):
-    """Pairs (relation, generator) on either side on which r is not zero."""
-    gens = [NcPoly.gen(g) for g in ev.P.generators]
-    bad = []
-    for rel in ev.P.relations:
-        for g in gens:
-            if not ev.eval(rel, g).is_zero:
-                bad.append((rel, g))
-            if not ev.eval(g, rel).is_zero:
-                bad.append((g, rel))
-    return bad
-
-
 @pytest.mark.parametrize("N, pairs", [(2, 56), (3, 666)])
 def test_rform_kills_suq_relations(N, pairs):
     # r(rel, g) = r(g, rel) = 0 for every relation and generator: with the
@@ -243,6 +256,16 @@ def test_rform_kills_suq_relations(N, pairs):
     assert _relation_kills_failing(ev) == []
 
 
+def _double_entry(entry):
+    """A table mutation: the entry doubled, or t where the table holds 0."""
+
+    def mutate(ev):
+        old = ev._table[entry]
+        ev._table[entry] = ev.ctx.t if old.is_zero else old + old
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "entry, broken", [((u(1, 1), u(1, 1)), 4), ((u(1, 2), u(2, 1)), 12)]
 )
@@ -250,9 +273,70 @@ def test_rform_relation_kills_catch_a_broken_table(entry, broken):
     # a generator value that breaks an FRT relation: the diagonal entry
     # doubled, or t where the table holds 0
     ev = RFormEvaluator(2)
-    old = ev._table[entry]
-    ev._table[entry] = ev.ctx.t if old.is_zero else old + old
+    _double_entry(entry)(ev)
     assert len(_relation_kills_failing(ev)) == broken
+
+
+def _reference_commutation_samples(N, sample=20, seed=0):
+    """The commutation law on seeded degree-2 word pairs: what ``check_cqt``
+    sampled before it proved the law from generators and relation kills."""
+    ev = rmatrix.RFormEvaluator(N)
+    gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    rng = random.Random(seed)
+    failing = []
+    for _ in range(sample):
+        wa = tuple(rng.choice(gens) for _ in range(2))
+        wb = tuple(rng.choice(gens) for _ in range(2))
+        if not _commutation_holds(ev, wa, wb):
+            failing.append((wa, wb))
+    return failing
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_proved_commutation_law_holds_on_degree2_samples(N):
+    stats = check_cqt(N)
+    assert stats["relation_kills"] == {2: 56, 3: 666}[N]
+    assert stats["hopf_hypotheses"]["antipode_checked"]
+    assert "degree2_samples" not in stats
+    assert _reference_commutation_samples(N) == []
+    assert _reference_commutation_samples(N, seed=1) == []
+
+
+def _antipode_u12_doubled(ev):
+    S = ev.P.structure.antipode
+    ev.P.structure = replace(
+        ev.P.structure, antipode={**S, u(1, 2): S[u(1, 2)].scale(Scalar.from_int(2))}
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, axiom",
+    [
+        (_double_entry((u(1, 1), u(1, 1))), "rform-kills-relations"),
+        (_double_entry((u(1, 2), u(2, 1))), "rform-kills-relations"),
+        (_double_entry((u(2, 1), u(1, 2))), "commutation-law"),
+        (_antipode_u12_doubled, "antipode-kills-relations"),
+    ],
+    ids=["u11-u11-doubled", "u12-u21-set-to-t", "u21-u12-doubled", "antipode-u12-doubled"],
+)
+def test_check_cqt_catches_a_broken_hypothesis(monkeypatch, mutate, axiom):
+    # the two FRT-breaking table entries fail the relation kills (H2), the
+    # doubled q - q^-1 entry kills every relation and fails only the
+    # commutation law, and a doubled S(u12) fails the Hopf hypotheses (H1)
+    make = rmatrix.RFormEvaluator
+
+    def mutated(N):
+        ev = make(N)
+        mutate(ev)
+        return ev
+
+    monkeypatch.setattr(rmatrix, "RFormEvaluator", mutated)
+    with pytest.raises(AxiomFails) as exc:
+        check_cqt(2)
+    assert exc.value.axiom == axiom
+    # the sampled degree-2 law sees the commutation-law mutation too
+    if axiom == "commutation-law":
+        assert _reference_commutation_samples(2) != []
 
 
 def test_eigenspace_orthogonality():
