@@ -2,13 +2,13 @@
 
 The coproduct, counit and antipode of a presentation are stored on the
 generators and extended (anti)multiplicatively here.  The Hopf axioms are
-verified by relation-kill checks plus the laws on each generator, which
-proves them in every degree (see ``verify_hopf``).
+verified by relation kills plus the laws on each generator, which proves
+them in every degree (see ``verify_hopf``).  On the standard presentations
+the kills of the coproduct, the antipode and the star are proved from
+generator-level lemmas; elsewhere each relation is mapped and tested.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     AxiomFails,
@@ -24,16 +24,21 @@ from .linalg import nullspace
 from .presentations import (
     Presentation,
     build,
+    check_central,
+    check_star_involution,
+    matches_construction,
     quantum_determinant,
 )
 from .scalars import DeformationContext, ONE, ZERO, Scalar
 
 
-@dataclass
 class StructureMaps:
-    delta: dict  # generator -> TensorPoly
-    epsilon: dict  # generator -> Scalar
-    antipode: dict | None  # generator -> NcPoly; None for plain bialgebras
+    """Coproduct, counit and antipode tables on the generators."""
+
+    def __init__(self, delta: dict, epsilon: dict, antipode: dict | None):
+        self.delta = delta  # generator -> TensorPoly
+        self.epsilon = epsilon  # generator -> Scalar
+        self.antipode = antipode  # generator -> NcPoly; None for plain bialgebras
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +61,20 @@ def delta_word(word, P: Presentation) -> TensorPoly:
     return out
 
 
-def coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
-    """Multiplicative extension of the generator coproducts, leg-normalized."""
+def _free_coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
+    """Multiplicative extension of the generator coproducts, legs as they
+    come; ``tensor_zero`` decides it as it is."""
     out = TensorPoly()
     for w, c in a.terms.items():
         piece = delta_word(w, P).scale(c)
         for k, c2 in piece.terms.items():
             out._iadd_term(k, c2)
-    return out.map_legs(P.reduce, P.reduce)
+    return out
+
+
+def coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
+    """Multiplicative extension of the generator coproducts, leg-normalized."""
+    return _free_coproduct(a, P).map_legs(P.reduce, P.reduce)
 
 
 def counit(a: NcPoly, P: Presentation) -> Scalar:
@@ -153,10 +164,86 @@ def tensor_equal(d1: dict, d2: dict, legs) -> bool:
 
 
 def check_grouplike(x: NcPoly, P: Presentation) -> bool:
-    """Delta(x) = x (x) x and epsilon(x) = 1, decided by the zero test."""
-    dx = coproduct(x, P)
-    xx = TensorPoly.of(P.reduce(x), P.reduce(x))
-    return tensor_equal(dx.terms, xx.terms, (P, P)) and counit(x, P) == ONE
+    """Delta(x) = x (x) x and epsilon(x) = 1, decided by the zero test on
+    the free tensors (``tensor_zero`` is exact on any word tuples)."""
+    dx = _free_coproduct(x, P)
+    return tensor_equal(dx.terms, TensorPoly.of(x, x).terms, (P, P)) and counit(x, P) == ONE
+
+
+def det_fact(P: Presentation, fact: str) -> bool:
+    """A fact about the quantum determinant D in the mq of P (P itself on mq,
+    its companion on suq and uq): ``"grouplike"`` (``check_grouplike``) or
+    ``"central"``.  Each is computed once per mq presentation and its
+    tables, and shared by ``det-central-rem36`` and the relation-kill
+    lemmas.  Both carry over from mq to suq and uq: they are quotients of
+    mq (uq after adjoining the central dinv) by ideals that Delta respects.
+    """
+    mq = P.aux if P.aux is not None else P
+    checks = {"grouplike": check_grouplike, "central": check_central}
+    if fact not in checks:
+        raise ValueError(f"unknown determinant fact {fact!r}")
+    return mq.memo(
+        ("det", fact), lambda: checks[fact](quantum_determinant(mq.N, mq.ctx), mq)
+    )
+
+
+def _generator_law_failure(P: Presentation):
+    """The first (axiom, witness) at which coassociativity, the counit law or
+    the antipode law (both sides) fails on a generator, or None."""
+    maps = P.structure
+    for w in [(g,) for g in P.generators]:
+        dw = delta_word(w, P)
+        left = _expand_delta_leg(dw, P, 0)
+        right = _expand_delta_leg(dw, P, 1)
+        if not tensor_equal(left, right, (P, P, P)):
+            return "coassociativity", word_name(w)
+        wp = NcPoly.monomial(w)
+        ce_left = NcPoly()
+        ce_right = NcPoly()
+        for (w1, w2), c in dw.terms.items():
+            ce_left = ce_left + NcPoly.monomial(w2, c * counit(NcPoly.monomial(w1), P))
+            ce_right = ce_right + NcPoly.monomial(w1, c * counit(NcPoly.monomial(w2), P))
+        if not P.equals(ce_left, wp) or not P.equals(ce_right, wp):
+            return "counit-law", word_name(w)
+        if maps.antipode is not None:
+            target = NcPoly.unit(counit(wp, P))
+            m_s_id = NcPoly()
+            m_id_s = NcPoly()
+            for (w1, w2), c in dw.terms.items():
+                m_s_id = m_s_id + antipode(NcPoly.monomial(w1), P).scale(c) * NcPoly.monomial(w2)
+                m_id_s = m_id_s + NcPoly.monomial(w1, c) * antipode(NcPoly.monomial(w2), P)
+            if not P.equals(m_s_id, target) or not P.equals(m_id_s, target):
+                return "antipode-law", word_name(w)
+    return None
+
+
+def _kill_lemmas(P: Presentation, laws_hold: bool):
+    """The maps among Delta and S whose relation kills follow from the
+    lemmas of ``verify_hopf``, and the hypotheses checked for them."""
+    same = matches_construction(P)
+    proved, hypotheses = set(), []
+    if not (same and same["relations"] and same["det"] and same["companion"]):
+        return proved, hypotheses
+    hypotheses.append("relations-as-built")
+    has_det = P.det is not None
+    if same["delta"] and (not has_det or det_fact(P, "grouplike")):
+        proved.add("delta")
+        hypotheses.append("delta-is-matrix-coproduct")
+        if has_det:
+            hypotheses.append("det-grouplike-in-mq")
+    if (
+        "delta" in proved
+        and P.structure.antipode is not None
+        and laws_hold
+        and same["epsilon"]
+        and same["antipode"]
+        and (DINV not in P.generators or det_fact(P, "central"))
+    ):
+        proved.add("antipode")
+        hypotheses += ["epsilon-antipode-as-built", "antipode-laws-on-generators"]
+        if DINV in P.generators:
+            hypotheses.append("det-central-in-mq")
+    return proved, hypotheses
 
 
 def verify_hopf(P: Presentation) -> dict:
@@ -169,45 +256,133 @@ def verify_hopf(P: Presentation) -> dict:
     If m(S (x) id) Delta = epsilon holds on a and b, it holds on ab:
     sum S(b1) S(a1) a2 b2 = epsilon(a) epsilon(b); likewise m(id (x) S) Delta.
     So the laws on each generator prove them everywhere.
+
+    epsilon of a relation is a scalar and is always computed.  On mq, suq
+    and uq as ``build`` makes them (``matches_construction``) the kills of
+    Delta and S are proved instead of computed.  Write F for the free
+    algebra, I for the ideal of the relations, I_mq for that of the FRT
+    relations, u for the generator matrix and U = u_1 u_2, the matrix with
+    entries U_(ij),(kl) = u_ik u_jl.  The FRT relations span the entries of
+    X = R U - U R, for R the braiding matrix (rmatrix.rhat).
+
+    * Delta, given the matrix coproduct table: Delta(U) = U (x). U, the
+      matrix product with entries tensored, so Delta(X) = X (x). U +
+      U (x). X lies in I (x) F + F (x) I.  D is group-like in mq, that is
+      Delta(D) = D (x) D mod I_mq (x) F + F (x) I_mq (``det_fact``).  Then
+      Delta(D - 1) = (D - 1) (x) D + 1 (x) (D - 1) on suq.  On uq dinv is
+      group-like, so Delta(dinv D - 1) = (dinv D - 1) (x) dinv D +
+      1 (x) (dinv D - 1), likewise for D dinv - 1, and Delta(dinv g - g dinv)
+      = sum (dinv g1 - g1 dinv) (x) dinv g2 + g1 dinv (x) (dinv g2 - g2 dinv).
+    * S, given also the epsilon table and the antipode law on generators,
+      on both sides.  That law does not need S(I) in I, and by the
+      induction above it holds mod I on every word of F.  On the matrix
+      v = S(u) it says u v = v u = 1 mod I, so U has the inverse
+      V = v_2 v_1 and R V = V R mod I.  S is antimultiplicative and
+      S(U) = V entrywise, so S(X) = R V - V R lies in I.  Hence S(I_mq) lies
+      in I, and m(S (x) id) applied to Delta(D) = D (x) D gives
+      S(D) D = 1 = D S(D) mod I.  On suq D = 1, so S(D - 1) = S(D) D - 1.
+      On uq the law on dinv and dinv D = 1 give S(dinv) = S(dinv) dinv D = D,
+      so S(dinv D - 1) = S(D) D - 1, S(D dinv - 1) = D S(D) - 1, and
+      S(dinv g - g dinv) = S(g) D - D S(g) vanishes as D is central in mq.
+
+    A map whose hypotheses fail, on a presentation out of that scope, keeps
+    the loop over the relations.  A proved map cannot fail that loop, so
+    skipping it leaves the first failing relation, axiom and witness as the
+    full loop has them.  The laws on generators are computed first, as S
+    needs them, and reported after the kills.  A passing verdict is
+    memoised on P (``Presentation.memo``).
     """
+    return dict(P.memo("hopf", lambda: _verify_hopf(P)))
+
+
+def _verify_hopf(P: Presentation) -> dict:
     maps = _require_structure(P)
+    law_failure = _generator_law_failure(P)
+    proved, hypotheses = _kill_lemmas(P, law_failure is None)
 
     for r in P.relations:
-        if not tensor_zero(coproduct(r, P).terms, (P, P)):
+        if "delta" not in proved and not tensor_zero(_free_coproduct(r, P).terms, (P, P)):
             raise AxiomFails("delta-kills-relations", repr(r), coproduct(r, P))
         if not counit(r, P).is_zero:
             raise AxiomFails("epsilon-kills-relations", repr(r), counit(r, P))
-        if maps.antipode is not None and not P.is_zero_elem(antipode(r, P)):
+        if (
+            maps.antipode is not None
+            and "antipode" not in proved
+            and not P.is_zero_elem(antipode(r, P))
+        ):
             raise AxiomFails("antipode-kills-relations", repr(r), antipode(r, P))
+    if law_failure is not None:
+        raise AxiomFails(*law_failure)
 
-    for w in [(g,) for g in P.generators]:
-        dw = delta_word(w, P)
-        left = _expand_delta_leg(dw, P, 0)
-        right = _expand_delta_leg(dw, P, 1)
-        if not tensor_equal(left, right, (P, P, P)):
-            raise AxiomFails("coassociativity", word_name(w))
-        wp = NcPoly.monomial(w)
-        ce_left = NcPoly()
-        ce_right = NcPoly()
-        for (w1, w2), c in dw.terms.items():
-            ce_left = ce_left + NcPoly.monomial(w2, c * counit(NcPoly.monomial(w1), P))
-            ce_right = ce_right + NcPoly.monomial(w1, c * counit(NcPoly.monomial(w2), P))
-        if not P.equals(ce_left, wp) or not P.equals(ce_right, wp):
-            raise AxiomFails("counit-law", word_name(w))
-        if maps.antipode is not None:
-            target = NcPoly.unit(counit(wp, P))
-            m_s_id = NcPoly()
-            m_id_s = NcPoly()
-            for (w1, w2), c in dw.terms.items():
-                m_s_id = m_s_id + antipode(NcPoly.monomial(w1), P).scale(c) * NcPoly.monomial(w2)
-                m_id_s = m_id_s + NcPoly.monomial(w1, c) * antipode(NcPoly.monomial(w2), P)
-            if not P.equals(m_s_id, target) or not P.equals(m_id_s, target):
-                raise AxiomFails("antipode-law", word_name(w))
+    needed = {"delta"} if maps.antipode is None else {"delta", "antipode"}
     return {
         "generators_checked": len(P.generators),
         "relations_checked": len(P.relations),
         "antipode_checked": maps.antipode is not None,
+        "relation_kills": "lemma" if needed <= proved else "loop",
+        "proved_by_lemma": sorted(proved),
+        "hypotheses": hypotheses,
     }
+
+
+def _transpose(g):
+    """tau: u^i_j -> u^j_i, fixing every other generator."""
+    return u(g[2], g[1]) if g[0] == "u" else g
+
+
+def _transposed(a: NcPoly) -> NcPoly:
+    """tau extended multiplicatively (an algebra map, not an anti one)."""
+    return NcPoly({tuple(_transpose(g) for g in w): c for w, c in a.terms.items()})
+
+
+def star_lemma(P: Presentation):
+    """The hypotheses under which the star kills every relation of P and is
+    an involution, or None when P is out of scope or one of them fails.
+
+    Let tau be the transpose u^i_j -> u^j_i, with dinv -> dinv, extended
+    multiplicatively.  Checked: the Hopf axioms (``verify_hopf``); star =
+    S o tau on the generator tables; tau(r) vanishes for every relation r;
+    (tau (x) tau) Delta = Delta^op tau and epsilon tau = epsilon on the
+    tables.  Both star and S o tau are antimultiplicative, fix scalars (q
+    is real) and agree on generators, so star = S tau on F and
+    star(I) = S(tau(I)), which lies in S(I), inside I.  tau is an algebra
+    automorphism and a coalgebra anti-automorphism of A = F/I, so tau S tau
+    is an antipode of A^cop; S is then bijective with inverse tau S tau
+    (Kassel, Quantum Groups, III.3), and star star = S tau S tau = id.
+    The answer is memoised on P.
+    """
+    return P.memo("star", lambda: _star_lemma(P))
+
+
+def _star_lemma(P: Presentation):
+    if P.star is None or P.structure is None or P.structure.antipode is None:
+        return None
+    same = matches_construction(P)
+    if not same or not all(same.values()):
+        return None
+    maps = P.structure
+    for g in P.generators:
+        t = _transpose(g)
+        if P.star[g] != maps.antipode[t] or maps.epsilon[g] != maps.epsilon[t]:
+            return None
+        flipped = {
+            (tuple(map(_transpose, b)), tuple(map(_transpose, a))): c
+            for (a, b), c in maps.delta[g].terms.items()
+        }
+        if flipped != maps.delta[t].terms:
+            return None
+    if not all(P.is_zero_elem(_transposed(r)) for r in P.relations):
+        return None
+    try:
+        report = verify_hopf(P)
+    except AxiomFails:
+        return None
+    return report["hypotheses"] + [
+        "hopf-axioms",
+        "star-is-antipode-of-transpose",
+        "transpose-kills-relations",
+        "transpose-flips-coproduct",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +390,57 @@ def verify_hopf(P: Presentation) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Morphism:
-    source: Presentation
-    target: Presentation
-    images: dict  # generator -> NcPoly in target
+def _star_pairs(star: dict):
+    """The pairs (g, h), g first in table order, of generators the star
+    swaps (star g = h, star h = g; h = g allowed), or None unless the table
+    sends every generator to a generator that it sends back."""
+    pairs, seen = [], set()
+    for g, img in star.items():
+        if len(img.terms) != 1:
+            return None
+        ((w, c),) = img.terms.items()
+        if len(w) != 1 or not c.is_one or star.get(w[0]) != NcPoly.gen(g):
+            return None
+        if g not in seen:
+            pairs.append((g, w[0]))
+            seen.update((g, w[0]))
+    return pairs
 
-    def apply(self, a: NcPoly) -> NcPoly:
+
+def _star_step_by_construction(source, images, free_image, free_star, targets):
+    """The hypotheses under which a map phi with the given generator images
+    commutes with the stars, or None when one fails (check each generator).
+
+    The source star swaps generators in pairs (g, h), so star star = id on
+    the free source algebra.  Checked: phi(star g) = star phi(g) as an
+    equality in the free algebra, for g the first of each pair, and the
+    star of each target algebra is an involution (``check_star_involution``).
+    Then phi(star h) = phi(g) and star phi(h) = star phi(star g) =
+    star star phi(g), which is phi(g) because star star is multiplicative and
+    the identity on the target generators.
+    """
+    pairs = _star_pairs(source.star)
+    if pairs is None:
+        return None
+    for g, _ in pairs:
+        if free_image(source.star[g]) != free_star(images[g]):
+            return None
+    if not all(check_star_involution(T) for T in targets):
+        return None
+    return ["source-star-swaps-generators", "star-commutes-in-free-algebra",
+            "target-star-involution"]
+
+
+class Morphism:
+    """An algebra map from ``source`` to ``target``, given on generators."""
+
+    def __init__(self, source: Presentation, target: Presentation, images: dict):
+        self.source = source
+        self.target = target
+        self.images = images  # generator -> NcPoly in target
+        self.report = None  # set by verify
+
+    def _free_apply(self, a: NcPoly) -> NcPoly:
         out = NcPoly()
         for w, c in a.terms.items():
             img = NcPoly.unit(c)
@@ -229,21 +448,33 @@ class Morphism:
                 img = img * self.images[g]
             for w2, c2 in img.terms.items():
                 out._iadd_term(w2, c2)
-        return self.target.reduce(out)
+        return out
 
-    def verify(self):
-        """Check relations map to zero, and star-compatibility when defined."""
+    def apply(self, a: NcPoly) -> NcPoly:
+        return self.target.reduce(self._free_apply(a))
+
+    def verify(self) -> dict:
+        """Check relations map to zero, and star-compatibility when defined.
+        Returns, and keeps as ``report``, how the star step was decided."""
         for rel in self.source.relations:
-            res = self.apply(rel)
-            if not self.target.is_zero_elem(res):
-                raise RelationViolation(repr(rel), res)
-        if self.source.star is not None and self.target.star is not None:
-            for g in self.images:
-                lhs = self.apply(self.source.star[g])
-                rhs = self.target.anti_extend(self.images[g], self.target.star)
-                if not self.target.equals(lhs, rhs):
-                    raise StarViolation(f"star breaks at {word_name((g,))}")
-        return True
+            if not self.target.is_zero_elem(self._free_apply(rel)):
+                raise RelationViolation(repr(rel), self.apply(rel))
+        report = {"relation_kills": "loop", "star_step": None}
+        A, B = self.source, self.target
+        if A.star is not None and B.star is not None:
+            hyps = _star_step_by_construction(
+                A, self.images, self._free_apply, lambda b: b.star(B.star), (B,)
+            )
+            if hyps is None:
+                for g in self.images:
+                    lhs = self.apply(A.star[g])
+                    rhs = B.anti_extend(self.images[g], B.star)
+                    if not B.equals(lhs, rhs):
+                        raise StarViolation(f"star breaks at {word_name((g,))}")
+            report["star_step"] = "loop" if hyps is None else "lemma"
+            report["hypotheses"] = hyps or []
+        self.report = report
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +482,16 @@ class Morphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Coaction:
-    source: Presentation  # B
-    coeff: Presentation  # H
-    images: dict  # generator of B -> TensorPoly with legs (B, H)
+    """A coaction of ``coeff`` (H) on ``source`` (B), given on generators."""
 
-    def apply(self, a: NcPoly) -> TensorPoly:
+    def __init__(self, source: Presentation, coeff: Presentation, images: dict):
+        self.source = source  # B
+        self.coeff = coeff  # H
+        self.images = images  # generator of B -> TensorPoly with legs (B, H)
+        self.report = None  # set by verify
+
+    def _free_apply(self, a: NcPoly) -> TensorPoly:
         out = TensorPoly()
         for w, c in a.terms.items():
             img = TensorPoly.unit(c)
@@ -265,7 +499,10 @@ class Coaction:
                 img = img * self.images[g]
             for k, c2 in img.terms.items():
                 out._iadd_term(k, c2)
-        return out.map_legs(self.source.reduce, self.coeff.reduce)
+        return out
+
+    def apply(self, a: NcPoly) -> TensorPoly:
+        return self._free_apply(a).map_legs(self.source.reduce, self.coeff.reduce)
 
     def matrix(self):
         """qmat with qmat[j][i] = coefficient of z_j in the image of z_i."""
@@ -278,12 +515,14 @@ class Coaction:
                 mat[j - 1][i - 1] = mat[j - 1][i - 1] + NcPoly.monomial(wh, c)
         return mat
 
-    def verify(self):
+    def verify(self) -> dict:
+        """Relation kills, coassociativity and counit on generators, and
+        star-compatibility when both stars are defined.  Returns, and keeps
+        as ``report``, how the star step was decided."""
         B, H = self.source, self.coeff
         for rel in B.relations:
-            res = self.apply(rel)
-            if not tensor_zero(res.terms, (B, H)):
-                raise RelationViolation(repr(rel), res)
+            if not tensor_zero(self._free_apply(rel).terms, (B, H)):
+                raise RelationViolation(repr(rel), self.apply(rel))
         # coassociativity and counit on generators
         legs3 = (B, H, H)
         for g in self.images:
@@ -303,31 +542,46 @@ class Coaction:
                 back = back + NcPoly.monomial(wb, c * counit(NcPoly.monomial(wh), H))
             if not B.equals(back, NcPoly.gen(g)):
                 raise AxiomFails("coaction-counit", word_name((g,)))
-        # star-compatibility on generators
+        report = {"relation_kills": "loop", "star_step": None}
         if B.star is not None and H.star is not None:
-            for g in self.images:
-                lhs = self.apply(B.star[g])
-                rhs = self.apply(NcPoly.gen(g)).map_legs(
-                    lambda a: B.anti_extend(a, B.star),
-                    lambda h: H.anti_extend(h, H.star),
-                )
-                if not tensor_equal(lhs.terms, rhs.terms, (B, H)):
-                    raise StarViolation(f"coaction star breaks at {word_name((g,))}")
-        return True
+            hyps = _star_step_by_construction(
+                B, self.images, self._free_apply,
+                lambda t: t.star(B.star, H.star), (H,),
+            )
+            if hyps is None:
+                for g in self.images:
+                    lhs = self.apply(B.star[g])
+                    rhs = self.apply(NcPoly.gen(g)).map_legs(
+                        lambda a: B.anti_extend(a, B.star),
+                        lambda h: H.anti_extend(h, H.star),
+                    )
+                    if not tensor_equal(lhs.terms, rhs.terms, (B, H)):
+                        raise StarViolation(f"coaction star breaks at {word_name((g,))}")
+            report["star_step"] = "loop" if hyps is None else "lemma"
+            report["hypotheses"] = hyps or []
+        self.report = report
+        return report
 
 
-def build_coaction(name: str, N: int, ctx: DeformationContext | None = None) -> Coaction:
-    """The sphere coactions: coefficient leg in suq(N) (deltaR) or uq(N) (rho_u)."""
+def build_coaction(
+    name: str,
+    N: int,
+    ctx: DeformationContext | None = None,
+    *,
+    sphere: Presentation | None = None,
+    coeff: Presentation | None = None,
+) -> Coaction:
+    """The sphere coactions: coefficient leg in suq(N) (deltaR) or uq(N)
+    (rho_u).  ``sphere`` and ``coeff``, if given, are used instead of new
+    builds, so that checks on several maps share their memoised verdicts."""
     if N < 2:
         raise ValueError("coactions need N >= 2")
     ctx = ctx or DeformationContext.standard()
-    sphere = build("sphere", N, ctx)
-    if name == "deltaR":
-        H = build("suq", N, ctx)
-    elif name == "rho_u":
-        H = build("uq", N, ctx)
-    else:
+    algebras = {"deltaR": "suq", "rho_u": "uq"}
+    if name not in algebras:
         raise ValueError(f"unknown coaction {name!r}")
+    sphere = sphere or build("sphere", N, ctx)
+    H = coeff or build(algebras[name], N, ctx)
     S = H.structure.antipode
     images = {}
     for i in range(1, N + 1):

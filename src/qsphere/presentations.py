@@ -9,7 +9,6 @@ star maps and coalgebra structure maps where the algebra carries them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import IdentityFails
@@ -18,16 +17,47 @@ from .rewrite import MonomialOrder, Rule, RewriteSystem
 from .scalars import DeformationContext, ONE, Scalar
 
 
-@dataclass
 class Presentation:
-    name: str
-    N: int
-    ctx: DeformationContext
-    system: RewriteSystem
-    star: dict | None = None
-    structure: "object | None" = None  # hopf.StructureMaps
-    aux: "Presentation | None" = None  # confluent companion (mq)
-    det: NcPoly | None = None  # the central determinant element
+    """A finitely presented algebra: its rewriting system, star table,
+    structure maps and, on suq and uq, the confluent companion mq and the
+    determinant D.  ``copy.copy`` gives a presentation whose parts can be
+    replaced one by one.  Verdicts are memoised against the identity of the
+    parts (``memo``): replace a table rather than edit it in place."""
+
+    def __init__(
+        self,
+        name: str,
+        N: int,
+        ctx: DeformationContext,
+        system: RewriteSystem,
+        star: dict | None = None,
+        structure=None,  # hopf.StructureMaps
+        aux: "Presentation | None" = None,  # confluent companion (mq)
+        det: NcPoly | None = None,  # the central determinant element
+    ):
+        self.name = name
+        self.N = N
+        self.ctx = ctx
+        self.system = system
+        self.star = star
+        self.structure = structure
+        self.aux = aux
+        self.det = det
+        self._det_pows = [NcPoly.unit()]  # D^0, D^1, ... in mq, built on demand
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """compute(), computed once for this presentation while its parts
+        (system, star, structure maps and their tables, companion, D) stay
+        the same objects."""
+        maps = self.structure
+        tables = (None,) * 3 if maps is None else (maps.delta, maps.epsilon, maps.antipode)
+        parts = (self.system, self.star, maps, self.aux, self.det, *tables)
+        entry = self._memo.get(key)
+        if entry is None or any(a is not b for a, b in zip(entry[0], parts)):
+            entry = (parts, compute())
+            self._memo[key] = entry
+        return entry[1]
 
     @property
     def generators(self):
@@ -142,10 +172,7 @@ class Presentation:
     # The suq level must not be used on uq, where it sends 1 - D to 0.
 
     def det_power(self, m: int) -> NcPoly:
-        pows = getattr(self, "_det_pows", None)
-        if pows is None:
-            pows = [NcPoly.unit()]
-            self._det_pows = pows
+        pows = self._det_pows
         while len(pows) <= m:
             pows.append(self.aux.nf(pows[-1] * self.det))
         return pows[m]
@@ -328,8 +355,6 @@ def build(
     ctx: DeformationContext | None = None,
 ) -> Presentation:
     """Build one of the named presentations: mq, suq, uq, sphere."""
-    from .hopf import StructureMaps
-
     if N < 1:
         raise ValueError("N must be >= 1")
     ctx = ctx or DeformationContext.standard()
@@ -345,73 +370,92 @@ def build(
             star[zs(i)] = NcPoly.gen(z(i))
         return Presentation("sphere", N, ctx, system, star=star)
 
-    u_prec = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-
-    if name == "mq":
-        order = MonomialOrder(u_prec)
-        system = RewriteSystem(order, _mq_rules(N, q))
-        structure = StructureMaps(
-            delta=_matrix_delta(N),
-            epsilon=_matrix_epsilon(N),
-            antipode=None,
-        )
-        return Presentation("mq", N, ctx, system, structure=structure)
-
-    if name == "suq":
-        det = quantum_determinant(N, ctx)
-        lead, c = _det_leading(N, ctx)
-        rest = det - NcPoly.monomial(lead, c)
-        rhs = (NcPoly.unit() - rest).scale(c.inverse())
-        rules = _mq_rules(N, q) + [Rule(lead, rhs)]
-        order = MonomialOrder(u_prec)
-        system = RewriteSystem(order, rules)
-        sl = antipode_matrix(N, "sl", ctx)
-        star = {u(i, j): sl[j - 1][i - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
-        antipode = {u(i, j): sl[i - 1][j - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
-        structure = StructureMaps(
-            delta=_matrix_delta(N),
-            epsilon=_matrix_epsilon(N),
-            antipode=antipode,
-        )
-        return Presentation(
-            "suq", N, ctx, system, star=star, structure=structure,
-            aux=build("mq", N, ctx), det=det,
-        )
-
+    if name not in ("mq", "suq", "uq"):
+        raise ValueError(f"unknown presentation {name!r}")
+    rules, star, structure, det = _standard_parts(name, N, ctx)
+    prec = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     if name == "uq":
-        det = quantum_determinant(N, ctx)
-        lead, c = _det_leading(N, ctx)
-        rest = det - NcPoly.monomial(lead, c)
-        cinv = c.inverse()
-        rules = _mq_rules(N, q)
+        prec.append(DINV)
+    system = RewriteSystem(MonomialOrder(prec), rules)
+    aux = None if name == "mq" else build("mq", N, ctx)
+    return Presentation(
+        name, N, ctx, system, star=star, structure=structure, aux=aux, det=det,
+    )
+
+
+def _standard_parts(name, N, ctx):
+    """Rules, star table, structure maps and determinant of mq, suq or uq,
+    as ``build`` makes them; None for any other name."""
+    from .hopf import StructureMaps
+
+    q = ctx.q
+    rules = _mq_rules(N, q)
+    delta = _matrix_delta(N)
+    epsilon = _matrix_epsilon(N)
+    if name == "mq":
+        return rules, None, StructureMaps(delta, epsilon, None), None
+    if name not in ("suq", "uq"):
+        return None
+    det = quantum_determinant(N, ctx)
+    lead, c = _det_leading(N, ctx)
+    rest = det - NcPoly.monomial(lead, c)
+    cinv = c.inverse()
+    if name == "suq":
+        # D = 1 oriented at the leading word of D
+        rules.append(Rule(lead, (NcPoly.unit() - rest).scale(cinv)))
+    else:
         if N > 1:
             # dinv is central; for N = 1 the unit rules below already say so
-            for g in u_prec:
-                rules.append(Rule((DINV, g), NcPoly.monomial((g, DINV))))
+            for i in range(1, N + 1):
+                for j in range(1, N + 1):
+                    rules.append(Rule((DINV, u(i, j)), NcPoly.monomial((u(i, j), DINV))))
         # t * D_q = 1 oriented at the leading word of t * D_q
-        rhs_left = (NcPoly.unit() - NcPoly.gen(DINV) * rest).scale(cinv)
-        rules.append(Rule((DINV,) + lead, rhs_left))
+        rules.append(Rule((DINV,) + lead, (NcPoly.unit() - NcPoly.gen(DINV) * rest).scale(cinv)))
         # D_q * t = 1
-        rhs_right = (NcPoly.unit() - rest * NcPoly.gen(DINV)).scale(cinv)
-        rules.append(Rule(lead + (DINV,), rhs_right))
-        order = MonomialOrder(u_prec + [DINV])
-        system = RewriteSystem(order, rules)
-        gl = antipode_matrix(N, "gl", ctx)
-        star = {u(i, j): gl[j - 1][i - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
-        star[DINV] = det
-        antipode = {u(i, j): gl[i - 1][j - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
-        antipode[DINV] = det
-        delta = _matrix_delta(N)
+        rules.append(Rule(lead + (DINV,), (NcPoly.unit() - rest * NcPoly.gen(DINV)).scale(cinv)))
         delta[DINV] = TensorPoly.monomial((DINV,), (DINV,))
-        epsilon = _matrix_epsilon(N)
         epsilon[DINV] = ONE
-        structure = StructureMaps(delta=delta, epsilon=epsilon, antipode=antipode)
-        return Presentation(
-            "uq", N, ctx, system, star=star, structure=structure,
-            aux=build("mq", N, ctx), det=det,
-        )
+    table = antipode_matrix(N, "sl" if name == "suq" else "gl", ctx)
+    star = {u(i, j): table[j - 1][i - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
+    antipode = {u(i, j): table[i - 1][j - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
+    if name == "uq":
+        star[DINV] = det
+        antipode[DINV] = det
+    return rules, star, StructureMaps(delta, epsilon, antipode), det
 
-    raise ValueError(f"unknown presentation {name!r}")
+
+def _relation_set(rules):
+    return {NcPoly.monomial(r.lhs) - r.rhs for r in rules}
+
+
+def matches_construction(P: Presentation) -> dict:
+    """Which parts of P are exactly what ``build`` makes for its name, N and
+    context: the relations (as a set of polynomials), each table, D and the
+    mq companion.  Empty when P has no such construction or no structure
+    maps.  The relation-kill lemmas of ``hopf`` apply only where this holds.
+    """
+    parts = _standard_parts(P.name, P.N, P.ctx)
+    if parts is None or P.structure is None:
+        return {}
+    rules, star, maps, det = parts
+    mine = P.structure
+    if det is None:
+        companion = P.aux is None
+    else:
+        companion = (
+            P.aux is not None and P.aux.name == "mq"
+            and all(matches_construction(P.aux).values())
+        )
+    return {
+        "relations": len(P.system.rules) == len(rules)
+        and _relation_set(P.system.rules) == _relation_set(rules),
+        "delta": mine.delta == maps.delta,
+        "epsilon": mine.epsilon == maps.epsilon,
+        "antipode": mine.antipode == maps.antipode,
+        "star": P.star == star,
+        "det": P.det == det,
+        "companion": companion,
+    }
 
 
 def _matrix_delta(N):
@@ -535,32 +579,71 @@ def check_matrix_identities(P: Presentation) -> dict:
     return report
 
 
-def check_star_closure(P: Presentation) -> bool:
-    """Star of every defining relation is zero, by the zero test."""
-    if P.star is None:
-        return True
+def _star_lemma(P: Presentation):
+    from .hopf import star_lemma
+
+    return star_lemma(P)
+
+
+def _star_closure_loop(P: Presentation) -> bool:
     return all(P.is_zero_elem(P.anti_extend(r, P.star)) for r in P.relations)
 
 
-def check_star_involution(P: Presentation) -> bool:
-    """g** = g for every generator, by the zero test."""
+def _star_involution_loop(P: Presentation) -> bool:
+    return all(
+        P.equals(P.anti_extend(P.star[g], P.star), NcPoly.gen(g))
+        for g in P.generators
+    )
+
+
+def check_star_closure(P: Presentation) -> bool:
+    """Star of every defining relation is zero: proved by ``hopf.star_lemma``
+    where its hypotheses hold, else by the zero test on each relation."""
     if P.star is None:
         return True
-    for g in P.generators:
-        if not P.equals(P.anti_extend(P.star[g], P.star), NcPoly.gen(g)):
-            return False
-    return True
+    return _star_lemma(P) is not None or _star_closure_loop(P)
 
 
-def embed_sphere(N: int, ctx: DeformationContext | None = None):
-    """The embedding of the sphere into suq(N): z_i -> u^1_i, z*_i -> S(u^i_1)."""
+def check_star_involution(P: Presentation) -> bool:
+    """g** = g for every generator: proved by ``hopf.star_lemma`` where its
+    hypotheses hold, else by the zero test on each generator."""
+    if P.star is None:
+        return True
+    return _star_lemma(P) is not None or _star_involution_loop(P)
+
+
+def star_laws(P: Presentation) -> dict:
+    """Closure and involution of the star, the lemma tried once for both;
+    says whether the relation kills came from the lemma or the loops."""
+    if P.star is not None:
+        hyps = _star_lemma(P)
+        if hyps is not None:
+            return {"closure": True, "involution": True,
+                    "relation_kills": "lemma", "hypotheses": hyps}
+    return {
+        "closure": P.star is None or _star_closure_loop(P),
+        "involution": P.star is None or _star_involution_loop(P),
+        "relation_kills": "loop",
+        "hypotheses": [],
+    }
+
+
+def embed_sphere(
+    N: int,
+    ctx: DeformationContext | None = None,
+    *,
+    sphere: Presentation | None = None,
+    target: Presentation | None = None,
+):
+    """The embedding of the sphere into suq(N): z_i -> u^1_i, z*_i -> S(u^i_1).
+    ``sphere`` and ``target``, if given, are used instead of new builds."""
     from .hopf import Morphism
 
     if N < 2:
         raise ValueError("embedding needs N >= 2")
     ctx = ctx or DeformationContext.standard()
-    sphere = build("sphere", N, ctx)
-    target = build("suq", N, ctx)
+    sphere = sphere or build("sphere", N, ctx)
+    target = target or build("suq", N, ctx)
     images = {}
     for i in range(1, N + 1):
         images[z(i)] = NcPoly.gen(u(1, i))

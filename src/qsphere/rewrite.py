@@ -12,8 +12,6 @@ vector-space basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from .freealg import EMPTY, NcPoly, word_name
 from .scalars import ONE
@@ -36,10 +34,14 @@ class MonomialOrder:
         return sorted(words, key=self.key, reverse=reverse)
 
 
-@dataclass
 class Rule:
-    lhs: tuple
-    rhs: NcPoly
+    """One oriented rule lhs -> rhs."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: tuple, rhs: NcPoly):
+        self.lhs = lhs
+        self.rhs = rhs
 
     def validate(self, order: MonomialOrder):
         k = order.key(self.lhs)
@@ -50,19 +52,21 @@ class Rule:
                 )
 
 
-@dataclass
 class Ambiguity:
-    kind: str  # "overlap" or "inclusion"
-    rule_a: int
-    rule_b: int
-    word: tuple
-    difference: NcPoly
+    """An unresolved overlap or inclusion of two rules."""
+
+    def __init__(self, kind: str, rule_a: int, rule_b: int, word: tuple, difference: NcPoly):
+        self.kind = kind  # "overlap" or "inclusion"
+        self.rule_a = rule_a
+        self.rule_b = rule_b
+        self.word = word
+        self.difference = difference
 
 
-@dataclass
 class AmbiguityReport:
-    total: int
-    unresolved: list = field(default_factory=list)
+    def __init__(self, total: int, unresolved: list):
+        self.total = total
+        self.unresolved = unresolved
 
     @property
     def confluent(self) -> bool:

@@ -14,7 +14,6 @@ the polynomial gcd runs only for true denominators such as [N]_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -330,7 +329,6 @@ ONE = _new(0, PONE, PONE)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DeformationContext:
     """Binding of the deformation parameters to the base variable v.
 
@@ -338,10 +336,14 @@ class DeformationContext:
     t := v when the N-th root t of q^{-1} is needed.
     """
 
-    var_name: str  # display name of the base variable: "q" or "t"
-    q: Scalar
-    t: Scalar | None = None
-    root_degree: int | None = None  # N with t^N = q^{-1}, t-contexts only
+    __slots__ = ("var_name", "q", "t", "root_degree")
+
+    def __init__(self, var_name: str, q: Scalar, t: Scalar | None = None,
+                 root_degree: int | None = None):
+        self.var_name = var_name  # display name of the base variable: "q" or "t"
+        self.q = q
+        self.t = t
+        self.root_degree = root_degree  # N with t^N = q^{-1}, t-contexts only
 
     @staticmethod
     def standard() -> "DeformationContext":

@@ -256,6 +256,12 @@ def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
         "relation_kills": 56,
         "hopf_hypotheses": {
             "generators_checked": 4, "relations_checked": 7, "antipode_checked": True,
+            "relation_kills": "lemma",
+            "proved_by_lemma": ["antipode", "delta"],
+            "hypotheses": [
+                "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",
+                "epsilon-antipode-as-built", "antipode-laws-on-generators",
+            ],
         },
         "sigma_entrywise": True,
         "hermitian_at": ["1/2", "2"],
@@ -358,6 +364,41 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", exhausted)
     code, out, err = run(capsys, "verify", "--algebra", "mq", "--N", "2")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_system_error_is_one_error_line(capsys, monkeypatch):
+    # CPython can report exhausted memory as a SystemError
+    def exhausted(args):
+        raise SystemError("error return without exception set")
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    code, out, err = run(capsys, "verify", "--algebra", "mq", "--N", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algebra", ["suq", "uq"])
+def test_hopf_and_star_laws_reach_n4(capsys, tmp_path, algebra):
+    path = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--algebra", algebra, "--N", "4",
+                       "--checks", "hopf-axioms,star-laws", "--json", path)
+    assert (code, out) == (0, "hopf-axioms: pass\nstar-laws: pass\n")
+    reports = json.load(open(path))
+    assert [r["details"]["relation_kills"] for r in reports] == ["lemma", "lemma"]
+    assert all(r["details"]["hypotheses"] for r in reports)
+
+
+def test_coaction_report_says_how_the_star_step_was_decided(capsys, tmp_path):
+    path = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "2",
+                       "--checks", "coaction-eq20", "--json", path)
+    assert (code, out) == (0, "coaction-eq20: pass\n")
+    (report,) = json.load(open(path))
+    maps = report["details"]["maps"]
+    assert sorted(maps) == ["deltaR", "embedding", "rho_u"]
+    for m in maps.values():
+        assert (m["relation_kills"], m["star_step"]) == ("loop", "lemma")
+        assert "target-star-involution" in m["hypotheses"]
 
 
 def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):

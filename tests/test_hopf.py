@@ -1,10 +1,11 @@
 """Hopf axioms, coactions, the morphism builder and the invariant form."""
 
-from dataclasses import replace
+import copy
 
 import pytest
 
-from qsphere.errors import AxiomFails, HypothesisFails, MissingStructureMaps
+from qsphere import hopf
+from qsphere.errors import AxiomFails, HypothesisFails, MissingStructureMaps, StarViolation
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from qsphere.hopf import (
     Morphism,
@@ -25,12 +26,16 @@ from qsphere.hopf import (
     verify_hopf,
 )
 from qsphere.presentations import (
+    Presentation,
     build,
     build_free_matrix,
     build_torus,
+    embed_sphere,
     invariant_form_matrix,
     quantum_determinant,
+    star_laws,
 )
+from qsphere.rewrite import Rule, RewriteSystem
 from qsphere.scalars import DeformationContext, ONE, ZERO, Scalar
 
 ctx = DeformationContext.standard()
@@ -170,13 +175,12 @@ def test_verify_hopf_matches_basis_word_oracle(make, degree_bound):
 
 def _mutate(P, delta=None, epsilon=None, antipode=None):
     """P with some generator values of its structure maps replaced."""
-    maps = P.structure
-    P.structure = replace(
-        maps,
-        delta={**maps.delta, **(delta or {})},
-        epsilon={**maps.epsilon, **(epsilon or {})},
-        antipode=None if maps.antipode is None else {**maps.antipode, **(antipode or {})},
-    )
+    maps = copy.copy(P.structure)
+    maps.delta = {**maps.delta, **(delta or {})}
+    maps.epsilon = {**maps.epsilon, **(epsilon or {})}
+    if maps.antipode is not None:
+        maps.antipode = {**maps.antipode, **(antipode or {})}
+    P.structure = maps
     return P
 
 
@@ -220,9 +224,7 @@ def _antipode_conjugated(P):
     return _mutate(P, antipode={g: S[g].scale(two ** (g[1] - g[2])) for g in _entries(P)})
 
 
-@pytest.mark.parametrize(
-    "name, N, mutate, axiom",
-    [
+BROKEN_TABLES = [
         ("mq", 2, _eps_u12_one, "epsilon-kills-relations"),
         ("suq", 2, _eps_u12_one, "epsilon-kills-relations"),
         ("uq", 2, _eps_u12_one, "epsilon-kills-relations"),
@@ -240,8 +242,11 @@ def _antipode_conjugated(P):
         ("suq", 2, _antipode_conjugated, "antipode-law"),
         ("uq", 2, _antipode_conjugated, "antipode-law"),
         ("suq", 3, _antipode_conjugated, "antipode-law"),
-    ],
-    ids=lambda x: getattr(x, "__name__", x),
+]
+
+
+@pytest.mark.parametrize(
+    "name, N, mutate, axiom", BROKEN_TABLES, ids=lambda x: getattr(x, "__name__", x),
 )
 def test_broken_structure_map_fails_both_checks(name, N, mutate, axiom):
     with pytest.raises(AxiomFails) as exc:
@@ -250,6 +255,184 @@ def test_broken_structure_map_fails_both_checks(name, N, mutate, axiom):
     with pytest.raises(AxiomFails) as exc:
         _reference_verify_hopf(mutate(build(name, N)), 2)
     assert exc.value.axiom == axiom
+
+
+# -- relation kills proved by lemma ------------------------------------------
+
+
+def _loops_only(monkeypatch):
+    """Every relation kill decided by its loop, as before the lemmas."""
+    monkeypatch.setattr(hopf, "_kill_lemmas", lambda P, laws_hold: (set(), []))
+    monkeypatch.setattr(hopf, "_star_lemma", lambda P: None)
+
+
+def _spy_on_maps(monkeypatch):
+    """Record every argument given to Delta, S and the antimultiplicative
+    extension (S and star) from now on."""
+    seen = []
+    for name in ("coproduct", "_free_coproduct", "antipode"):
+        fn = getattr(hopf, name)
+        monkeypatch.setattr(
+            hopf, name, lambda a, P, fn=fn: (seen.append(a), fn(a, P))[1]
+        )
+    extend = Presentation.anti_extend
+    monkeypatch.setattr(
+        Presentation, "anti_extend",
+        lambda self, a, table: (seen.append(a), extend(self, a, table))[1],
+    )
+    return seen
+
+
+def _with_changed_relation(P):
+    """A copy of P whose first rule u21 u11 -> q^-1 u11 u21 also subtracts
+    the relation of u12 u11: another polynomial, the same ideal."""
+    first, *rest = P.system.rules
+    assert first.lhs == (u(2, 1), u(1, 1))
+    other = NcPoly.monomial((u(1, 2), u(1, 1))) - NcPoly.monomial((u(1, 1), u(1, 2)), q ** (-1))
+    P2 = copy.copy(P)
+    P2.system = RewriteSystem(P.system.order, [Rule(first.lhs, first.rhs + other)] + rest)
+    return P2
+
+
+@pytest.mark.parametrize("name", ["mq", "suq", "uq"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_lemmas_and_loops_give_the_same_verdicts(monkeypatch, name, N):
+    fast = verify_hopf(build(name, N))
+    fast_star = star_laws(build(name, N))
+    with monkeypatch.context() as m:
+        _loops_only(m)
+        slow = verify_hopf(build(name, N))
+        slow_star = star_laws(build(name, N))
+    assert (fast["relation_kills"], slow["relation_kills"]) == ("lemma", "loop")
+    for key in ("generators_checked", "relations_checked", "antipode_checked"):
+        assert fast[key] == slow[key]
+    assert (fast_star["closure"], fast_star["involution"]) == (True, True)
+    assert (slow_star["closure"], slow_star["involution"]) == (True, True)
+    assert fast_star["relation_kills"] == ("loop" if name == "mq" else "lemma")
+
+
+@pytest.mark.parametrize(
+    "name, N, mutate, axiom", BROKEN_TABLES, ids=lambda x: getattr(x, "__name__", x),
+)
+def test_broken_tables_fail_alike_with_and_without_lemmas(monkeypatch, name, N, mutate, axiom):
+    with pytest.raises(AxiomFails) as fast:
+        verify_hopf(mutate(build(name, N)))
+    with monkeypatch.context() as m:
+        _loops_only(m)
+        with pytest.raises(AxiomFails) as slow:
+            verify_hopf(mutate(build(name, N)))
+    assert fast.value.axiom == slow.value.axiom == axiom
+    assert fast.value.witness == slow.value.witness
+    assert fast.value.residual == slow.value.residual
+
+
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_standard_presentations_map_no_relation(monkeypatch, name):
+    P = build(name, 3)
+    relations = set(P.relations)
+    seen = _spy_on_maps(monkeypatch)
+    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert star_laws(P)["relation_kills"] == "lemma"
+    assert seen and not any(a in relations for a in seen)
+
+
+@pytest.mark.parametrize("name", ["mq", "suq", "uq"])
+def test_changed_relation_takes_the_loops(monkeypatch, name):
+    P = _with_changed_relation(build(name, 3))
+    relations = set(P.relations)
+    assert relations != set(build(name, 3).relations)
+    seen = _spy_on_maps(monkeypatch)
+    report = verify_hopf(P)
+    assert (report["relation_kills"], report["proved_by_lemma"]) == ("loop", [])
+    if P.star is not None:
+        laws = star_laws(P)
+        assert (laws["closure"], laws["involution"], laws["relation_kills"]) == (True, True, "loop")
+    assert any(a in relations for a in seen)
+
+
+@pytest.mark.parametrize(
+    "factor, axiom",
+    [
+        # S o phi, phi(u^i_j) = 2^(i-j) u^i_j: kills the relations, breaks the law
+        (lambda i, j: Scalar.from_int(2) ** (i - j), "antipode-law"),
+        # S(u12) doubled: breaks both, and the kills come first
+        (lambda i, j: Scalar.from_int(2 if (i, j) == (0, 1) else 1), "antipode-kills-relations"),
+    ],
+    ids=["conjugated", "u12-doubled"],
+)
+def test_hypotheses_catch_a_construction_broken_at_its_source(monkeypatch, factor, axiom):
+    # a presentation and its reference construction broken alike pass the
+    # scope check, so only the hypotheses of the lemmas can catch them
+    from qsphere import presentations
+
+    cofactors = presentations.antipode_matrix
+    monkeypatch.setattr(
+        presentations, "antipode_matrix",
+        lambda N, variant, ctx=None: [
+            [x.scale(factor(i, j)) for j, x in enumerate(row)]
+            for i, row in enumerate(cofactors(N, variant, ctx))
+        ],
+    )
+    for name in ("suq", "uq"):
+        P = build(name, 2)
+        assert all(presentations.matches_construction(P).values())
+        with pytest.raises(AxiomFails) as exc:
+            verify_hopf(P)
+        assert exc.value.axiom == axiom
+        assert star_laws(P)["relation_kills"] == "loop"
+
+
+def test_det_hypothesis_catches_a_wrong_determinant(monkeypatch):
+    # D with its diagonal term doubled, in P and in the reference: not
+    # group-like, so Delta takes the loop and fails there
+    from qsphere import presentations
+
+    det = presentations.quantum_determinant
+
+    def doubled(N, ctx=None):
+        return det(N, ctx) + NcPoly.monomial(tuple(u(r, r) for r in range(1, N + 1)))
+
+    monkeypatch.setattr(presentations, "quantum_determinant", doubled)
+    monkeypatch.setattr(hopf, "quantum_determinant", doubled)
+    P = build("suq", 2)
+    assert all(presentations.matches_construction(P).values())
+    assert not hopf.det_fact(P, "grouplike")
+    with pytest.raises(AxiomFails) as exc:
+        verify_hopf(P)
+    assert exc.value.axiom == "delta-kills-relations"
+
+
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_star_lemma_needs_the_transpose_to_keep_the_ideal(monkeypatch, name):
+    # u12 = 0 added to the construction: still a Hopf ideal, but the
+    # transpose sends u12 to u21, outside it, and star(u12) = -q^-1 u21
+    from qsphere import presentations
+
+    rules = presentations._mq_rules
+    monkeypatch.setattr(
+        presentations, "_mq_rules", lambda N, q: rules(N, q) + [Rule((u(1, 2),), NcPoly())]
+    )
+    P = build(name, 2)
+    assert verify_hopf(P)["relation_kills"] == "lemma"
+    laws = star_laws(P)
+    assert (laws["closure"], laws["relation_kills"]) == (False, "loop")
+
+
+def test_verify_hopf_on_suq4_never_builds_det_squared():
+    P = build("suq", 4)
+    report = verify_hopf(P)
+    assert report["relation_kills"] == "lemma"
+    assert "det-grouplike-in-mq" in report["hypotheses"]
+    assert len(P._det_pows) <= 2
+
+
+def test_verify_hopf_memo_follows_replaced_tables():
+    P = build("suq", 2)
+    assert verify_hopf(P)["relation_kills"] == "lemma"
+    _antipode_u12_doubled(P)
+    with pytest.raises(AxiomFails) as exc:
+        verify_hopf(P)
+    assert exc.value.axiom == "antipode-kills-relations"
 
 
 # -- the exact zero test on tensors -----------------------------------------
@@ -391,6 +574,38 @@ def test_intertwine_identity():
     qmat = [[NcPoly.gen(u(i + 1, j + 1)) for j in range(2)] for i in range(2)]
     psi = build_u_morphism(Q, qmat)
     assert check_intertwine(psi, rho_u, rho)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_star_steps_by_construction_match_the_loops(monkeypatch, N):
+    maps = [embed_sphere(N), build_coaction("deltaR", N), build_coaction("rho_u", N)]
+    assert all(m.report["star_step"] == "lemma" for m in maps)
+    monkeypatch.setattr(hopf, "_star_step_by_construction", lambda *args: None)
+    for m in maps:
+        assert m.verify()["star_step"] == "loop"
+
+
+def test_star_step_needs_both_hypotheses():
+    rho = build_coaction("deltaR", 2)
+    B, H = rho.source, rho.coeff
+    free_star = lambda t: t.star(B.star, H.star)  # noqa: E731
+    step = hopf._star_step_by_construction
+    assert step(B, rho.images, rho._free_apply, free_star, (H,))
+    # the image of star z_i is not the star of the image of z_i
+    doubled = lambda t: free_star(t).scale(Scalar.from_int(2))  # noqa: E731
+    assert step(B, rho.images, rho._free_apply, doubled, (H,)) is None
+    # a coefficient star that is not an involution
+    H_bad = copy.copy(H)
+    H_bad.star = {**H.star, u(1, 1): H.star[u(1, 1)].scale(Scalar.from_int(2))}
+    assert step(B, rho.images, rho._free_apply, free_star, (H_bad,)) is None
+
+
+@pytest.mark.parametrize("name", ["deltaR", "rho_u"])
+def test_coaction_star_step_falls_back_on_a_broken_star(name):
+    H = build({"deltaR": "suq", "rho_u": "uq"}[name], 2)
+    H.star = {**H.star, u(1, 2): H.star[u(1, 2)].scale(Scalar.from_int(2))}
+    with pytest.raises(StarViolation):
+        build_coaction(name, 2, coeff=H)
 
 
 @pytest.mark.parametrize("name,N", [("deltaR", 2), ("rho_u", 2), ("rho_u", 3)])

@@ -1,7 +1,7 @@
 """Presentations: rule counts, determinant, antipode tables, zero testing."""
 
+import copy
 import random
-from dataclasses import replace
 from functools import cache
 from itertools import product
 from math import comb
@@ -471,11 +471,15 @@ def _star_dinv_doubled(P):
         pytest.param("suq", 2, _star_u12_doubled, id="suq-2"),
         pytest.param("uq", 2, _star_u12_doubled, id="uq-2"),
         pytest.param("uq", 2, _star_dinv_doubled, id="uq-2-dinv"),
+        pytest.param("suq", 3, _star_u12_doubled, id="suq-3"),
+        pytest.param("uq", 3, _star_u12_doubled, id="uq-3"),
+        pytest.param("uq", 3, _star_dinv_doubled, id="uq-3-dinv"),
     ],
 )
 def test_star_checks_catch_a_broken_table(name, N, mutate):
     P = build(name, N)
-    P_bad = replace(P, star=mutate(P))
+    P_bad = copy.copy(P)
+    P_bad.star = mutate(P)
     assert not check_star_closure(P_bad)
     assert not check_star_involution(P_bad)
 
