@@ -50,7 +50,6 @@ from .rmatrix import (
     mult_kernel,
     rhat,
     rhat_inverse,
-    sigma,
 )
 from .scalars import ONE, ZERO, DeformationContext, Scalar
 from .spectrum import (

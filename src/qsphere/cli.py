@@ -110,8 +110,10 @@ def _check_matrix_identities(P, args):
 
 
 def _check_coaction(P, args):
+    # one mq companion for both coefficient algebras, so the facts about D
+    # memoised on it (``hopf.det_fact``) are computed once
     suq = presentations.build("suq", P.N, P.ctx)
-    uq = presentations.build("uq", P.N, P.ctx)
+    uq = presentations.build("uq", P.N, P.ctx, aux=suq.aux)
     maps = {
         "embedding": presentations.embed_sphere(P.N, P.ctx, sphere=P, target=suq),
         "deltaR": hopf.build_coaction("deltaR", P.N, P.ctx, sphere=P, coeff=suq),
@@ -126,7 +128,7 @@ def _check_coaction(P, args):
 
 
 def _check_cqt(P, args):
-    stats = rmatrix.check_cqt(P.N)
+    stats = rmatrix.check_cqt(P)
     return ("pass", stats, None)
 
 
@@ -294,10 +296,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_rform(args) -> int:
-    ev = rmatrix.RFormEvaluator(args.N)
+    # the arguments are parsed over suq in Q(q); the value is printed in t
+    ev = rmatrix.RFormEvaluator(presentations.build("suq", args.N))
     left = parser.parse_expr(args.left, ev.P)
     right = parser.parse_expr(args.right, ev.P)
-    print(parser.render_scalar(ev.eval(left, right), var="t"))
+    print(parser.render_scalar(ev.in_t(ev.eval(left, right)), var="t"))
     return 0
 
 

@@ -5,12 +5,13 @@ Grammar::
     expr   := ["-"] term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*     # "/" only by scalars
     factor := atom ("^" int)?
-    atom   := int | "q" | "t" | gen | "(" expr ")"
+    atom   := int | "q" | gen | "(" expr ")"
     gen    := name "[" int ("," int)? "]" | "dinv"
 
 "^" binds tighter than "*"; whitespace is insignificant.  ``zs[i]`` is the
-ASCII spelling of the starred generator.  ``render`` produces a string that
-parses back to the identical polynomial.
+ASCII spelling of the starred generator.  Coefficients lie in Q(q), so q is
+the only scalar name (``rform`` prints in t, which does not parse).
+``render`` produces a string that parses back to the identical polynomial.
 """
 
 from __future__ import annotations
@@ -187,13 +188,8 @@ class _Parser:
         raise ExprSyntaxError(at, "atom")
 
     def _named(self, name: str, at: int) -> NcPoly:
-        ctx = self.P.ctx
         if name == "q":
-            return NcPoly.monomial(EMPTY, ctx.q)
-        if name == "t":
-            if ctx.t is None:
-                raise UnknownGenerator("t is not bound in this context")
-            return NcPoly.monomial(EMPTY, ctx.t)
+            return NcPoly.monomial(EMPTY, self.P.ctx.q)
         if name == "dinv" and DINV in self.P.generators:
             return NcPoly.gen(DINV)
         if name not in self.families:

@@ -353,8 +353,12 @@ def build(
     name: str,
     N: int,
     ctx: DeformationContext | None = None,
+    *,
+    aux: Presentation | None = None,
 ) -> Presentation:
-    """Build one of the named presentations: mq, suq, uq, sphere."""
+    """Build one of the named presentations: mq, suq, uq, sphere.  On suq
+    and uq, ``aux``, if given, is the mq companion instead of a new build,
+    so that presentations sharing it share its memoised verdicts."""
     if N < 1:
         raise ValueError("N must be >= 1")
     ctx = ctx or DeformationContext.standard()
@@ -377,7 +381,7 @@ def build(
     if name == "uq":
         prec.append(DINV)
     system = RewriteSystem(MonomialOrder(prec), rules)
-    aux = None if name == "mq" else build("mq", N, ctx)
+    aux = None if name == "mq" else aux or build("mq", N, ctx)
     return Presentation(
         name, N, ctx, system, star=star, structure=structure, aux=aux, det=det,
     )

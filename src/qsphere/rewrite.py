@@ -27,9 +27,6 @@ class MonomialOrder:
     def key(self, word):
         return (len(word), tuple(self.rank[g] for g in word))
 
-    def less(self, a, b) -> bool:
-        return self.key(a) < self.key(b)
-
     def sorted_words(self, words, reverse=True):
         return sorted(words, key=self.key, reverse=reverse)
 
@@ -241,9 +238,6 @@ class RewriteSystem:
             if not c.is_zero:
                 _add_scaled(out.terms, self.reduce_word(w).terms, c)
         return out
-
-    def is_irreducible_word(self, word) -> bool:
-        return self._find_redex(tuple(word)) is None
 
     def check_confluence(self) -> AmbiguityReport:
         """Enumerate and resolve all overlap and inclusion ambiguities."""

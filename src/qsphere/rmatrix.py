@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import AxiomFails
 from .freealg import NcPoly, u, z
-from .hopf import _triple_add, antipode, counit, delta_word, verify_hopf
+from .hopf import _triple_add, antipode, counit, delta_word, star_lemma, verify_hopf
 from .linalg import (
     identity,
     is_zero_matrix,
@@ -62,14 +62,6 @@ def rhat_inverse(N: int, ctx: DeformationContext | None = None):
     q = ctx.q
     M = rhat(N, ctx)
     return mat_sub(M, mat_scale(identity(N * N), q - q ** (-1)))
-
-
-def sigma(N: int, ctx: DeformationContext):
-    """t times the braiding (the comodule braiding of the r-form); needs a
-    context carrying the root t."""
-    if ctx.t is None:
-        raise ValueError("sigma needs a context with the root t")
-    return mat_scale(rhat(N, ctx), ctx.t)
 
 
 def check_hecke(N: int, ctx: DeformationContext | None = None) -> bool:
@@ -131,75 +123,78 @@ def mult_kernel(N: int, ctx: DeformationContext | None = None):
     }
 
 
-def check_comodule_morphism(T, N: int, coeff: Presentation) -> bool:
-    """Is T a comodule morphism of V (x) V for the matrix coaction
-    phi(e_i) = sum_j e_j (x) u^j_i over the given coefficient algebra?"""
-    pairs, idx = _pair_index(N)
-    for (m, n) in pairs:
-        col = idx[(m, n)]
-        for (k, l) in pairs:
-            # coefficient of e_k (x) e_l on both sides, an element of coeff
-            lhs = NcPoly()
-            for (i, j) in pairs:
-                c = T[idx[(k, l)]][idx[(i, j)]]
-                if not c.is_zero:
-                    lhs = lhs + NcPoly.monomial((u(i, m), u(j, n)), c)
-            rhs = NcPoly()
-            for (i, j) in pairs:
-                c = T[idx[(i, j)]][col]
-                if not c.is_zero:
-                    rhs = rhs + NcPoly.monomial((u(k, i), u(l, j)), c)
-            if not coeff.is_zero_elem(lhs - rhs):
-                return False
-    return True
-
-
-def flip_operator(N: int):
-    pairs, idx = _pair_index(N)
-    M = zeros(N * N, N * N)
-    for (i, j) in pairs:
-        M[idx[(j, i)]][idx[(i, j)]] = ONE
-    return M
-
-
 # ---------------------------------------------------------------------------
 # the universal r-form
 # ---------------------------------------------------------------------------
 
 
 class RFormEvaluator:
-    """Evaluator of the universal r-form on the special unitary
-    coordinate algebra, in the context with the root t (q = t^-N).
+    """Evaluator of the universal r-form on a special unitary presentation
+    P (``suq``), computed in the coefficient field Q(q) of P.
 
-    Generator values: r(u^i_j (x) u^k_l) = t * R[(k,i)][(j,l)].  The left
-    argument splits through r(ab, c) = r(a, c_1) r(b, c_2), the right through
-    r(a, bc) = r(a_1, c) r(a_2, b); unit cases give the counit.  The
-    splitting runs on an explicit stack (``eval_words``).
+    The r-form takes values in Q(t), t^N = q^-1, with generator values
+    r(u^i_j (x) u^k_l) = t * R[(k,i)][(j,l)].  The left argument splits
+    through r(ab, c) = r(a, c_1) r(b, c_2), the right through
+    r(a, bc) = r(a_1, c) r(a_2, b); unit cases give the counit.  So every
+    term of r(a, b) on two words is a product of table values over the
+    |a|-by-|b| grid of letter pairs, and r(a, b) = t^(|a||b|) r_q(a, b),
+    where r_q is split the same way from the table R alone.  ``eval_words``
+    computes r_q, on an explicit stack.
+
+    On polynomials ``eval`` and ``eval_bar`` return a t-value: a dict
+    {k: x_k}, 0 <= k < N, of nonzero x_k in Q(q), standing for
+    sum_k t^k x_k.  Q(t) is free over Q(q) with basis 1, t, ..., t^(N-1),
+    so a t-value is zero exactly when it is empty, and two are equal exactly
+    when they are equal as dicts.  ``in_t`` writes one as a scalar in the
+    variable t, for printing.
     """
 
-    def __init__(self, N: int):
-        self.N = N
-        self.ctx = DeformationContext.with_root(N)
-        self.P = build("suq", N, self.ctx)
+    def __init__(self, P: Presentation):
+        if P.name != "suq":
+            raise ValueError(f"the r-form is evaluated on suq, not on {P.name}")
+        N = self.N = P.N
+        self.P = P
         pairs, idx = _pair_index(N)
         self._idx = idx
-        R = rhat(N, self.ctx)
-        t = self.ctx.t
-        self._table = {}
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                for k in range(1, N + 1):
-                    for l in range(1, N + 1):
-                        self._table[(u(i, j), u(k, l))] = t * R[idx[(k, i)]][idx[(j, l)]]
+        R = rhat(N, P.ctx)
+        self._table = {
+            (u(i, j), u(k, l)): R[idx[(k, i)]][idx[(j, l)]]
+            for i, j in pairs
+            for k, l in pairs
+        }
+        self._q_inv = P.ctx.q.inverse()
         self._memo = {}
-        self._bar_memo = {}  # (wa, wb) -> r(S(wa), wb)
+        self._bar_memo = {}  # (wa, wb) -> r(S(wa), wb) as a t-value
 
     def _eps_word(self, w) -> Scalar:
         return counit(NcPoly.monomial(w), self.P)
 
+    def _add_power(self, out: dict, e: int, x: Scalar):
+        """Add t^e x to the t-value out: t^e = q^-(e // N) t^(e % N)."""
+        k, rho = divmod(e, self.N)
+        _triple_add(out, rho, x * self._q_inv ** k if k else x)
+
+    def _tmul(self, x: dict, y: dict, out: dict | None = None) -> dict:
+        """Add the product of two t-values to out (a new t-value by default)
+        and return it."""
+        out = {} if out is None else out
+        for i, a in x.items():
+            for j, b in y.items():
+                self._add_power(out, i + j, a * b)
+        return out
+
+    def in_t(self, value: dict) -> Scalar:
+        """A t-value as one scalar in the variable t, with q = t^-N."""
+        t = Scalar.variable()
+        q = t ** (-self.N)
+        total = ZERO
+        for k, x in value.items():
+            total = total + t ** k * x.compose(q)
+        return total
+
     def _split(self, a, b):
-        """r(a, b) as a scalar (unit and generator cases), or as a list of
-        terms (c, k) with r(a, b) = sum c r(k) over word pairs k shorter
+        """r_q(a, b) as a scalar (unit and generator cases), or as a list of
+        terms (c, k) with r_q(a, b) = sum c r_q(k) over word pairs k shorter
         than (a, b) in total length; terms with c = 0 are left out.
 
         The coproduct of a generator is a sum of letter pairs (the matrix
@@ -250,7 +245,7 @@ class RFormEvaluator:
         return [(c, (rest, b2)) for (_, b2), c in paths.items()]
 
     def eval_words(self, a, b) -> Scalar:
-        """r(a, b) on two words, memoised on the pair.  The splitting runs
+        """r_q(a, b) on two words, memoised on the pair.  The splitting runs
         on an explicit stack, so the word length is not bounded by the
         recursion limit."""
         memo = self._memo
@@ -278,16 +273,19 @@ class RFormEvaluator:
                 memo[key] = val
         return memo[(a, b)]
 
-    def eval(self, a: NcPoly, b: NcPoly) -> Scalar:
-        total = ZERO
+    def eval(self, a: NcPoly, b: NcPoly) -> dict:
+        """r(a, b) as a t-value: each word pair adds t^(|wa||wb|) r_q."""
+        out = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
-                total = total + ca * cb * self.eval_words(wa, wb)
-        return total
+                r = self.eval_words(wa, wb)
+                if not r.is_zero:
+                    self._add_power(out, len(wa) * len(wb), ca * cb * r)
+        return out
 
-    def eval_bar(self, a: NcPoly, b: NcPoly) -> Scalar:
-        """Convolution inverse, realized as r composed with (S (x) id).
-        On two monomials the value is memoised on their word pair."""
+    def eval_bar(self, a: NcPoly, b: NcPoly) -> dict:
+        """Convolution inverse, realized as r composed with (S (x) id), as a
+        t-value.  On two monomials it is memoised on their word pair."""
         if len(a.terms) != 1 or len(b.terms) != 1:
             return self.eval(antipode(a, self.P), b)
         (wa, ca), = a.terms.items()
@@ -297,23 +295,14 @@ class RFormEvaluator:
         if val is None:
             val = self.eval(antipode(NcPoly.monomial(wa), self.P), NcPoly.monomial(wb))
             self._bar_memo[key] = val
-        return ca * cb * val
+        c = ca * cb
+        return {k: c * x for k, x in val.items()}
 
     def sigma_matrix(self):
-        """The induced braiding on V (x) V computed FROM the r-form:
-        sigma(e_i (x) e_j) = sum_{k,l} r(u^k_i (x) u^l_j) e_l (x) e_k."""
-        N = self.N
-        idx = self._idx
-        M = zeros(N * N, N * N)
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                col = idx[(i, j)]
-                for k in range(1, N + 1):
-                    for l in range(1, N + 1):
-                        c = self._table[(u(k, i), u(l, j))]
-                        if not c.is_zero:
-                            M[idx[(l, k)]][col] = M[idx[(l, k)]][col] + c
-        return M
+        """The induced braiding on V (x) V computed FROM the r-form, divided
+        by t: sigma(e_i (x) e_j) = sum_{k,l} r_q(u^k_i (x) u^l_j) e_l (x) e_k."""
+        pairs = list(self._idx)  # the basis order of rhat
+        return [[self._table[(u(k, i), u(l, j))] for i, j in pairs] for l, k in pairs]
 
 
 def _relation_kills_failing(ev: RFormEvaluator):
@@ -322,41 +311,52 @@ def _relation_kills_failing(ev: RFormEvaluator):
     bad = []
     for rel in ev.P.relations:
         for g in gens:
-            if not ev.eval(rel, g).is_zero:
+            if ev.eval(rel, g):
                 bad.append((rel, g))
-            if not ev.eval(g, rel).is_zero:
+            if ev.eval(g, rel):
                 bad.append((g, rel))
     return bad
 
 
 def _commutation_holds(ev: RFormEvaluator, wa, wb) -> bool:
     """The commutation law b a = r(a_1, b_1) a_2 b_2 rbar(a_3, b_3) on two
-    words, decided in the algebra."""
+    words, decided in the algebra: the right side is sum_k t^k c_k with c_k
+    in the algebra over Q(q), so the law says c_0 = b a and c_k = 0 for
+    k > 0."""
     P = ev.P
-    lhs = NcPoly.monomial(wb) * NcPoly.monomial(wa)
-    rhs = NcPoly()
+    mono = NcPoly.monomial
+    rhs = {}  # k -> c_k
     for (a1, arest), ca in delta_word(wa, P).terms.items():
         for (b1, brest), cb in delta_word(wb, P).terms.items():
-            r1 = ev.eval_words(a1, b1)
-            if r1.is_zero:
+            r1 = ev.eval(mono(a1, ca * cb), mono(b1))
+            if not r1:
                 continue
             for (a2, a3), c2 in delta_word(arest, P).terms.items():
                 for (b2, b3), d2 in delta_word(brest, P).terms.items():
-                    r3 = ev.eval_bar(NcPoly.monomial(a3), NcPoly.monomial(b3))
-                    if not r3.is_zero:
-                        rhs._iadd_term(a2 + b2, ca * cb * r1 * c2 * d2 * r3)
-    return P.equals(rhs, lhs)
+                    r3 = ev.eval_bar(mono(a3, c2 * d2), mono(b3))
+                    for k, x in ev._tmul(r1, r3).items():
+                        rhs.setdefault(k, NcPoly())._iadd_term(a2 + b2, x)
+    rhs[0] = rhs.get(0, NcPoly()) - mono(wb) * mono(wa)
+    return all(img.is_zero for img in P.zero_test_images(list(rhs.values())))
 
 
-def check_cqt(N: int) -> dict:
-    """Prove the coquasitriangularity axioms of the r-form on suq(N), check
-    its reality on generators, and the braiding it induces.
+def check_cqt(P: Presentation) -> dict:
+    """Prove the coquasitriangularity axioms of the r-form on the suq
+    presentation P, and check its reality and the braiding it induces.
 
-    Hypotheses, checked on the evaluator's algebra A = F/I (F free, I the
-    ideal of the relations):
-      (H1) ``verify_hopf``: Delta, epsilon and S kill the relations, and the
-           Hopf laws hold on generators, so A is a Hopf algebra and
-           Delta(I) lies in I (x) F + F (x) I.
+    Every value is computed in Q(q), the coefficient field of P, as a
+    t-value (``RFormEvaluator``), so no second presentation over Q(t) is
+    built.  Q(t) is free over Q(q) with basis 1, t, ..., t^(N-1), so an
+    identity over Q(t) holds exactly when it holds in each coordinate.  So
+    r(D - 1, g) = 0 reads q^-1 r_q(D, g) = eps(g), and as S(u^i_j) is a
+    cofactor of degree N - 1, each term of the convolution inverse and of
+    the commutation law carries t t^(N-1) = q^-1.
+
+    Hypotheses, checked on A = F/I (F free, I the ideal of the relations):
+      (H1) ``verify_hopf(P)``: Delta, epsilon and S kill the relations, and
+           the Hopf laws hold on generators, so A is a Hopf algebra and
+           Delta(I) lies in I (x) F + F (x) I.  The verdict is memoised on
+           P, so a ``hopf-axioms`` check of the same run computes it once.
       (H2) r(rel, g) = r(g, rel) = 0 for every relation and generator.
     The evaluator defines r on F (x) F by the two splitting rules, which
     agree there: both give r(x_1 ... x_n, y_1 ... y_m) as the sum, over the
@@ -387,12 +387,26 @@ def check_cqt(N: int) -> dict:
     rbar(x, b_2), b x y expands by the law for (x, b) and then for
     (y, b_2).  So the law holds on all of A.
 
-    Reality r(a, b) = r(b*, a*) extends only through the star laws, which
-    this check does not assume, so it is checked on generator pairs only;
-    so are sigma (entrywise) and its hermiticity at sample points.
+    Reality r(a, b) = r(b*, a*) (the values are real functions of the real
+    q) is checked on generator pairs.  It extends to all of A when
+    ``hopf.star_lemma(P)`` holds.  Then star = S tau is well defined on A,
+    and Delta S = (S (x) S) Delta^op with (tau (x) tau) Delta = Delta^op tau
+    gives Delta(c*) = c_1* (x) c_2*.  First the right word, for a generator
+    a, by induction on its length: r((xy)*, a*) = r(y* x*, a*) =
+    sum r(y*, a_1*) r(x*, a_2*) = sum r(a_1, y) r(a_2, x) = r(a, xy), the
+    legs a_i being generators.  Then the left word, for every word c:
+    r(c*, (ab)*) = r(c*, b* a*) = sum r(c_1*, a*) r(c_2*, b*) =
+    sum r(a, c_1) r(b, c_2) = r(ab, c).  The unit cases are
+    eps(c*) = eps(c), from eps tau = eps.  The report says which holds
+    (``reality``: ``all-degrees`` or ``generators``) and lists the
+    hypotheses of the star lemma.
+
+    The braiding recomputed from the r-form is t R: its table equals R
+    entrywise, and it is hermitian exactly, R = R^T, as t and q are real.
     """
-    ev = RFormEvaluator(N)
-    P = ev.P
+    ev = RFormEvaluator(P)
+    N = P.N
+    mono = NcPoly.monomial
     gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
 
     hopf_report = verify_hopf(P)
@@ -404,20 +418,17 @@ def check_cqt(N: int) -> dict:
     # Eq: r * rbar = rbar * r = eps (x) eps, on generator pairs
     for a in gens:
         for b in gens:
-            da = delta_word((a,), P)
-            db = delta_word((b,), P)
-            want = ev._eps_word((a,)) * ev._eps_word((b,))
-            lhs = ZERO
-            rhs = ZERO
-            for (a1, a2), ca in da.terms.items():
-                for (b1, b2), cb in db.terms.items():
+            eps = ev._eps_word((a,)) * ev._eps_word((b,))
+            want = {} if eps.is_zero else {0: eps}
+            lhs = {}
+            rhs = {}
+            for (a1, a2), ca in delta_word((a,), P).terms.items():
+                for (b1, b2), cb in delta_word((b,), P).terms.items():
                     c = ca * cb
-                    lhs = lhs + c * ev.eval_words(a1, b1) * ev.eval_bar(
-                        NcPoly.monomial(a2), NcPoly.monomial(b2)
-                    )
-                    rhs = rhs + c * ev.eval_bar(
-                        NcPoly.monomial(a1), NcPoly.monomial(b1)
-                    ) * ev.eval_words(a2, b2)
+                    ev._tmul(ev.eval(mono(a1, c), mono(b1)),
+                             ev.eval_bar(mono(a2), mono(b2)), lhs)
+                    ev._tmul(ev.eval_bar(mono(a1, c), mono(b1)),
+                             ev.eval(mono(a2), mono(b2)), rhs)
             if lhs != want or rhs != want:
                 raise AxiomFails("convolution-inverse", (a, b))
 
@@ -429,30 +440,25 @@ def check_cqt(N: int) -> dict:
     # reality: r(a (x) b) = r(b* (x) a*) (coefficients are real)
     for a in gens:
         for b in gens:
-            lhs = ev.eval_words((a,), (b,))
-            rhs = ev.eval(
-                P.star[b],
-                P.star[a],
-            )
-            if lhs != rhs:
+            if ev.eval(mono((a,)), mono((b,))) != ev.eval(P.star[b], P.star[a]):
                 raise AxiomFails("reality", (a, b))
+    star_hypotheses = star_lemma(P)
 
     # the braiding recomputed from the r-form equals t * R entrywise
-    if ev.sigma_matrix() != sigma(N, ev.ctx):
+    sigma = ev.sigma_matrix()
+    if sigma != rhat(N, P.ctx):
         raise AxiomFails("sigma-entrywise", N)
-
-    # hermiticity of the braiding at sample points
-    for t0 in (Fraction(1, 2), Fraction(2)):
-        M = [[x.eval_at(t0) for x in row] for row in sigma(N, ev.ctx)]
-        if M != [list(r) for r in zip(*M)]:
-            raise AxiomFails("sigma-hermitian", t0)
+    if sigma != transpose(sigma):
+        raise AxiomFails("sigma-hermitian", N)
 
     return {
         "generator_pairs": len(gens) ** 2,
         "relation_kills": kills,
         "hopf_hypotheses": hopf_report,
         "sigma_entrywise": True,
-        "hermitian_at": ["1/2", "2"],
+        "sigma_hermitian": True,
+        "reality": "generators" if star_hypotheses is None else "all-degrees",
+        "star_hypotheses": star_hypotheses or [],
     }
 
 

@@ -1,10 +1,11 @@
 """Exact arithmetic in Q(v), the field of rational functions in one variable.
 
 All coefficients in the package live here.  The deformation parameter q is
-bound to the base variable v directly (q := v), or, when the root t with
-t^N = q^{-1} is needed, via the re-based binding q := v^{-N}, t := v.  Either
-way the coefficient domain stays a plain rational-function field in one
-variable with arbitrary-precision integer coefficients.
+bound to the base variable v (q := v), so the coefficient domain is a plain
+rational-function field in one variable with arbitrary-precision integer
+coefficients.  The r-form, whose values lie in Q(t) with t^N = q^-1, is
+computed in Q(q) as well (``rmatrix.RFormEvaluator``); only ``rform`` prints
+its values in t, through ``Scalar.compose``.
 
 Almost every coefficient the algebras produce is a Laurent polynomial, so an
 element is stored as v^val * cf(v) / dn(v) with cf(0) and dn(0) nonzero.
@@ -330,33 +331,16 @@ ONE = _new(0, PONE, PONE)
 
 
 class DeformationContext:
-    """Binding of the deformation parameters to the base variable v.
+    """Binding of the deformation parameter q to the base variable v."""
 
-    Either q := v (plain context, ``t`` unavailable), or q := v^{-N} with
-    t := v when the N-th root t of q^{-1} is needed.
-    """
+    __slots__ = ("q",)
 
-    __slots__ = ("var_name", "q", "t", "root_degree")
-
-    def __init__(self, var_name: str, q: Scalar, t: Scalar | None = None,
-                 root_degree: int | None = None):
-        self.var_name = var_name  # display name of the base variable: "q" or "t"
+    def __init__(self, q: Scalar):
         self.q = q
-        self.t = t
-        self.root_degree = root_degree  # N with t^N = q^{-1}, t-contexts only
 
     @staticmethod
     def standard() -> "DeformationContext":
-        return DeformationContext("q", Scalar.variable())
-
-    @staticmethod
-    def with_root(N: int) -> "DeformationContext":
-        v = Scalar.variable()
-        return DeformationContext("t", v ** (-N), v, N)
-
-    def rebase(self, s: Scalar) -> "Scalar":
-        """Map a scalar written in the plain q-context into this context."""
-        return s.compose(self.q)
+        return DeformationContext(Scalar.variable())
 
     def qnum(self, n: int) -> Scalar:
         """The symmetric q-integer (q^n - q^-n)/(q - q^-1)."""

@@ -97,12 +97,6 @@ def spectrum_with_multiplicities(N: int, max_eig: int):
     }
 
 
-def perp_constraint(N: int, n: int, k: int, j: int) -> bool:
-    """May the bidegree-(n - j, k - j) summand occur inside degree (n, k)?
-    True exactly when 0 <= j <= min(n, k)."""
-    return 0 <= j <= min(n, k)
-
-
 def bigraded_dimension(N: int, a: int, b: int) -> int:
     """Dimension of the bidegree-(a, b) component predicted by the
     decomposition into irreducibles: sum over j of dim V_{a-j, b-j}."""

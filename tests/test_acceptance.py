@@ -6,7 +6,6 @@ code under test, then prints a single pass line.  A failing criterion shows
 up as an ordinary pytest failure.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -32,7 +31,7 @@ from qsphere.presentations import (
     embed_sphere,
     quantum_determinant,
 )
-from qsphere.rmatrix import check_cqt, check_hecke, mult_kernel, rhat, RFormEvaluator, sigma
+from qsphere.rmatrix import check_cqt, check_hecke, mult_kernel, rhat, RFormEvaluator
 from qsphere.scalars import DeformationContext, ONE, ZERO
 from qsphere.spectrum import bigraded_dim_check, d_eigenvalue, spectrum_with_multiplicities
 
@@ -124,14 +123,15 @@ def test_08_embedding_and_coactions():
 
 
 def test_09_cqt_structure():
-    stats = check_cqt(2)
-    assert stats["sigma_entrywise"]
-    ev = RFormEvaluator(2)
-    assert ev.sigma_matrix() == sigma(2, ev.ctx)
-    for t0 in (Fraction(1, 2), Fraction(2)):
-        M = [[x.eval_at(t0) for x in row] for row in sigma(2, ev.ctx)]
-        assert M == [list(r) for r in zip(*M)]
-    _ok("cqt-structure", "r-form axioms on suq(2); sigma = t*R; hermitian at 1/2, 2")
+    stats = check_cqt(build("suq", 2))
+    assert stats["sigma_entrywise"] and stats["sigma_hermitian"]
+    assert stats["reality"] == "all-degrees"
+    # the braiding from the r-form is t*R; divided by t it is R, and it is
+    # exactly symmetric (q is real, so symmetric is hermitian)
+    M = RFormEvaluator(build("suq", 2)).sigma_matrix()
+    assert M == rhat(2)
+    assert M == [list(r) for r in zip(*M)]
+    _ok("cqt-structure", "r-form axioms on suq(2); sigma = t*R; hermitian exactly")
 
 
 def test_10_invariant_form():

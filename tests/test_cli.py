@@ -166,6 +166,22 @@ def test_rform_deep_words_on_both_sides(capsys):
     assert (code, out, err) == (0, "t^-144\n", "")
 
 
+@pytest.mark.parametrize("left", ["t", "t*u[1,1]", "u[1,1]*t^-2"])
+def test_rform_refuses_t_in_its_input(capsys, left):
+    # arguments are parsed over suq in Q(q); t only appears in the output
+    code, out, err = run(capsys, "rform", "--N", "2", "--left", left, "--right", "u[1,1]")
+    assert (code, out) == (2, "")
+    assert err == "error: t is not a generator of suq(2)\n"
+
+
+def test_rform_prints_a_polynomial_argument_in_t(capsys):
+    # degrees 0, 1 and 2 in one argument: q = t^-2 and each word pair
+    # carries t^(|a||b|)
+    code, out, err = run(capsys, "rform", "--N", "2",
+                         "--left", "q + u[1,1] + q*u[1,1]^2", "--right", "u[2,2]")
+    assert (code, out, err) == (0, "t+1+t^-2\n", "")
+
+
 def test_morphism_presets(capsys):
     for target in ("identity", "torus"):
         code, out, _ = run(capsys, "morphism", "--N", "2", "--target", target)
@@ -264,7 +280,14 @@ def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
             ],
         },
         "sigma_entrywise": True,
-        "hermitian_at": ["1/2", "2"],
+        "sigma_hermitian": True,
+        "reality": "all-degrees",
+        "star_hypotheses": [
+            "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",
+            "epsilon-antipode-as-built", "antipode-laws-on-generators", "hopf-axioms",
+            "star-is-antipode-of-transpose", "transpose-kills-relations",
+            "transpose-flips-coproduct",
+        ],
     }
 
 
@@ -399,6 +422,19 @@ def test_coaction_report_says_how_the_star_step_was_decided(capsys, tmp_path):
     for m in maps.values():
         assert (m["relation_kills"], m["star_step"]) == ("loop", "lemma")
         assert "target-star-involution" in m["hypotheses"]
+
+
+def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):
+    # the suq and uq of the check share one mq companion, and the verdict
+    # on D is memoised there
+    seen = []
+    grouplike = hopf.check_grouplike
+    monkeypatch.setattr(hopf, "check_grouplike",
+                        lambda x, P: (seen.append(P), grouplike(x, P))[1])
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
+                       "--checks", "coaction-eq20")
+    assert (code, out) == (0, "coaction-eq20: pass\n")
+    assert len(seen) == 1 and seen[0].name == "mq"
 
 
 def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):

@@ -7,25 +7,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsphere import rmatrix
+from qsphere import hopf, presentations, rmatrix
 from qsphere.errors import AxiomFails
 from qsphere.freealg import NcPoly, u
-from qsphere.linalg import identity, is_zero_matrix, mat_mul, mat_sub, rank
+from qsphere.linalg import identity, is_zero_matrix, mat_mul, mat_scale, rank, zeros
 from qsphere.presentations import build
+from qsphere.rewrite import RewriteSystem, Rule
 from qsphere.rmatrix import (
     RFormEvaluator,
     _commutation_holds,
     _relation_kills_failing,
-    check_comodule_morphism,
     check_cqt,
     check_eigenspace_orthogonality,
     check_hecke,
     eigenprojections,
-    flip_operator,
     mult_kernel,
     rhat,
     rhat_inverse,
-    sigma,
 )
 from qsphere.scalars import DeformationContext, ONE, ZERO, Scalar
 
@@ -69,9 +67,18 @@ def test_projection_ranks(N):
     assert rank(p_minus) == (N * N - N) // 2
 
 
+def _flip(N):
+    """The flip e_i (x) e_j -> e_j (x) e_i, in the basis order of rhat."""
+    F = zeros(N * N, N * N)
+    for i in range(N):
+        for j in range(N):
+            F[j * N + i][i * N + j] = ONE
+    return F
+
+
 def test_classical_limit_is_flip():
     # at q = 1 the braiding degenerates to the flip
-    F = flip_operator(2)
+    F = _flip(2)
     R = rhat(2)
     num = [[x.eval_at(1) for x in row] for row in R]
     assert num == [[x.eval_at(1) for x in row] for row in F]
@@ -85,15 +92,8 @@ def test_mult_kernel(N):
     assert info["equal"]
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_rhat_is_comodule_morphism(N):
-    mq = build("mq", N)
-    assert check_comodule_morphism(rhat(N), N, mq)
-
-
-def _frt_entries(N):
+def _frt_entries(N, R):
     """The entries of R U - U R, with U_(ij),(kl) = u_ik u_jl."""
-    R = rhat(N)
     pairs = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     out = []
     for r, (i, j) in enumerate(pairs):
@@ -111,39 +111,41 @@ def _frt_entries(N):
 @pytest.mark.parametrize("N", [2, 3])
 def test_mq_relations_span_the_frt_entries(N):
     # the relation-kill lemmas of hopf.verify_hopf rest on this: the mq
-    # relations and the entries of R U - U R span the same space
+    # relations and the entries of R U - U R span the same space, so R is a
+    # comodule morphism of V (x) V over mq; the flip F is not, as the
+    # entries of F U - U F leave that span
     rels = build("mq", N).relations
-    frt = _frt_entries(N)
-    words = sorted({w for p in rels + frt for w in p.terms})
+    frt = _frt_entries(N, rhat(N))
+    flip = _frt_entries(N, _flip(N))
+    words = sorted({w for p in rels + frt + flip for w in p.terms})
 
     def rows(polys):
         return [[p.coeff(w) for w in words] for p in polys]
 
     assert rank(rows(rels)) == len(rels) == N * N * (N * N - 1) // 2
     assert rank(rows(frt)) == rank(rows(frt + rels)) == len(rels)
-
-
-def test_flip_is_not_comodule_morphism():
-    mq = build("mq", 2)
-    assert not check_comodule_morphism(flip_operator(2), 2, mq)
+    assert rank(rows(flip + rels)) > len(rels)
 
 
 # -- r-form -----------------------------------------------------------------
 
 
+def _suq_evaluator(N):
+    return RFormEvaluator(build("suq", N))
+
+
 def test_rform_generator_values_n2():
-    ev = RFormEvaluator(2)
-    t = ev.ctx.t
-    qv = ev.ctx.q
-    assert ev.eval_words((u(1, 1),), (u(1, 1),)) == t * qv
-    assert ev.eval_words((u(1, 1),), (u(2, 2),)) == t
-    assert ev.eval_words((u(2, 1),), (u(1, 2),)) == t * (qv - qv ** (-1))
+    # r_q, the r-form with its factor t taken off: the entries of R
+    ev = _suq_evaluator(2)
+    assert ev.eval_words((u(1, 1),), (u(1, 1),)) == q
+    assert ev.eval_words((u(1, 1),), (u(2, 2),)) == ONE
+    assert ev.eval_words((u(2, 1),), (u(1, 2),)) == q - q ** (-1)
     assert ev.eval_words((u(1, 2),), (u(2, 1),)) == ZERO
     assert ev.eval_words((u(1, 2),), (u(1, 2),)) == ZERO
 
 
 def test_rform_unit_values():
-    ev = RFormEvaluator(2)
+    ev = _suq_evaluator(2)
     assert ev.eval_words((), ()) == ONE
     assert ev.eval_words((), (u(1, 1),)) == ONE
     assert ev.eval_words((), (u(1, 2),)) == ZERO
@@ -151,7 +153,7 @@ def test_rform_unit_values():
 
 def test_rform_split_consistency():
     # both splitting orders must agree on mixed products
-    ev = RFormEvaluator(2)
+    ev = _suq_evaluator(2)
     gens = [u(i, j) for i in range(1, 3) for j in range(1, 3)]
     from qsphere.hopf import delta_word
 
@@ -197,17 +199,26 @@ def _reference_eval_words(ev, a, b, memo):
     return val
 
 
+# pairs at N = 3 whose values have several terms, such as
+# -t^15+2*t^9-2*t^-3+t^-9 in the variable t
+MULTI_TERM_PAIRS = (
+    ((u(3, 1), u(2, 1), u(3, 2)), (u(1, 3), u(1, 1), u(1, 3))),
+    ((u(3, 1), u(3, 1)), (u(1, 3), u(3, 3), u(1, 3), u(3, 3))),
+    ((u(3, 1), u(2, 1), u(2, 1)), (u(1, 3), u(1, 2), u(1, 2))),
+    ((u(3, 1), u(3, 1)), (u(1, 1), u(1, 3), u(2, 2), u(1, 3))),
+)
+
+
 def test_eval_words_matches_recursive_oracle():
-    ev = RFormEvaluator(2)
+    ev = _suq_evaluator(2)
     memo = {}
-    t = ev.ctx.t
     u11 = (u(1, 1),)
     for n in range(1, 31):
         for a, b in ((u11 * n, u11), (u11, u11 * n)):
             got = ev.eval_words(a, b)
-            assert got == _reference_eval_words(ev, a, b, memo) == t ** (-n), (n, a, b)
+            assert got == _reference_eval_words(ev, a, b, memo) == q ** n, (n, a, b)
     # mixed words of length up to 3 on both sides, from fresh memos
-    ev = RFormEvaluator(2)
+    ev = _suq_evaluator(2)
     memo = {}
     gens = [u(i, j) for i in range(1, 3) for j in range(1, 3)]
     rng = random.Random(1)
@@ -217,7 +228,7 @@ def test_eval_words_matches_recursive_oracle():
         assert ev.eval_words(a, b) == _reference_eval_words(ev, a, b, memo), (a, b)
     # at N = 3, left words of 2-4 letters against right words of 2-4
     # letters, where the left split walks the right word
-    ev = RFormEvaluator(3)
+    ev = _suq_evaluator(3)
     memo = {}
     gens = [u(i, j) for i in range(1, 4) for j in range(1, 4)]
     rng = random.Random(3)
@@ -229,36 +240,98 @@ def test_eval_words_matches_recursive_oracle():
         assert ev.eval_words(a, b) == want, (a, b)
         nonzero += not want.is_zero
     assert nonzero == 2
-    # pairs with values of several terms, such as -t^15+2*t^9-2*t^-3+t^-9
-    for a, b in (
-        ((u(3, 1), u(2, 1), u(3, 2)), (u(1, 3), u(1, 1), u(1, 3))),
-        ((u(3, 1), u(3, 1)), (u(1, 3), u(3, 3), u(1, 3), u(3, 3))),
-        ((u(3, 1), u(2, 1), u(2, 1)), (u(1, 3), u(1, 2), u(1, 2))),
-        ((u(3, 1), u(3, 1)), (u(1, 1), u(1, 3), u(2, 2), u(1, 3))),
-    ):
+    for a, b in MULTI_TERM_PAIRS:
         want = _reference_eval_words(ev, a, b, memo)
         assert ev.eval_words(a, b) == want, (a, b)
         assert sum(c != 0 for c in want.num) == 4
 
 
+def _root_oracle(N):
+    """The r-form as it was computed before, over Q(t): suq built in the
+    root binding q := t^-N, t := v, with the generator table t R."""
+    t = Scalar.variable()
+    ctx = DeformationContext(t ** (-N))
+    assert t ** N == ctx.q.inverse()
+    ev = RFormEvaluator(build("suq", N, ctx))
+    ev._table = {k: t * x for k, x in ev._table.items()}
+    return ev, t
+
+
+@pytest.mark.parametrize("N, nonzero", [(2, 15), (3, 11)])
+def test_rform_matches_the_root_context_oracle(N, nonzero):
+    # r(a, b) = t^(|a||b|) r_q(a, b), with q = t^-N substituted in r_q
+    ev = _suq_evaluator(N)
+    oracle, t = _root_oracle(N)
+    gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    rng = random.Random(N)
+    pairs = [
+        (tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))),
+         tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))))
+        for _ in range(60)
+    ]
+    if N == 3:
+        pairs += MULTI_TERM_PAIRS
+    seen = 0
+    for a, b in pairs:
+        want = oracle.eval_words(a, b)
+        got = ev.eval_words(a, b)
+        assert want == t ** (len(a) * len(b)) * got.compose(t ** (-N)), (a, b)
+        # the t-value of the monomial pair, printed in t, is the same value
+        assert ev.in_t(ev.eval(NcPoly.monomial(a), NcPoly.monomial(b))) == want
+        seen += not want.is_zero
+    assert seen == nonzero
+    # a polynomial whose terms have degrees 0, 1 and N: its t-value has
+    # several coordinates, and in t it is the sum of the oracle's values
+    a = NcPoly.unit(q) + NcPoly.gen(u(1, 1)) + NcPoly.monomial((u(1, 1),) * N, q)
+    b = NcPoly.gen(u(1, 1), q + ONE)
+    value = ev.eval(a, b)
+    assert sorted(value) == [0, 1]
+    want = ZERO
+    for w, c in a.terms.items():
+        for w2, c2 in b.terms.items():
+            want = want + (c * c2).compose(t ** (-N)) * oracle.eval_words(w, w2)
+    assert ev.in_t(value) == want
+
+
 def test_sigma_matrix_matches_scaled_braiding():
+    # computed from the r-form, the braiding is t R; r_q gives R itself
     for N in (2, 3):
-        ev = RFormEvaluator(N)
-        assert ev.sigma_matrix() == sigma(N, ev.ctx)
+        assert _suq_evaluator(N).sigma_matrix() == rhat(N)
+        oracle, t = _root_oracle(N)
+        assert oracle.sigma_matrix() == mat_scale(rhat(N, oracle.P.ctx), t)
 
 
 def test_cqt_n2():
-    stats = check_cqt(2)
+    stats = check_cqt(build("suq", 2))
     assert stats["generator_pairs"] == 16
-    assert stats["sigma_entrywise"]
+    assert stats["sigma_entrywise"] and stats["sigma_hermitian"]
+
+
+def test_check_cqt_builds_no_presentation(monkeypatch):
+    # the r-form runs on the presentation it is given; H1 is that
+    # presentation's own memoised verify_hopf
+    P = build("suq", 3)
+    calls = []
+    real = presentations.build
+    spy = lambda *a, **k: (calls.append(a), real(*a, **k))[1]  # noqa: E731
+    for module in (presentations, hopf, rmatrix):
+        monkeypatch.setattr(module, "build", spy)
+    report = check_cqt(P)
+    assert calls == []
+    assert report["hopf_hypotheses"] == hopf.verify_hopf(P)
+    assert P._memo["hopf"][1] == report["hopf_hypotheses"]
+
+
+def test_rform_needs_suq():
+    with pytest.raises(ValueError):
+        RFormEvaluator(build("uq", 2))
 
 
 def test_eval_bar_memo_matches_fresh_antipode():
     from qsphere.hopf import antipode
 
-    ev = RFormEvaluator(2)
-    ref = RFormEvaluator(2)
-    t = ev.ctx.t
+    ev = _suq_evaluator(2)
+    ref = _suq_evaluator(2)
     gens = [u(i, j) for i in range(1, 3) for j in range(1, 3)]
     rng = random.Random(0)
     pairs = [((a,), (b,)) for a in gens for b in gens]
@@ -267,13 +340,13 @@ def test_eval_bar_memo_matches_fresh_antipode():
         for _ in range(20)
     ]
     for wa, wb in pairs:
-        for ca, cb in ((ONE, ONE), (t, t ** (-2) + ONE)):
+        for ca, cb in ((ONE, ONE), (q, q ** (-2) + ONE)):
             a, b = NcPoly.monomial(wa, ca), NcPoly.monomial(wb, cb)
             want = ref.eval(antipode(a, ref.P), b)
             assert ev.eval_bar(a, b) == want
     assert len(ev._bar_memo) == len(set(pairs))
     # a polynomial argument takes the unmemoised path
-    a = NcPoly.gen(u(1, 1)) + NcPoly.gen(u(2, 1), t)
+    a = NcPoly.gen(u(1, 1)) + NcPoly.gen(u(2, 1), q)
     b = NcPoly.gen(u(1, 2))
     assert ev.eval_bar(a, b) == ref.eval(antipode(a, ref.P), b)
 
@@ -283,19 +356,55 @@ def test_rform_kills_suq_relations(N, pairs):
     # r(rel, g) = r(g, rel) = 0 for every relation and generator: with the
     # coproduct relation kills this makes r well defined on suq, so it may
     # be evaluated on any representative, e.g. an mq-reduced S(w)
-    ev = RFormEvaluator(N)
+    ev = _suq_evaluator(N)
     assert 2 * len(ev.P.relations) * len(ev.P.generators) == pairs
     assert _relation_kills_failing(ev) == []
 
 
+def test_rform_kills_d_minus_one_by_degree():
+    # D - 1 is the one inhomogeneous relation: r(D - 1, g) = q^-1 r_q(D, g)
+    # - eps(g), on both sides; r_q alone does not vanish on it
+    for N in (2, 3, 4):
+        P = build("suq", N)
+        ev = RFormEvaluator(P)
+        det = P.det - NcPoly.unit()
+        for g in P.generators:
+            eps = ONE if g[1] == g[2] else ZERO
+            d = NcPoly.gen(g)
+            assert ev.eval(det, d) == ev.eval(d, det) == {}
+            r_q = ZERO
+            for w, c in P.det.terms.items():
+                r_q = r_q + c * ev.eval_words(w, (g,))
+            assert q ** (-1) * r_q == eps
+            if not eps.is_zero:
+                assert r_q != eps
+
+
 def _double_entry(entry):
-    """A table mutation: the entry doubled, or t where the table holds 0."""
+    """A table mutation: the entry doubled, or 1 where the table holds 0 (t
+    in the r-form, which is t r_q)."""
 
     def mutate(ev):
         old = ev._table[entry]
-        ev._table[entry] = ev.ctx.t if old.is_zero else old + old
+        ev._table[entry] = ONE if old.is_zero else old + old
 
     return mutate
+
+
+def _oracle_kills_failing(oracle):
+    """The relation kills decided over Q(t) by the root oracle."""
+    bad = []
+    gens = [NcPoly.gen(g) for g in oracle.P.generators]
+    for rel in oracle.P.relations:
+        for g in gens:
+            for x, y in ((rel, g), (g, rel)):
+                val = ZERO
+                for wx, cx in x.terms.items():
+                    for wy, cy in y.terms.items():
+                        val = val + cx * cy * oracle.eval_words(wx, wy)
+                if not val.is_zero:
+                    bad.append((x, y))
+    return bad
 
 
 @pytest.mark.parametrize(
@@ -303,16 +412,23 @@ def _double_entry(entry):
 )
 def test_rform_relation_kills_catch_a_broken_table(entry, broken):
     # a generator value that breaks an FRT relation: the diagonal entry
-    # doubled, or t where the table holds 0
-    ev = RFormEvaluator(2)
+    # doubled, or t where the table holds 0; the root oracle, with the same
+    # mutation of its table t R, fails on the same pairs
+    ev = _suq_evaluator(2)
     _double_entry(entry)(ev)
-    assert len(_relation_kills_failing(ev)) == broken
+    bad = _relation_kills_failing(ev)
+    assert len(bad) == broken
+    oracle, t = _root_oracle(2)
+    old = oracle._table[entry]
+    oracle._table[entry] = t if old.is_zero else old + old
+    rebase = lambda p: NcPoly({w: c.compose(t ** -2) for w, c in p.terms.items()})  # noqa: E731
+    assert _oracle_kills_failing(oracle) == [(rebase(x), rebase(y)) for x, y in bad]
 
 
 def _reference_commutation_samples(N, sample=20, seed=0):
     """The commutation law on seeded degree-2 word pairs: what ``check_cqt``
     sampled before it proved the law from generators and relation kills."""
-    ev = rmatrix.RFormEvaluator(N)
+    ev = rmatrix.RFormEvaluator(build("suq", N))
     gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     rng = random.Random(seed)
     failing = []
@@ -326,7 +442,7 @@ def _reference_commutation_samples(N, sample=20, seed=0):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_proved_commutation_law_holds_on_degree2_samples(N):
-    stats = check_cqt(N)
+    stats = check_cqt(build("suq", N))
     assert stats["relation_kills"] == {2: 56, 3: 666}[N]
     assert stats["hopf_hypotheses"]["antipode_checked"]
     assert "degree2_samples" not in stats
@@ -356,18 +472,76 @@ def test_check_cqt_catches_a_broken_hypothesis(monkeypatch, mutate, axiom):
     # commutation law, and a doubled S(u12) fails the Hopf hypotheses (H1)
     make = rmatrix.RFormEvaluator
 
-    def mutated(N):
-        ev = make(N)
+    def mutated(P):
+        ev = make(P)
         mutate(ev)
         return ev
 
     monkeypatch.setattr(rmatrix, "RFormEvaluator", mutated)
     with pytest.raises(AxiomFails) as exc:
-        check_cqt(2)
+        check_cqt(build("suq", 2))
     assert exc.value.axiom == axiom
     # the sampled degree-2 law sees the commutation-law mutation too
     if axiom == "commutation-law":
         assert _reference_commutation_samples(2) != []
+
+
+def test_check_cqt_catches_a_broken_star():
+    # the star enters neither H1, H2 nor the two laws: a doubled u12* breaks
+    # reality on a generator pair, r(u21, u12) = r(u12*, u21*)
+    P = build("suq", 2)
+    P.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
+    with pytest.raises(AxiomFails) as exc:
+        check_cqt(P)
+    assert exc.value.axiom == "reality"
+    assert hopf.star_lemma(P) is None
+
+
+def _with_changed_relation(P):
+    """A copy of P whose first rule u21 u11 -> q^-1 u11 u21 also subtracts
+    the relation of u12 u11: another polynomial, the same ideal."""
+    first, *rest = P.system.rules
+    assert first.lhs == (u(2, 1), u(1, 1))
+    other = NcPoly.monomial((u(1, 2), u(1, 1))) - NcPoly.monomial((u(1, 1), u(1, 2)), q ** (-1))
+    P2 = copy.copy(P)
+    P2.system = RewriteSystem(P.system.order, [Rule(first.lhs, first.rhs + other)] + rest)
+    return P2
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_reality_in_every_degree_needs_the_star_lemma(N):
+    # as built, the star lemma holds and reality extends to every degree;
+    # with a relation rewritten (the same ideal) the lemma is out of scope
+    # and reality is claimed on generator pairs only
+    P = build("suq", N)
+    report = check_cqt(P)
+    assert report["reality"] == "all-degrees"
+    assert report["star_hypotheses"] == hopf.star_lemma(P)
+    assert "star-is-antipode-of-transpose" in report["star_hypotheses"]
+    report = check_cqt(_with_changed_relation(build("suq", N)))
+    assert (report["reality"], report["star_hypotheses"]) == ("generators", [])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_reality_holds_beyond_generators(N):
+    # what the induction proves, seen on seeded words of length up to 3:
+    # r(a, b) = r(b*, a*), with the star antimultiplicative
+    P = build("suq", N)
+    ev = RFormEvaluator(P)
+    gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    # the diagonal generators drawn more often, as most values vanish
+    gens += [u(i, i) for i in range(1, N + 1)] * N
+    rng = random.Random(10 + N)
+    nonzero = 0
+    for _ in range(24):
+        a = tuple(rng.choice(gens) for _ in range(rng.randint(1, 3 if N == 2 else 2)))
+        b = tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))
+        lhs = ev.eval(NcPoly.monomial(a), NcPoly.monomial(b))
+        rhs = ev.eval(P.anti_extend(NcPoly.monomial(b), P.star),
+                      P.anti_extend(NcPoly.monomial(a), P.star))
+        assert lhs == rhs, (a, b)
+        nonzero += bool(lhs)
+    assert nonzero == {2: 10, 3: 5}[N]
 
 
 def test_eigenspace_orthogonality():

@@ -99,24 +99,19 @@ class TestEvaluation:
             return
         assert lhs == a.eval_at(Fraction(1, 3)) * b.eval_at(Fraction(1, 3))
 
+    def test_compose_substitutes_a_power(self):
+        # rform prints an r-form value in t by substituting q = t^-N
+        t = Scalar.variable()
+        assert (q ** 2 - ONE).compose(t ** -2) == t ** -4 - ONE
+        s = (q ** 2 + ONE) / (q - ONE)
+        assert s.compose(t ** -3) == (t ** -6 + ONE) / (t ** -3 - ONE)
+        assert s.compose(t ** -3).eval_at(2) == s.eval_at(Fraction(1, 8))
+
 
 class TestContexts:
     def test_standard_binding(self):
         ctx = DeformationContext.standard()
         assert ctx.q == Scalar.variable()
-        assert ctx.t is None
-
-    def test_root_binding(self):
-        ctx = DeformationContext.with_root(3)
-        assert ctx.t == Scalar.variable()
-        # t^N = q^-1
-        assert ctx.t ** 3 == ctx.q.inverse()
-
-    def test_rebase(self):
-        ctx = DeformationContext.with_root(2)
-        plain = DeformationContext.standard()
-        s = plain.q ** 2 - ONE
-        assert ctx.rebase(s) == ctx.q ** 2 - ONE
 
     def test_qnum(self):
         ctx = DeformationContext.standard()

@@ -12,7 +12,6 @@ from qsphere.spectrum import (
     d_eigenvalue,
     dim_irrep,
     enumerate_gt,
-    perp_constraint,
     spectrum_with_multiplicities,
 )
 
@@ -97,13 +96,6 @@ def test_spectrum_n2_flagged():
     out = spectrum_with_multiplicities(2, 2)
     assert out["status"] == "flagged"
     assert out["note"]
-
-
-def test_perp_constraint():
-    assert perp_constraint(3, 2, 1, 0)
-    assert perp_constraint(3, 2, 1, 1)
-    assert not perp_constraint(3, 2, 1, 2)
-    assert not perp_constraint(3, 2, 1, -1)
 
 
 def test_bigraded_dimension_and_rank():
