@@ -127,6 +127,24 @@ def test_mq_relations_span_the_frt_entries(N):
     assert rank(rows(flip + rels)) > len(rels)
 
 
+def _is_comodule_morphism(T, N, coeff):
+    """Is T a comodule morphism of V (x) V for the matrix coaction
+    phi(e_i) = sum_j e_j (x) u^j_i over coeff?  That is: every entry of
+    T U - U T is zero in coeff, decided by its normal form."""
+    return all(coeff.is_zero_elem(x) for x in _frt_entries(N, T))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_rhat_is_comodule_morphism(N):
+    mq = build("mq", N)
+    assert _is_comodule_morphism(rhat(N), N, mq)
+
+
+def test_flip_is_not_comodule_morphism():
+    mq = build("mq", 2)
+    assert not _is_comodule_morphism(_flip(2), 2, mq)
+
+
 # -- r-form -----------------------------------------------------------------
 
 
