@@ -12,10 +12,11 @@ from qsphere.hopf import (
     build_u_morphism,
     check_form_preservation,
     check_intertwine,
+    embed_sphere,
     solve_invariant_form,
 )
 from qsphere.parser import render, render_scalar
-from qsphere.presentations import build, build_free_matrix, build_torus, embed_sphere
+from qsphere.presentations import build, build_free_matrix, build_torus
 
 phi = embed_sphere(2)
 print("sphere -> suq(2) embedding (verified relation-by-relation):")

@@ -13,7 +13,6 @@ from .freealg import DINV, EMPTY, NcPoly, TensorPoly, u, z, zs
 from .hopf import (
     Coaction,
     Morphism,
-    StructureMaps,
     antipode,
     build_coaction,
     build_u_morphism,
@@ -22,22 +21,22 @@ from .hopf import (
     check_intertwine,
     coproduct,
     counit,
+    embed_sphere,
     invariant_forms,
     solve_invariant_form,
+    star_laws,
     verify_hopf,
 )
 from .parser import parse_expr, render, render_scalar
 from .presentations import (
     Presentation,
+    StructureMaps,
     antipode_matrix,
     build,
     build_free_matrix,
     build_torus,
     check_central,
     check_matrix_identities,
-    check_star_closure,
-    check_star_involution,
-    embed_sphere,
     invariant_form_matrix,
     quantum_determinant,
 )

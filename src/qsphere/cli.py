@@ -57,8 +57,8 @@ def _check_confluence(P, args):
     return ("pass" if rep.confluent else "fail", d, None)
 
 
-def _check_star_closure(P, args):
-    laws = presentations.star_laws(P)
+def _check_star_laws(P, args):
+    laws = hopf.star_laws(P)
     ok = laws["closure"] and laws["involution"]
     details = {
         "closure_and_involution": ok,
@@ -115,7 +115,7 @@ def _check_coaction(P, args):
     suq = presentations.build("suq", P.N, P.ctx)
     uq = presentations.build("uq", P.N, P.ctx, aux=suq.aux)
     maps = {
-        "embedding": presentations.embed_sphere(P.N, P.ctx, sphere=P, target=suq),
+        "embedding": hopf.embed_sphere(P.N, P.ctx, sphere=P, target=suq),
         "deltaR": hopf.build_coaction("deltaR", P.N, P.ctx, sphere=P, coeff=suq),
         "rho_u": hopf.build_coaction("rho_u", P.N, P.ctx, sphere=P, coeff=uq),
     }
@@ -161,7 +161,7 @@ def _check_spectrum(P, args):
 # name -> (check, algebras it applies to, least N it applies to)
 CHECKS = {
     "confluence": (_check_confluence, ALGEBRAS, 1),
-    "star-laws": (_check_star_closure, ("sphere", "suq", "uq"), 1),
+    "star-laws": (_check_star_laws, ("sphere", "suq", "uq"), 1),
     "hecke-eq11": (_check_hecke, ALGEBRAS, 1),
     "kernel-lemma67": (_check_kernel, ("sphere",), 1),
     "det-central-rem36": (_check_det_central, ("mq", "uq"), 1),

@@ -41,17 +41,81 @@ def word_name(w) -> str:
     return "1" if not w else "*".join(gen_name(g) for g in w)
 
 
-class NcPoly:
-    """Finite formal sum of scalar-weighted words; zero coefficients dropped."""
+class LinearSum:
+    """Finite formal sum of scalar-weighted keys, zero coefficients dropped:
+    the linear structure that ``NcPoly`` (keys are words) and ``TensorPoly``
+    (keys are word pairs) share.  Each subclass supplies its product and
+    ``unit``."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
 
-    @staticmethod
-    def zero() -> "NcPoly":
-        return NcPoly()
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def extend(cls, a: "NcPoly", table: dict, reverse: bool = False):
+        """Image of ``a`` under the map of the free algebra that sends each
+        generator g to table[g], an element of ``cls``, and fixes scalars.
+        The images of a word's letters are multiplied in order, or in
+        reverse order for an antimultiplicative map (``reverse``).  Nothing
+        is reduced: the result lives in the free algebra."""
+        out = cls()
+        for w, c in a.terms.items():
+            img = cls.unit(c)
+            for g in reversed(w) if reverse else w:
+                img = img * table[g]
+            for k, c2 in img.terms.items():
+                out._iadd_term(k, c2)
+        return out
+
+    def _iadd_term(self, key, coeff):
+        cur = self.terms.get(key)
+        if cur is None:
+            if not coeff.is_zero:
+                self.terms[key] = coeff
+        else:
+            s = cur + coeff
+            if s.is_zero:
+                del self.terms[key]
+            else:
+                self.terms[key] = s
+
+    def __add__(self, other):
+        out = type(self)(self.terms)
+        for k, c in other.terms.items():
+            out._iadd_term(k, c)
+        return out
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        out = type(self)(self.terms)
+        for k, c in other.terms.items():
+            out._iadd_term(k, -c)
+        return out
+
+    def scale(self, coeff: Scalar):
+        if coeff.is_zero:
+            return type(self)()
+        return type(self)({k: c * coeff for k, c in self.terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+
+class NcPoly(LinearSum):
+    """Finite formal sum of scalar-weighted words."""
+
+    __slots__ = ()
 
     @staticmethod
     def unit(coeff: Scalar = ONE) -> "NcPoly":
@@ -68,35 +132,6 @@ class NcPoly:
     def gen(g, coeff: Scalar = ONE) -> "NcPoly":
         return NcPoly.monomial((g,), coeff)
 
-    # -- ring structure
-
-    def _iadd_term(self, word, coeff):
-        cur = self.terms.get(word)
-        if cur is None:
-            if not coeff.is_zero:
-                self.terms[word] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero:
-                del self.terms[word]
-            else:
-                self.terms[word] = s
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = NcPoly(self.terms)
-        for w, c in other.terms.items():
-            out._iadd_term(w, c)
-        return out
-
-    def __neg__(self) -> "NcPoly":
-        return NcPoly({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        out = NcPoly(self.terms)
-        for w, c in other.terms.items():
-            out._iadd_term(w, -c)
-        return out
-
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         out = NcPoly()
         for w1, c1 in self.terms.items():
@@ -104,16 +139,7 @@ class NcPoly:
                 out._iadd_term(w1 + w2, c1 * c2)
         return out
 
-    def scale(self, coeff: Scalar) -> "NcPoly":
-        if coeff.is_zero:
-            return NcPoly()
-        return NcPoly({w: c * coeff for w, c in self.terms.items()})
-
     # -- inspection
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Maximal word length; -1 for the zero polynomial."""
@@ -128,9 +154,6 @@ class NcPoly:
             seen.update(w)
         return seen
 
-    def __eq__(self, other):
-        return isinstance(other, NcPoly) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
@@ -140,42 +163,26 @@ class NcPoly:
         parts = [f"{c!r}*{word_name(w)}" for w, c in sorted(self.terms.items())]
         return "NcPoly(" + " + ".join(parts) + ")"
 
-    # -- star
-
     def star(self, star_map: dict) -> "NcPoly":
         """Antimultiplicative extension of the generator star map.
 
         Scalars are real rational functions of the real parameter, so the
         coefficient conjugation is the identity.
         """
-        out = NcPoly()
-        for w, c in self.terms.items():
-            img = NcPoly.unit(c)
-            for g in reversed(w):
-                try:
-                    img = img * star_map[g]
-                except KeyError:
-                    raise UndefinedStar(f"no star image for {gen_name(g)}") from None
-            for w2, c2 in img.terms.items():
-                out._iadd_term(w2, c2)
-        return out
+        try:
+            return NcPoly.extend(self, star_map, reverse=True)
+        except KeyError as exc:
+            raise UndefinedStar(f"no star image for {gen_name(exc.args[0])}") from None
 
 
-class TensorPoly:
+class TensorPoly(LinearSum):
     """Finite formal sum of scalar-weighted word pairs (elements of A tensor H).
 
     The product is the plain componentwise one; no braiding is involved
     because coproducts and coactions land in genuine tensor products.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def zero() -> "TensorPoly":
-        return TensorPoly()
+    __slots__ = ()
 
     @staticmethod
     def unit(coeff: Scalar = ONE) -> "TensorPoly":
@@ -196,33 +203,6 @@ class TensorPoly:
                 out._iadd_term((w1, w2), c1 * c2)
         return out
 
-    def _iadd_term(self, key, coeff):
-        cur = self.terms.get(key)
-        if cur is None:
-            if not coeff.is_zero:
-                self.terms[key] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero:
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        out = TensorPoly(self.terms)
-        for k, c in other.terms.items():
-            out._iadd_term(k, c)
-        return out
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        out = TensorPoly(self.terms)
-        for k, c in other.terms.items():
-            out._iadd_term(k, -c)
-        return out
-
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
         out = TensorPoly()
         for (a1, h1), c1 in self.terms.items():
@@ -230,25 +210,9 @@ class TensorPoly:
                 out._iadd_term((a1 + a2, h1 + h2), c1 * c2)
         return out
 
-    def scale(self, coeff: Scalar) -> "TensorPoly":
-        if coeff.is_zero:
-            return TensorPoly()
-        return TensorPoly({k: c * coeff for k, c in self.terms.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def star(self, star_left: dict, star_right: dict) -> "TensorPoly":
         """Componentwise star on both legs."""
-        out = TensorPoly()
-        for (w1, w2), c in self.terms.items():
-            left = NcPoly.monomial(w1).star(star_left)
-            right = NcPoly.monomial(w2).star(star_right)
-            out2 = TensorPoly.of(left, right).scale(c)
-            for k, c2 in out2.terms.items():
-                out._iadd_term(k, c2)
-        return out
+        return self.map_legs(lambda a: a.star(star_left), lambda h: h.star(star_right))
 
     def map_legs(self, f_left, f_right) -> "TensorPoly":
         """Apply NcPoly -> NcPoly maps to each leg and recollect."""
@@ -260,9 +224,6 @@ class TensorPoly:
             for k, c2 in piece.terms.items():
                 out._iadd_term(k, c2)
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPoly) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

@@ -1,4 +1,5 @@
-"""Coalgebra structure maps, coactions, morphisms and the invariant form.
+"""Coalgebra structure maps, star laws, morphisms, coactions and the
+invariant form.
 
 The coproduct, counit and antipode of a presentation are stored on the
 generators and extended (anti)multiplicatively here.  The Hopf axioms are
@@ -23,22 +24,13 @@ from .freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from .linalg import nullspace
 from .presentations import (
     Presentation,
+    StructureMaps,
     build,
     check_central,
-    check_star_involution,
     matches_construction,
     quantum_determinant,
 )
 from .scalars import DeformationContext, ONE, ZERO, Scalar
-
-
-class StructureMaps:
-    """Coproduct, counit and antipode tables on the generators."""
-
-    def __init__(self, delta: dict, epsilon: dict, antipode: dict | None):
-        self.delta = delta  # generator -> TensorPoly
-        self.epsilon = epsilon  # generator -> Scalar
-        self.antipode = antipode  # generator -> NcPoly; None for plain bialgebras
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +46,13 @@ def _require_structure(P: Presentation) -> StructureMaps:
 
 def delta_word(word, P: Presentation) -> TensorPoly:
     """Coproduct of a single word in the free algebra (legs not normalized)."""
-    maps = _require_structure(P)
-    out = TensorPoly.unit()
-    for g in word:
-        out = out * maps.delta[g]
-    return out
+    return TensorPoly.extend(NcPoly.monomial(word), _require_structure(P).delta)
 
 
 def _free_coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
     """Multiplicative extension of the generator coproducts, legs as they
     come; ``tensor_zero`` decides it as it is."""
-    out = TensorPoly()
-    for w, c in a.terms.items():
-        piece = delta_word(w, P).scale(c)
-        for k, c2 in piece.terms.items():
-            out._iadd_term(k, c2)
-    return out
+    return TensorPoly.extend(a, _require_structure(P).delta)
 
 
 def coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
@@ -385,6 +368,34 @@ def _star_lemma(P: Presentation):
     ]
 
 
+def _star_involution(P: Presentation) -> bool:
+    """g** = g for every generator of P, which has a star: proved by
+    ``star_lemma`` where its hypotheses hold, else by the zero test on each
+    generator."""
+    return star_lemma(P) is not None or all(
+        P.equals(P.anti_extend(P.star[g], P.star), NcPoly.gen(g))
+        for g in P.generators
+    )
+
+
+def star_laws(P: Presentation) -> dict:
+    """Closure (the star of every relation is zero) and involution of the
+    star, both proved by ``star_lemma`` where its hypotheses hold, else
+    decided by the zero test on each relation and generator; says whether
+    the relation kills came from the lemma or the loops."""
+    hyps = star_lemma(P)
+    if hyps is not None:
+        return {"closure": True, "involution": True,
+                "relation_kills": "lemma", "hypotheses": hyps}
+    return {
+        "closure": P.star is None
+        or all(P.is_zero_elem(P.anti_extend(r, P.star)) for r in P.relations),
+        "involution": P.star is None or _star_involution(P),
+        "relation_kills": "loop",
+        "hypotheses": [],
+    }
+
+
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
@@ -414,7 +425,7 @@ def _star_step_by_construction(source, images, free_image, free_star, targets):
     The source star swaps generators in pairs (g, h), so star star = id on
     the free source algebra.  Checked: phi(star g) = star phi(g) as an
     equality in the free algebra, for g the first of each pair, and the
-    star of each target algebra is an involution (``check_star_involution``).
+    star of each target algebra is an involution (``_star_involution``).
     Then phi(star h) = phi(g) and star phi(h) = star phi(star g) =
     star star phi(g), which is phi(g) because star star is multiplicative and
     the identity on the target generators.
@@ -425,7 +436,7 @@ def _star_step_by_construction(source, images, free_image, free_star, targets):
     for g, _ in pairs:
         if free_image(source.star[g]) != free_star(images[g]):
             return None
-    if not all(check_star_involution(T) for T in targets):
+    if not all(_star_involution(T) for T in targets):
         return None
     return ["source-star-swaps-generators", "star-commutes-in-free-algebra",
             "target-star-involution"]
@@ -441,14 +452,7 @@ class Morphism:
         self.report = None  # set by verify
 
     def _free_apply(self, a: NcPoly) -> NcPoly:
-        out = NcPoly()
-        for w, c in a.terms.items():
-            img = NcPoly.unit(c)
-            for g in w:
-                img = img * self.images[g]
-            for w2, c2 in img.terms.items():
-                out._iadd_term(w2, c2)
-        return out
+        return NcPoly.extend(a, self.images)
 
     def apply(self, a: NcPoly) -> NcPoly:
         return self.target.reduce(self._free_apply(a))
@@ -492,14 +496,7 @@ class Coaction:
         self.report = None  # set by verify
 
     def _free_apply(self, a: NcPoly) -> TensorPoly:
-        out = TensorPoly()
-        for w, c in a.terms.items():
-            img = TensorPoly.unit(c)
-            for g in w:
-                img = img * self.images[g]
-            for k, c2 in img.terms.items():
-                out._iadd_term(k, c2)
-        return out
+        return TensorPoly.extend(a, self.images)
 
     def apply(self, a: NcPoly) -> TensorPoly:
         return self._free_apply(a).map_legs(self.source.reduce, self.coeff.reduce)
@@ -529,11 +526,9 @@ class Coaction:
             img = self.apply(NcPoly.gen(g))
             left = {}
             for (wb, wh), c in img.terms.items():
-                inner = TensorPoly.unit()
-                for gb in wb:
-                    inner = inner * self.images[gb]
+                inner = self._free_apply(NcPoly.monomial(wb, c))
                 for (wb2, wh2), c2 in inner.terms.items():
-                    _triple_add(left, (wb2, wh2, wh), c * c2)
+                    _triple_add(left, (wb2, wh2, wh), c2)
             right = _expand_delta_leg(img, H, 1)
             if not tensor_equal(left, right, legs3):
                 raise AxiomFails("coaction-coassociativity", word_name((g,)))
@@ -561,6 +556,29 @@ class Coaction:
             report["hypotheses"] = hyps or []
         self.report = report
         return report
+
+
+def embed_sphere(
+    N: int,
+    ctx: DeformationContext | None = None,
+    *,
+    sphere: Presentation | None = None,
+    target: Presentation | None = None,
+):
+    """The embedding of the sphere into suq(N): z_i -> u^1_i, z*_i -> S(u^i_1).
+    ``sphere`` and ``target``, if given, are used instead of new builds."""
+    if N < 2:
+        raise ValueError("embedding needs N >= 2")
+    ctx = ctx or DeformationContext.standard()
+    sphere = sphere or build("sphere", N, ctx)
+    target = target or build("suq", N, ctx)
+    images = {}
+    for i in range(1, N + 1):
+        images[z(i)] = NcPoly.gen(u(1, i))
+        images[zs(i)] = target.structure.antipode[u(i, 1)]
+    phi = Morphism(sphere, target, images)
+    phi.verify()
+    return phi
 
 
 def build_coaction(
@@ -651,10 +669,9 @@ def build_u_morphism(Q: Presentation, qmat, N: int | None = None) -> Morphism:
     det_image = tmp.apply(quantum_determinant(N, ctx))
     images = dict(subs)
     # the printed image of dinv is the normal form of the free expansion of
-    # S(det image): ``star`` with the antipode table is that expansion, as
-    # both are antimultiplicative and fix scalars.  A reduced antipode is
-    # not canonical, so its normal form can differ (21 terms on uq 3).
-    images[DINV] = Q.nf(det_image.star(_antipode_table(Q)))
+    # S(det image); a reduced antipode is not canonical, so its normal form
+    # can differ (21 terms on uq 3)
+    images[DINV] = Q.nf(NcPoly.extend(det_image, _antipode_table(Q), reverse=True))
     psi = Morphism(uq, Q, images)
     psi.verify()
     return psi

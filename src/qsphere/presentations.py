@@ -4,7 +4,9 @@
 group ``suq``, the unitary group ``uq`` (inverse determinant adjoined as the
 generator ``dinv``) and the odd sphere ``sphere``, each as a rewriting system
 with the orientation that makes all right-hand sides strictly smaller, plus
-star maps and coalgebra structure maps where the algebra carries them.
+star maps and coalgebra structure-map tables (``StructureMaps``) where the
+algebra carries them.  Here too are the quantum determinant and the exact
+zero test; ``hopf`` extends the tables and decides the laws they obey.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from itertools import permutations
 from .errors import IdentityFails
 from .freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from .rewrite import MonomialOrder, Rule, RewriteSystem
-from .scalars import DeformationContext, ONE, Scalar
+from .scalars import DeformationContext, ONE, ZERO, Scalar
+
+
+class StructureMaps:
+    """Coproduct, counit and antipode tables on the generators."""
+
+    def __init__(self, delta: dict, epsilon: dict, antipode: dict | None):
+        self.delta = delta  # generator -> TensorPoly
+        self.epsilon = epsilon  # generator -> Scalar
+        self.antipode = antipode  # generator -> NcPoly; None for plain bialgebras
 
 
 class Presentation:
@@ -31,7 +42,7 @@ class Presentation:
         ctx: DeformationContext,
         system: RewriteSystem,
         star: dict | None = None,
-        structure=None,  # hopf.StructureMaps
+        structure: StructureMaps | None = None,
         aux: "Presentation | None" = None,  # confluent companion (mq)
         det: NcPoly | None = None,  # the central determinant element
     ):
@@ -390,8 +401,6 @@ def build(
 def _standard_parts(name, N, ctx):
     """Rules, star table, structure maps and determinant of mq, suq or uq,
     as ``build`` makes them; None for any other name."""
-    from .hopf import StructureMaps
-
     q = ctx.q
     rules = _mq_rules(N, q)
     delta = _matrix_delta(N)
@@ -474,8 +483,6 @@ def _matrix_delta(N):
 
 
 def _matrix_epsilon(N):
-    from .scalars import ZERO
-
     return {
         u(i, j): (ONE if i == j else ZERO)
         for i in range(1, N + 1)
@@ -524,8 +531,6 @@ def check_central(x: NcPoly, P: Presentation) -> bool:
 
 def invariant_form_matrix(N: int, ctx: DeformationContext):
     """The diagonal scalar matrix diag(1, q^2, ..., q^(2(N-1))) / (q^(N-1) [N]_q)."""
-    from .scalars import ZERO
-
     norm = (ctx.q ** (N - 1)) * ctx.qnum(N)
     return [
         [
@@ -583,80 +588,6 @@ def check_matrix_identities(P: Presentation) -> dict:
     return report
 
 
-def _star_lemma(P: Presentation):
-    from .hopf import star_lemma
-
-    return star_lemma(P)
-
-
-def _star_closure_loop(P: Presentation) -> bool:
-    return all(P.is_zero_elem(P.anti_extend(r, P.star)) for r in P.relations)
-
-
-def _star_involution_loop(P: Presentation) -> bool:
-    return all(
-        P.equals(P.anti_extend(P.star[g], P.star), NcPoly.gen(g))
-        for g in P.generators
-    )
-
-
-def check_star_closure(P: Presentation) -> bool:
-    """Star of every defining relation is zero: proved by ``hopf.star_lemma``
-    where its hypotheses hold, else by the zero test on each relation."""
-    if P.star is None:
-        return True
-    return _star_lemma(P) is not None or _star_closure_loop(P)
-
-
-def check_star_involution(P: Presentation) -> bool:
-    """g** = g for every generator: proved by ``hopf.star_lemma`` where its
-    hypotheses hold, else by the zero test on each generator."""
-    if P.star is None:
-        return True
-    return _star_lemma(P) is not None or _star_involution_loop(P)
-
-
-def star_laws(P: Presentation) -> dict:
-    """Closure and involution of the star, the lemma tried once for both;
-    says whether the relation kills came from the lemma or the loops."""
-    if P.star is not None:
-        hyps = _star_lemma(P)
-        if hyps is not None:
-            return {"closure": True, "involution": True,
-                    "relation_kills": "lemma", "hypotheses": hyps}
-    return {
-        "closure": P.star is None or _star_closure_loop(P),
-        "involution": P.star is None or _star_involution_loop(P),
-        "relation_kills": "loop",
-        "hypotheses": [],
-    }
-
-
-def embed_sphere(
-    N: int,
-    ctx: DeformationContext | None = None,
-    *,
-    sphere: Presentation | None = None,
-    target: Presentation | None = None,
-):
-    """The embedding of the sphere into suq(N): z_i -> u^1_i, z*_i -> S(u^i_1).
-    ``sphere`` and ``target``, if given, are used instead of new builds."""
-    from .hopf import Morphism
-
-    if N < 2:
-        raise ValueError("embedding needs N >= 2")
-    ctx = ctx or DeformationContext.standard()
-    sphere = sphere or build("sphere", N, ctx)
-    target = target or build("suq", N, ctx)
-    images = {}
-    for i in range(1, N + 1):
-        images[z(i)] = NcPoly.gen(u(1, i))
-        images[zs(i)] = target.structure.antipode[u(i, 1)]
-    phi = Morphism(sphere, target, images)
-    phi.verify()
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # auxiliary presentations for the morphism builder presets
 # ---------------------------------------------------------------------------
@@ -664,8 +595,6 @@ def embed_sphere(
 
 def build_torus(N: int, ctx: DeformationContext | None = None) -> Presentation:
     """Laurent Hopf star-algebra on N commuting unitaries T_1..T_N."""
-    from .hopf import StructureMaps
-
     ctx = ctx or DeformationContext.standard()
     # T_i adjacent to its inverse so sorting makes cancellations visible
     prec = []
@@ -708,9 +637,6 @@ def build_free_matrix(N: int, ctx: DeformationContext | None = None) -> Presenta
     Satisfies the comatrix condition by construction but no FRT relation;
     used as the failing preset of the morphism builder.
     """
-    from .hopf import StructureMaps
-    from .scalars import ZERO
-
     ctx = ctx or DeformationContext.standard()
     A = [("a", i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     As = [("as", i, j) for i in range(1, N + 1) for j in range(1, N + 1)]

@@ -342,7 +342,7 @@ def _commutation_holds(ev: RFormEvaluator, wa, wb) -> bool:
 
 def check_cqt(P: Presentation) -> dict:
     """Prove the coquasitriangularity axioms of the r-form on the suq
-    presentation P, and check its reality and the braiding it induces.
+    presentation P, and check its reality.
 
     Every value is computed in Q(q), the coefficient field of P, as a
     t-value (``RFormEvaluator``), so no second presentation over Q(t) is
@@ -400,9 +400,6 @@ def check_cqt(P: Presentation) -> dict:
     eps(c*) = eps(c), from eps tau = eps.  The report says which holds
     (``reality``: ``all-degrees`` or ``generators``) and lists the
     hypotheses of the star lemma.
-
-    The braiding recomputed from the r-form is t R: its table equals R
-    entrywise, and it is hermitian exactly, R = R^T, as t and q are real.
     """
     ev = RFormEvaluator(P)
     N = P.N
@@ -444,19 +441,10 @@ def check_cqt(P: Presentation) -> dict:
                 raise AxiomFails("reality", (a, b))
     star_hypotheses = star_lemma(P)
 
-    # the braiding recomputed from the r-form equals t * R entrywise
-    sigma = ev.sigma_matrix()
-    if sigma != rhat(N, P.ctx):
-        raise AxiomFails("sigma-entrywise", N)
-    if sigma != transpose(sigma):
-        raise AxiomFails("sigma-hermitian", N)
-
     return {
         "generator_pairs": len(gens) ** 2,
         "relation_kills": kills,
         "hopf_hypotheses": hopf_report,
-        "sigma_entrywise": True,
-        "sigma_hermitian": True,
         "reality": "generators" if star_hypotheses is None else "all-degrees",
         "star_hypotheses": star_hypotheses or [],
     }

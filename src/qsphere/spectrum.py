@@ -9,8 +9,13 @@ triangular patterns with that top row.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import InvalidTopRow
+from .freealg import NcPoly, z, zs
+from .linalg import rank
+from .presentations import build
+from .scalars import DeformationContext
 
 
 def enumerate_gt(top_row):
@@ -107,13 +112,6 @@ def bigraded_dim_check(N: int, a: int, b: int, ctx=None) -> dict:
     """Compare the representation-theoretic dimension of the bidegree-(a, b)
     component against the rank, computed by rewriting, of the span of all
     products of a coordinates and b adjoint coordinates."""
-    from itertools import product
-
-    from .freealg import NcPoly, z, zs
-    from .linalg import rank
-    from .presentations import build
-    from .scalars import DeformationContext
-
     ctx = ctx or DeformationContext.standard()
     sphere = build("sphere", N, ctx)
     polys = []

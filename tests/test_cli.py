@@ -279,8 +279,6 @@ def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
                 "epsilon-antipode-as-built", "antipode-laws-on-generators",
             ],
         },
-        "sigma_entrywise": True,
-        "sigma_hermitian": True,
         "reality": "all-degrees",
         "star_hypotheses": [
             "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",

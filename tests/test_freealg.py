@@ -1,10 +1,13 @@
 """Noncommutative polynomials, tensors, and star maps."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qsphere.errors import UndefinedStar
 from qsphere.freealg import EMPTY, NcPoly, TensorPoly, gen_name, u, word_name, z, zs
+from qsphere.presentations import build
 from qsphere.scalars import ONE, Scalar
 
 GENS = [z(1), z(2), zs(1), zs(2)]
@@ -86,3 +89,43 @@ def test_tensor_map_legs():
     t = TensorPoly.of(NcPoly.gen(z(1)), NcPoly.gen(z(2)))
     out = t.map_legs(lambda p: p.scale(Scalar.from_int(2)), lambda p: p)
     assert out == TensorPoly.of(NcPoly.gen(z(1), Scalar.from_int(2)), NcPoly.gen(z(2)))
+
+
+# -- extension of generator tables ------------------------------------------
+
+
+def _random_poly(rng, gens):
+    p = NcPoly()
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+        p._iadd_term(word, Scalar.from_int(rng.randint(-3, 3)))
+    return p
+
+
+def _tables():
+    sphere, mq = build("sphere", 2), build("mq", 2)
+    return [
+        pytest.param(NcPoly, sphere.star, list(sphere.star), id="sphere-star"),
+        pytest.param(TensorPoly, mq.structure.delta, list(mq.structure.delta), id="mq-coproduct"),
+    ]
+
+
+@pytest.mark.parametrize("cls,table,gens", _tables())
+def test_extend_is_multiplicative_or_antimultiplicative(cls, table, gens):
+    rng = random.Random(1808)
+    for _ in range(20):
+        a, b = _random_poly(rng, gens), _random_poly(rng, gens)
+        assert cls.extend(a * b, table) == cls.extend(a, table) * cls.extend(b, table)
+        assert cls.extend(a * b, table, reverse=True) == (
+            cls.extend(b, table, reverse=True) * cls.extend(a, table, reverse=True)
+        )
+
+
+@pytest.mark.parametrize("cls,table,gens", _tables())
+def test_extend_sends_generators_to_their_images_and_fixes_scalars(cls, table, gens):
+    for g in gens:
+        for reverse in (False, True):
+            assert cls.extend(NcPoly.gen(g), table, reverse) == table[g]
+    c = Scalar.from_int(5)
+    assert cls.extend(NcPoly.unit(c), table) == cls.unit(c)
+    assert cls.extend(NcPoly(), table) == cls.zero()

@@ -19,8 +19,10 @@ from qsphere.hopf import (
     coproduct,
     counit,
     delta_word,
+    embed_sphere,
     invariant_forms,
     solve_invariant_form,
+    star_laws,
     tensor_equal,
     tensor_zero,
     verify_hopf,
@@ -30,10 +32,8 @@ from qsphere.presentations import (
     build,
     build_free_matrix,
     build_torus,
-    embed_sphere,
     invariant_form_matrix,
     quantum_determinant,
-    star_laws,
 )
 from qsphere.rewrite import Rule, RewriteSystem
 from qsphere.scalars import DeformationContext, ONE, ZERO, Scalar

@@ -10,7 +10,7 @@ import pytest
 
 from qsphere.errors import AlphabetMismatch
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
-from qsphere.hopf import antipode, tensor_zero
+from qsphere.hopf import antipode, embed_sphere, star_laws, tensor_zero
 from qsphere.presentations import (
     antipode_matrix,
     build,
@@ -18,10 +18,7 @@ from qsphere.presentations import (
     build_torus,
     check_central,
     check_matrix_identities,
-    check_star_closure,
-    check_star_involution,
     dinv_split,
-    embed_sphere,
     quantum_determinant,
 )
 from qsphere.scalars import DeformationContext, ONE, Scalar
@@ -110,9 +107,8 @@ def test_antipode_table_gl_has_dinv_factor():
                                     ("suq", 2), ("suq", 3),
                                     ("uq", 1), ("uq", 2)])
 def test_star_closure_and_involution(name, N):
-    P = build(name, N)
-    assert check_star_closure(P)
-    assert check_star_involution(P)
+    laws = star_laws(build(name, N))
+    assert laws["closure"] and laws["involution"]
 
 
 # -- exact zero testing beyond confluence -----------------------------------
@@ -480,8 +476,8 @@ def test_star_checks_catch_a_broken_table(name, N, mutate):
     P = build(name, N)
     P_bad = copy.copy(P)
     P_bad.star = mutate(P)
-    assert not check_star_closure(P_bad)
-    assert not check_star_involution(P_bad)
+    laws = star_laws(P_bad)
+    assert not laws["closure"] and not laws["involution"]
 
 
 def test_reduce_keeps_the_alphabet_check():

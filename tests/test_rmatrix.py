@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qsphere import hopf, presentations, rmatrix
 from qsphere.errors import AxiomFails
 from qsphere.freealg import NcPoly, u
-from qsphere.linalg import identity, is_zero_matrix, mat_mul, mat_scale, rank, zeros
+from qsphere.linalg import identity, is_zero_matrix, mat_mul, mat_scale, rank, transpose, zeros
 from qsphere.presentations import build
 from qsphere.rewrite import RewriteSystem, Rule
 from qsphere.rmatrix import (
@@ -311,6 +311,12 @@ def test_rform_matches_the_root_context_oracle(N, nonzero):
     assert ev.in_t(value) == want
 
 
+def test_rhat_is_symmetric():
+    # so the braiding, real for real q, is hermitian
+    for N in (2, 3, 4):
+        assert rhat(N) == transpose(rhat(N))
+
+
 def test_sigma_matrix_matches_scaled_braiding():
     # computed from the r-form, the braiding is t R; r_q gives R itself
     for N in (2, 3):
@@ -322,7 +328,8 @@ def test_sigma_matrix_matches_scaled_braiding():
 def test_cqt_n2():
     stats = check_cqt(build("suq", 2))
     assert stats["generator_pairs"] == 16
-    assert stats["sigma_entrywise"] and stats["sigma_hermitian"]
+    assert list(stats) == ["generator_pairs", "relation_kills", "hopf_hypotheses",
+                           "reality", "star_hypotheses"]
 
 
 def test_check_cqt_builds_no_presentation(monkeypatch):
