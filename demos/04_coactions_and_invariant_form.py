@@ -13,7 +13,7 @@ from qsphere.hopf import (
     check_form_preservation,
     check_intertwine,
     embed_sphere,
-    solve_invariant_form,
+    invariant_forms,
 )
 from qsphere.parser import render, render_scalar
 from qsphere.presentations import build, build_free_matrix, build_torus
@@ -27,8 +27,7 @@ for name in ("deltaR", "rho_u"):
     rho = build_coaction(name, 2)
     print(f"coaction {name}: verified (coefficients in {rho.coeff.name})")
 
-F = solve_invariant_form(2, "z_zstar")
-H = solve_invariant_form(2, "zstar_z")
+F, H = invariant_forms(2)
 print("invariant form, N = 2:")
 print("  F = diag(" + ", ".join(render_scalar(F[i][i]) for i in range(2)) + ")")
 print("  H = diag(" + ", ".join(render_scalar(H[i][i]) for i in range(2)) + ")")

@@ -23,7 +23,6 @@ from .hopf import (
     counit,
     embed_sphere,
     invariant_forms,
-    solve_invariant_form,
     star_laws,
     verify_hopf,
 )
@@ -50,7 +49,7 @@ from .rmatrix import (
     rhat,
     rhat_inverse,
 )
-from .scalars import ONE, ZERO, DeformationContext, Scalar
+from .scalars import ONE, QPARAM, ZERO, Scalar, qnum
 from .spectrum import (
     bigraded_dim_check,
     d_eigenvalue,

@@ -26,7 +26,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .freealg import NcPoly, u, word_name
-from .scalars import DeformationContext
+from .scalars import QPARAM, ZERO
 
 REPORT_VERSION = "1"
 
@@ -69,12 +69,12 @@ def _check_star_laws(P, args):
 
 
 def _check_hecke(P, args):
-    ok = rmatrix.check_hecke(P.N, P.ctx)
+    ok = rmatrix.check_hecke(P.N)
     return ("pass" if ok else "fail", {"N": P.N}, None)
 
 
 def _check_kernel(P, args):
-    info = rmatrix.mult_kernel(P.N, P.ctx)
+    info = rmatrix.mult_kernel(P.N)
     details = {
         "dim_kernel": info["dim_kernel"],
         "dim_image": info["dim_image"],
@@ -88,7 +88,7 @@ def _check_kernel(P, args):
 def _check_det_central(P, args):
     # decided in mq (on uq in its companion), which implies it in uq; the
     # facts are shared with the relation-kill lemmas of hopf-axioms
-    det = presentations.quantum_determinant(P.N, P.ctx)
+    det = presentations.quantum_determinant(P.N)
     details = {
         "central": hopf.det_fact(P, "central"),
         "grouplike": hopf.det_fact(P, "grouplike"),
@@ -112,12 +112,12 @@ def _check_matrix_identities(P, args):
 def _check_coaction(P, args):
     # one mq companion for both coefficient algebras, so the facts about D
     # memoised on it (``hopf.det_fact``) are computed once
-    suq = presentations.build("suq", P.N, P.ctx)
-    uq = presentations.build("uq", P.N, P.ctx, aux=suq.aux)
+    suq = presentations.build("suq", P.N)
+    uq = presentations.build("uq", P.N, aux=suq.aux)
     maps = {
-        "embedding": hopf.embed_sphere(P.N, P.ctx, sphere=P, target=suq),
-        "deltaR": hopf.build_coaction("deltaR", P.N, P.ctx, sphere=P, coeff=suq),
-        "rho_u": hopf.build_coaction("rho_u", P.N, P.ctx, sphere=P, coeff=uq),
+        "embedding": hopf.embed_sphere(P.N, sphere=P, target=suq),
+        "deltaR": hopf.build_coaction("deltaR", P.N, sphere=P, coeff=suq),
+        "rho_u": hopf.build_coaction("rho_u", P.N, sphere=P, coeff=uq),
     }
     details = {
         "embedding": True,
@@ -133,15 +133,14 @@ def _check_cqt(P, args):
 
 
 def _check_invariant_form(P, args):
-    N, ctx = P.N, P.ctx
-    F, H = hopf.invariant_forms(N, ctx, P)
-    E = presentations.invariant_form_matrix(N, ctx)
-    q = ctx.q
-    denom = sum((q ** (2 * m) for m in range(1, N + 1)), start=q - q)
-    c = q ** (2 * N) / denom
+    N = P.N
+    F, H = hopf.invariant_forms(N, P)
+    E = presentations.invariant_form_matrix(N)
+    denom = sum((QPARAM ** (2 * m) for m in range(1, N + 1)), start=ZERO)
+    c = QPARAM ** (2 * N) / denom
     ok_f = F == E
     ok_h = all(
-        (H[i][j] == (c if i == j else q - q)) for i in range(N) for j in range(N)
+        (H[i][j] == (c if i == j else ZERO)) for i in range(N) for j in range(N)
     )
     details = {
         "z_zstar_matches_diagonal_form": ok_f,
@@ -153,7 +152,7 @@ def _check_invariant_form(P, args):
 
 def _check_spectrum(P, args):
     out = spectrum.spectrum_with_multiplicities(P.N, args.max_eig)
-    bi = spectrum.bigraded_dim_check(P.N, 1, 1, P.ctx)
+    bi = spectrum.bigraded_dim_check(P.N, 1, 1)
     status = out["status"] if bi["equal"] else "fail"
     return (status, {"spectrum": out["spectrum"], "bigraded_1_1": bi}, None)
 
@@ -177,7 +176,7 @@ CHECKS = {
 def _numeric_checks(P, q0):
     """Extra sanity at a rational parameter value: the braiding eigenspaces
     are orthogonal there."""
-    ortho = rmatrix.check_eigenspace_orthogonality(P.N, q0, P.ctx)
+    ortho = rmatrix.check_eigenspace_orthogonality(P.N, q0)
     return (
         "pass" if ortho else "fail",
         {"q": str(q0), "eigenspace_orthogonality": ortho},
@@ -306,18 +305,17 @@ def cmd_rform(args) -> int:
 
 def cmd_morphism(args) -> int:
     N = args.N
-    ctx = DeformationContext.standard()
     if args.target == "identity":
-        Q = presentations.build("uq", N, ctx)
+        Q = presentations.build("uq", N)
         qmat = [[NcPoly.gen(u(i + 1, j + 1)) for j in range(N)] for i in range(N)]
     elif args.target == "torus":
-        Q = presentations.build_torus(N, ctx)
+        Q = presentations.build_torus(N)
         qmat = [
             [NcPoly.gen(("T", i + 1)) if i == j else NcPoly() for j in range(N)]
             for i in range(N)
         ]
     elif args.target == "free-fail":
-        Q = presentations.build_free_matrix(N, ctx)
+        Q = presentations.build_free_matrix(N)
         qmat = [[NcPoly.gen(("a", i + 1, j + 1)) for j in range(N)] for i in range(N)]
     else:
         print(f"unknown preset {args.target!r}", file=sys.stderr)

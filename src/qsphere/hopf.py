@@ -30,7 +30,7 @@ from .presentations import (
     matches_construction,
     quantum_determinant,
 )
-from .scalars import DeformationContext, ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def det_fact(P: Presentation, fact: str) -> bool:
     if fact not in checks:
         raise ValueError(f"unknown determinant fact {fact!r}")
     return mq.memo(
-        ("det", fact), lambda: checks[fact](quantum_determinant(mq.N, mq.ctx), mq)
+        ("det", fact), lambda: checks[fact](quantum_determinant(mq.N), mq)
     )
 
 
@@ -560,7 +560,6 @@ class Coaction:
 
 def embed_sphere(
     N: int,
-    ctx: DeformationContext | None = None,
     *,
     sphere: Presentation | None = None,
     target: Presentation | None = None,
@@ -569,9 +568,8 @@ def embed_sphere(
     ``sphere`` and ``target``, if given, are used instead of new builds."""
     if N < 2:
         raise ValueError("embedding needs N >= 2")
-    ctx = ctx or DeformationContext.standard()
-    sphere = sphere or build("sphere", N, ctx)
-    target = target or build("suq", N, ctx)
+    sphere = sphere or build("sphere", N)
+    target = target or build("suq", N)
     images = {}
     for i in range(1, N + 1):
         images[z(i)] = NcPoly.gen(u(1, i))
@@ -584,7 +582,6 @@ def embed_sphere(
 def build_coaction(
     name: str,
     N: int,
-    ctx: DeformationContext | None = None,
     *,
     sphere: Presentation | None = None,
     coeff: Presentation | None = None,
@@ -594,12 +591,11 @@ def build_coaction(
     builds, so that checks on several maps share their memoised verdicts."""
     if N < 2:
         raise ValueError("coactions need N >= 2")
-    ctx = ctx or DeformationContext.standard()
     algebras = {"deltaR": "suq", "rho_u": "uq"}
     if name not in algebras:
         raise ValueError(f"unknown coaction {name!r}")
-    sphere = sphere or build("sphere", N, ctx)
-    H = coeff or build(algebras[name], N, ctx)
+    sphere = sphere or build("sphere", N)
+    H = coeff or build(algebras[name], N)
     S = H.structure.antipode
     images = {}
     for i in range(1, N + 1):
@@ -633,7 +629,6 @@ def build_u_morphism(Q: Presentation, qmat, N: int | None = None) -> Morphism:
     verified.
     """
     N = N or len(qmat)
-    ctx = Q.ctx
     # (i) comatrix condition
     for i in range(N):
         for j in range(N):
@@ -649,7 +644,7 @@ def build_u_morphism(Q: Presentation, qmat, N: int | None = None) -> Morphism:
             if eps != (ONE if i == j else ZERO):
                 raise HypothesisFails("i", f"counit of entry ({i+1},{j+1})")
     # (ii) FRT relations
-    mq = build("mq", N, ctx)
+    mq = build("mq", N)
     subs = {u(i + 1, j + 1): qmat[i][j] for i in range(N) for j in range(N)}
     tmp = Morphism(mq, Q, subs)
     for rel in mq.relations:
@@ -665,8 +660,8 @@ def build_u_morphism(Q: Presentation, qmat, N: int | None = None) -> Morphism:
             if not Q.equals(acc, want):
                 raise HypothesisFails("iii", f"(q q*)_{i+1}{j+1}")
     # construct the morphism
-    uq = build("uq", N, ctx)
-    det_image = tmp.apply(quantum_determinant(N, ctx))
+    uq = build("uq", N)
+    det_image = tmp.apply(quantum_determinant(N))
     images = dict(subs)
     # the printed image of dinv is the normal form of the free expansion of
     # S(det image); a reduced antipode is not canonical, so its normal form
@@ -738,53 +733,30 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
     return [[v[col[(k, l)]] for l in range(1, N + 1)] for k in range(1, N + 1)]
 
 
-def _trace_normalized_form(N: int, P: Presentation):
-    """The z_zstar solution F, normalized to trace 1 (the unit relation of
-    the sphere)."""
+def invariant_forms(N: int, P: Presentation | None = None):
+    """The matrices of the Haar-induced inner products on the span of the
+    generators, as the unique normalized solutions (F, H) of the two
+    invariance systems, each solved once.
+
+    F, with F_{ij} ~ h(z_i z*_j), is normalized to trace 1 (the unit
+    relation of the sphere).  H, with H_{ij} ~ h(z*_i z_j), is normalized
+    through the rewriting link between the two variants: the corner entries
+    agree, H_NN = F_NN.
+    """
+    P = P or build("uq", N)
     F = _invariance_solution(N, P, "z_zstar")
     tr = ZERO
     for k in range(N):
         tr = tr + F[k][k]
     if tr.is_zero:
         raise Inconsistent("trace of the z_zstar solution vanishes")
-    return [[x / tr for x in row] for row in F]
-
-
-def invariant_forms(N: int, ctx: DeformationContext | None = None,
-                    P: Presentation | None = None):
-    """Both invariant forms (F, H), each invariance system solved once.
-
-    H is normalized through the rewriting link between the two variants:
-    the corner entries agree, H_NN = F_NN.
-    """
-    P = P or build("uq", N, ctx)
-    F = _trace_normalized_form(N, P)
+    F = [[x / tr for x in row] for row in F]
     H = _invariance_solution(N, P, "zstar_z")
     corner = H[N - 1][N - 1]
     if corner.is_zero:
         raise Inconsistent("corner entry of the zstar_z solution vanishes")
     scale = F[N - 1][N - 1] / corner
     return F, [[x * scale for x in row] for row in H]
-
-
-def solve_invariant_form(
-    N: int,
-    variant: str,
-    ctx: DeformationContext | None = None,
-    P: Presentation | None = None,
-):
-    """The matrix of the Haar-induced inner product on the span of the
-    generators, as the unique normalized solution of the invariance system.
-
-    ``z_zstar`` returns the matrix F with F_{ij} ~ h(z_i z*_j), normalized to
-    trace 1.  ``zstar_z`` returns H with H_{ij} ~ h(z*_i z_j), normalized as
-    in ``invariant_forms``.
-    """
-    if variant not in ("zstar_z", "z_zstar"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "zstar_z":
-        return invariant_forms(N, ctx, P)[1]
-    return _trace_normalized_form(N, P or build("uq", N, ctx))
 
 
 def check_form_preservation(rho: Coaction, hmat) -> bool:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError, IndexOutOfRange, UnknownGenerator
 from .freealg import DINV, EMPTY, NcPoly, gen_name
-from .scalars import ONE, Scalar
+from .scalars import QPARAM, Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
 
@@ -189,7 +189,7 @@ class _Parser:
 
     def _named(self, name: str, at: int) -> NcPoly:
         if name == "q":
-            return NcPoly.monomial(EMPTY, self.P.ctx.q)
+            return NcPoly.monomial(EMPTY, QPARAM)
         if name == "dinv" and DINV in self.P.generators:
             return NcPoly.gen(DINV)
         if name not in self.families:

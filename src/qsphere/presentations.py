@@ -16,7 +16,7 @@ from itertools import permutations
 from .errors import IdentityFails
 from .freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from .rewrite import MonomialOrder, Rule, RewriteSystem
-from .scalars import DeformationContext, ONE, ZERO, Scalar
+from .scalars import ONE, QPARAM, ZERO, qnum
 
 
 class StructureMaps:
@@ -39,7 +39,6 @@ class Presentation:
         self,
         name: str,
         N: int,
-        ctx: DeformationContext,
         system: RewriteSystem,
         star: dict | None = None,
         structure: StructureMaps | None = None,
@@ -48,7 +47,6 @@ class Presentation:
     ):
         self.name = name
         self.N = N
-        self.ctx = ctx
         self.system = system
         self.star = star
         self.structure = structure
@@ -250,26 +248,22 @@ def _inversions(pi) -> int:
     )
 
 
-def quantum_determinant(N: int, ctx: DeformationContext | None = None) -> NcPoly:
+def quantum_determinant(N: int) -> NcPoly:
     """Sum over permutations of (-q)^inversions times u^1_{pi(1)}..u^N_{pi(N)}."""
-    ctx = ctx or DeformationContext.standard()
-    mq = -ctx.q
     det = NcPoly()
     for pi in permutations(range(1, N + 1)):
         word = tuple(u(r, pi[r - 1]) for r in range(1, N + 1))
-        det._iadd_term(word, mq ** _inversions(pi))
+        det._iadd_term(word, (-QPARAM) ** _inversions(pi))
     return det
 
 
-def antipode_matrix(N: int, variant: str, ctx: DeformationContext | None = None):
+def antipode_matrix(N: int, variant: str):
     """N x N table of antipode images of the generators (quantum cofactors).
 
     Entry (i, j) is the image of u^i_j: the signed quantum minor obtained by
     deleting row j and column i, with sign (-q)^(i-j); the ``gl`` variant
     carries an extra left factor dinv.
     """
-    ctx = ctx or DeformationContext.standard()
-    mq = -ctx.q
     table = [[None] * N for _ in range(N)]
     for i in range(1, N + 1):
         for j in range(1, N + 1):
@@ -282,7 +276,7 @@ def antipode_matrix(N: int, variant: str, ctx: DeformationContext | None = None)
                 )
                 if variant == "gl":
                     word = (DINV,) + word
-                entry._iadd_term(word, mq ** (_inversions(pi) + i - j))
+                entry._iadd_term(word, (-QPARAM) ** (_inversions(pi) + i - j))
             table[i - 1][j - 1] = entry
     return table
 
@@ -292,9 +286,9 @@ def antipode_matrix(N: int, variant: str, ctx: DeformationContext | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _mq_rules(N, q):
-    qi = q ** (-1)
-    qq = q - qi
+def _mq_rules(N):
+    qi = QPARAM ** (-1)
+    qq = QPARAM - qi
     rules = []
     for k in range(1, N + 1):
         for i in range(1, N + 1):
@@ -322,16 +316,9 @@ def _mq_rules(N, q):
     return rules
 
 
-def _det_leading(N, ctx):
-    """Leading word of the quantum determinant and its coefficient."""
-    word = tuple(u(r, N + 1 - r) for r in range(1, N + 1))
-    coeff = (-ctx.q) ** (N * (N - 1) // 2)
-    return word, coeff
-
-
-def _sphere_rules(N, q):
-    qi = q ** (-1)
-    hop = qi * (q - qi)
+def _sphere_rules(N):
+    qi = QPARAM ** (-1)
+    hop = qi * (QPARAM - qi)
     rules = []
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
@@ -363,7 +350,6 @@ def _sphere_rules(N, q):
 def build(
     name: str,
     N: int,
-    ctx: DeformationContext | None = None,
     *,
     aux: Presentation | None = None,
 ) -> Presentation:
@@ -372,45 +358,44 @@ def build(
     so that presentations sharing it share its memoised verdicts."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    ctx = ctx or DeformationContext.standard()
-    q = ctx.q
 
     if name == "sphere":
         prec = [z(i) for i in range(1, N + 1)] + [zs(i) for i in range(N, 0, -1)]
         order = MonomialOrder(prec)
-        system = RewriteSystem(order, _sphere_rules(N, q))
+        system = RewriteSystem(order, _sphere_rules(N))
         star = {}
         for i in range(1, N + 1):
             star[z(i)] = NcPoly.gen(zs(i))
             star[zs(i)] = NcPoly.gen(z(i))
-        return Presentation("sphere", N, ctx, system, star=star)
+        return Presentation("sphere", N, system, star=star)
 
     if name not in ("mq", "suq", "uq"):
         raise ValueError(f"unknown presentation {name!r}")
-    rules, star, structure, det = _standard_parts(name, N, ctx)
+    rules, star, structure, det = _standard_parts(name, N)
     prec = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     if name == "uq":
         prec.append(DINV)
     system = RewriteSystem(MonomialOrder(prec), rules)
-    aux = None if name == "mq" else aux or build("mq", N, ctx)
+    aux = None if name == "mq" else aux or build("mq", N)
     return Presentation(
-        name, N, ctx, system, star=star, structure=structure, aux=aux, det=det,
+        name, N, system, star=star, structure=structure, aux=aux, det=det,
     )
 
 
-def _standard_parts(name, N, ctx):
+def _standard_parts(name, N):
     """Rules, star table, structure maps and determinant of mq, suq or uq,
     as ``build`` makes them; None for any other name."""
-    q = ctx.q
-    rules = _mq_rules(N, q)
+    rules = _mq_rules(N)
     delta = _matrix_delta(N)
     epsilon = _matrix_epsilon(N)
     if name == "mq":
         return rules, None, StructureMaps(delta, epsilon, None), None
     if name not in ("suq", "uq"):
         return None
-    det = quantum_determinant(N, ctx)
-    lead, c = _det_leading(N, ctx)
+    det = quantum_determinant(N)
+    # the leading word of D and its coefficient
+    lead = tuple(u(r, N + 1 - r) for r in range(1, N + 1))
+    c = (-QPARAM) ** (N * (N - 1) // 2)
     rest = det - NcPoly.monomial(lead, c)
     cinv = c.inverse()
     if name == "suq":
@@ -428,7 +413,7 @@ def _standard_parts(name, N, ctx):
         rules.append(Rule(lead + (DINV,), (NcPoly.unit() - rest * NcPoly.gen(DINV)).scale(cinv)))
         delta[DINV] = TensorPoly.monomial((DINV,), (DINV,))
         epsilon[DINV] = ONE
-    table = antipode_matrix(N, "sl" if name == "suq" else "gl", ctx)
+    table = antipode_matrix(N, "sl" if name == "suq" else "gl")
     star = {u(i, j): table[j - 1][i - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
     antipode = {u(i, j): table[i - 1][j - 1] for i in range(1, N + 1) for j in range(1, N + 1)}
     if name == "uq":
@@ -442,12 +427,12 @@ def _relation_set(rules):
 
 
 def matches_construction(P: Presentation) -> dict:
-    """Which parts of P are exactly what ``build`` makes for its name, N and
-    context: the relations (as a set of polynomials), each table, D and the
+    """Which parts of P are exactly what ``build`` makes for its name and N:
+    the relations (as a set of polynomials), each table, D and the
     mq companion.  Empty when P has no such construction or no structure
     maps.  The relation-kill lemmas of ``hopf`` apply only where this holds.
     """
-    parts = _standard_parts(P.name, P.N, P.ctx)
+    parts = _standard_parts(P.name, P.N)
     if parts is None or P.structure is None:
         return {}
     rules, star, maps, det = parts
@@ -529,12 +514,12 @@ def check_central(x: NcPoly, P: Presentation) -> bool:
     return True
 
 
-def invariant_form_matrix(N: int, ctx: DeformationContext):
+def invariant_form_matrix(N: int):
     """The diagonal scalar matrix diag(1, q^2, ..., q^(2(N-1))) / (q^(N-1) [N]_q)."""
-    norm = (ctx.q ** (N - 1)) * ctx.qnum(N)
+    norm = (QPARAM ** (N - 1)) * qnum(N)
     return [
         [
-            (ctx.q ** (2 * i)) / norm if i == j else ZERO
+            (QPARAM ** (2 * i)) / norm if i == j else ZERO
             for j in range(N)
         ]
         for i in range(N)
@@ -567,7 +552,7 @@ def check_matrix_identities(P: Presentation) -> dict:
             raise IdentityFails((label, bad[0]), bad[1])
         report[label] = True
     if P.name == "uq":
-        E = invariant_form_matrix(N, P.ctx)
+        E = invariant_form_matrix(N)
         # (E ubar E^-1)_{ik} = (E_i / E_k) (u^i_k)*; normalization cancels
         scaled = [
             [
@@ -593,9 +578,8 @@ def check_matrix_identities(P: Presentation) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_torus(N: int, ctx: DeformationContext | None = None) -> Presentation:
+def build_torus(N: int) -> Presentation:
     """Laurent Hopf star-algebra on N commuting unitaries T_1..T_N."""
-    ctx = ctx or DeformationContext.standard()
     # T_i adjacent to its inverse so sorting makes cancellations visible
     prec = []
     for i in range(1, N + 1):
@@ -628,16 +612,15 @@ def build_torus(N: int, ctx: DeformationContext | None = None) -> Presentation:
         antipode[t] = NcPoly.gen(ts)
         antipode[ts] = NcPoly.gen(t)
     structure = StructureMaps(delta=delta, epsilon=epsilon, antipode=antipode)
-    return Presentation("torus", N, ctx, system, star=star, structure=structure)
+    return Presentation("torus", N, system, star=star, structure=structure)
 
 
-def build_free_matrix(N: int, ctx: DeformationContext | None = None) -> Presentation:
+def build_free_matrix(N: int) -> Presentation:
     """Free star-algebra on N^2 symbols with matrix-style coalgebra maps.
 
     Satisfies the comatrix condition by construction but no FRT relation;
     used as the failing preset of the morphism builder.
     """
-    ctx = ctx or DeformationContext.standard()
     A = [("a", i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     As = [("as", i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     order = MonomialOrder(A + As)
@@ -660,4 +643,4 @@ def build_free_matrix(N: int, ctx: DeformationContext | None = None) -> Presenta
             epsilon[a] = ONE if i == j else ZERO
             epsilon[astar] = ONE if i == j else ZERO
     structure = StructureMaps(delta=delta, epsilon=epsilon, antipode=None)
-    return Presentation("free", N, ctx, system, star=star, structure=structure)
+    return Presentation("free", N, system, star=star, structure=structure)

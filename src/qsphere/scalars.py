@@ -1,11 +1,12 @@
 """Exact arithmetic in Q(v), the field of rational functions in one variable.
 
 All coefficients in the package live here.  The deformation parameter q is
-bound to the base variable v (q := v), so the coefficient domain is a plain
-rational-function field in one variable with arbitrary-precision integer
-coefficients.  The r-form, whose values lie in Q(t) with t^N = q^-1, is
-computed in Q(q) as well (``rmatrix.RFormEvaluator``); only ``rform`` prints
-its values in t, through ``Scalar.compose``.
+the base variable v itself, the constant ``QPARAM``, so the coefficient
+domain is a plain rational-function field in one variable with
+arbitrary-precision integer coefficients.  The r-form, whose values lie in
+Q(t) with t^N = q^-1, is computed in Q(q) as well
+(``rmatrix.RFormEvaluator``); only ``rform`` prints its values in t,
+through ``Scalar.compose``.
 
 Almost every coefficient the algebras produce is a Laurent polynomial, so an
 element is stored as v^val * cf(v) / dn(v) with cf(0) and dn(0) nonzero.
@@ -325,24 +326,10 @@ ZERO = _new(0, PZERO, PONE)
 ONE = _new(0, PONE, PONE)
 
 
-# ---------------------------------------------------------------------------
-# parameter bindings
-# ---------------------------------------------------------------------------
+# The deformation parameter q is the base variable v.
+QPARAM = Scalar.variable()
 
 
-class DeformationContext:
-    """Binding of the deformation parameter q to the base variable v."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: Scalar):
-        self.q = q
-
-    @staticmethod
-    def standard() -> "DeformationContext":
-        return DeformationContext(Scalar.variable())
-
-    def qnum(self, n: int) -> Scalar:
-        """The symmetric q-integer (q^n - q^-n)/(q - q^-1)."""
-        q = self.q
-        return (q ** n - q ** (-n)) / (q - q ** (-1))
+def qnum(n: int) -> Scalar:
+    """The symmetric q-integer (q^n - q^-n)/(q - q^-1)."""
+    return (QPARAM ** n - QPARAM ** (-n)) / (QPARAM - QPARAM ** (-1))

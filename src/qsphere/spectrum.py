@@ -15,7 +15,6 @@ from .errors import InvalidTopRow
 from .freealg import NcPoly, z, zs
 from .linalg import rank
 from .presentations import build
-from .scalars import DeformationContext
 
 
 def enumerate_gt(top_row):
@@ -25,25 +24,25 @@ def enumerate_gt(top_row):
     if any(a < b for a, b in zip(top, top[1:])) or (top and top[-1] < 0):
         raise InvalidTopRow(f"not weakly decreasing nonnegative: {top}")
 
-    def extend(rows):
-        cur = rows[-1]
-        if len(cur) == 1:
-            yield tuple(rows)
-            return
-        # next row interlaces: cur[j] >= nxt[j] >= cur[j+1]
-        def rec(j, partial):
-            if j == len(cur) - 1:
-                yield from extend(rows + [tuple(partial)])
-                return
-            lo, hi = cur[j + 1], cur[j]
-            for v in range(hi, lo - 1, -1):
-                yield from rec(j + 1, partial + [v])
-
-        yield from rec(0, [])
-
     if not top:
         return [()]
-    return list(extend([top]))
+    # depth-first on an explicit stack: a pattern is a path of entry
+    # choices, row by row and left to right, and each row's choices run
+    # from cur[j] down to cur[j + 1] (interlacing), so they are pushed in
+    # increasing order and the largest is popped first
+    out = []
+    stack = [((top,), ())]  # (rows so far, the next row so far)
+    while stack:
+        rows, partial = stack.pop()
+        cur = rows[-1]
+        j = len(partial)
+        if len(cur) == 1:
+            out.append(rows)
+        elif j == len(cur) - 1:
+            stack.append((rows + (partial,), ()))
+        else:
+            stack.extend((rows, partial + (v,)) for v in range(cur[j + 1], cur[j] + 1))
+    return out
 
 
 def _top_row(N: int, n: int, k: int):
@@ -108,12 +107,11 @@ def bigraded_dimension(N: int, a: int, b: int) -> int:
     return sum(dim_irrep(N, a - j, b - j) for j in range(0, min(a, b) + 1))
 
 
-def bigraded_dim_check(N: int, a: int, b: int, ctx=None) -> dict:
+def bigraded_dim_check(N: int, a: int, b: int) -> dict:
     """Compare the representation-theoretic dimension of the bidegree-(a, b)
     component against the rank, computed by rewriting, of the span of all
     products of a coordinates and b adjoint coordinates."""
-    ctx = ctx or DeformationContext.standard()
-    sphere = build("sphere", N, ctx)
+    sphere = build("sphere", N)
     polys = []
     words = set()
     for zi in product(range(1, N + 1), repeat=a):

@@ -18,7 +18,7 @@ from qsphere.hopf import (
     check_intertwine,
     counit,
     embed_sphere,
-    solve_invariant_form,
+    invariant_forms,
     verify_hopf,
 )
 from qsphere.errors import HypothesisFails
@@ -32,13 +32,12 @@ from qsphere.presentations import (
     quantum_determinant,
 )
 from qsphere.rmatrix import check_cqt, check_hecke, mult_kernel, rhat, RFormEvaluator
-from qsphere.scalars import DeformationContext, ONE, ZERO
+from qsphere.scalars import ONE, QPARAM, ZERO
 from qsphere.spectrum import bigraded_dim_check, d_eigenvalue, spectrum_with_multiplicities
 
 import pytest
 
-ctx = DeformationContext.standard()
-q = ctx.q
+q = QPARAM
 
 
 def _ok(name, detail):
@@ -155,8 +154,7 @@ def test_10_invariant_form():
                 assert P.equals(accF, NcPoly.unit(F[i - 1][j - 1]) if i == j else NcPoly())
                 assert P.equals(accH, NcPoly.unit(H[i - 1][j - 1]) if i == j else NcPoly())
         # and the solver recovers exactly these matrices
-        assert solve_invariant_form(N, "z_zstar") == F
-        assert solve_invariant_form(N, "zstar_z") == H
+        assert invariant_forms(N) == (F, H)
     _ok("invariant-form", "closed-form F and H verified and uniquely solved, N=1,2,3")
 
 

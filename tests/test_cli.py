@@ -138,6 +138,17 @@ def test_spectrum_n2_flagged(capsys):
     assert "flagged" in out
 
 
+def test_spectrum_at_large_n(capsys):
+    # Gelfand-Tsetlin patterns at N = 60 nest past the recursion limit
+    code, out, err = run(capsys, "spectrum", "--N", "60", "--max-eig", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "eigenvalue -1: multiplicity 60",
+        "eigenvalue 0: multiplicity 1",
+        "eigenvalue 1: multiplicity 60",
+    ]
+
+
 def test_rform_command(capsys):
     code, out, _ = run(
         capsys, "rform", "--N", "2", "--left", "u[1,1]", "--right", "u[1,1]"

@@ -21,7 +21,6 @@ from qsphere.hopf import (
     delta_word,
     embed_sphere,
     invariant_forms,
-    solve_invariant_form,
     star_laws,
     tensor_equal,
     tensor_zero,
@@ -36,10 +35,9 @@ from qsphere.presentations import (
     quantum_determinant,
 )
 from qsphere.rewrite import Rule, RewriteSystem
-from qsphere.scalars import DeformationContext, ONE, ZERO, Scalar
+from qsphere.scalars import ONE, QPARAM, ZERO, Scalar
 
-ctx = DeformationContext.standard()
-q = ctx.q
+q = QPARAM
 
 
 # -- structure maps on generators -------------------------------------------
@@ -368,9 +366,9 @@ def test_hypotheses_catch_a_construction_broken_at_its_source(monkeypatch, facto
     cofactors = presentations.antipode_matrix
     monkeypatch.setattr(
         presentations, "antipode_matrix",
-        lambda N, variant, ctx=None: [
+        lambda N, variant: [
             [x.scale(factor(i, j)) for j, x in enumerate(row)]
-            for i, row in enumerate(cofactors(N, variant, ctx))
+            for i, row in enumerate(cofactors(N, variant))
         ],
     )
     for name in ("suq", "uq"):
@@ -389,8 +387,8 @@ def test_det_hypothesis_catches_a_wrong_determinant(monkeypatch):
 
     det = presentations.quantum_determinant
 
-    def doubled(N, ctx=None):
-        return det(N, ctx) + NcPoly.monomial(tuple(u(r, r) for r in range(1, N + 1)))
+    def doubled(N):
+        return det(N) + NcPoly.monomial(tuple(u(r, r) for r in range(1, N + 1)))
 
     monkeypatch.setattr(presentations, "quantum_determinant", doubled)
     monkeypatch.setattr(hopf, "quantum_determinant", doubled)
@@ -410,7 +408,7 @@ def test_star_lemma_needs_the_transpose_to_keep_the_ideal(monkeypatch, name):
 
     rules = presentations._mq_rules
     monkeypatch.setattr(
-        presentations, "_mq_rules", lambda N, q: rules(N, q) + [Rule((u(1, 2),), NcPoly())]
+        presentations, "_mq_rules", lambda N: rules(N) + [Rule((u(1, 2),), NcPoly())]
     )
     P = build(name, 2)
     assert verify_hopf(P)["relation_kills"] == "lemma"
@@ -627,26 +625,20 @@ def test_coaction_star_legs_match_free_expansion(name, N):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_invariant_form_closed_forms(N):
-    F = solve_invariant_form(N, "z_zstar")
-    assert F == invariant_form_matrix(N, ctx)
-    H = solve_invariant_form(N, "zstar_z")
+    F, H = invariant_forms(N)
+    assert F == invariant_form_matrix(N)
     c = q ** (2 * N) / sum((q ** (2 * m) for m in range(1, N + 1)), start=ZERO)
     for i in range(N):
         for j in range(N):
             assert H[i][j] == (c if i == j else ZERO)
-    assert invariant_forms(N) == (F, H)
 
 
 def test_form_preserved_by_coaction():
     rho = build_coaction("deltaR", 2)
-    H = solve_invariant_form(2, "zstar_z")
+    H = invariant_forms(2)[1]
     assert check_form_preservation(rho, H)
     # scaling preserves the invariance equation; a perturbed matrix fails
     bad = [[H[i][j] + (ONE if (i, j) == (0, 1) else ZERO) for j in range(2)]
            for i in range(2)]
     assert not check_form_preservation(rho, bad)
 
-
-def test_invariant_form_bad_variant():
-    with pytest.raises(ValueError):
-        solve_invariant_form(2, "nope")

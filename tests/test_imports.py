@@ -42,3 +42,33 @@ def test_imports_are_module_level_and_point_down_the_chain():
             assert id(node) in top, f"import inside a function or block at {where}"
             for target in _package_targets(node):
                 assert CHAIN.index(target) < here, f"{where} imports {target}"
+
+
+def _identifiers(tree):
+    """Every name a module binds or reads: definitions, parameters, imports,
+    names and attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_q_is_one_constant_with_no_context():
+    # the deformation parameter is scalars.QPARAM: no function takes a
+    # context argument and no module names a context class
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = fn.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                names = {p.arg for p in params if p is not None}
+                assert "ctx" not in names, f"{path.name}:{fn.lineno} takes ctx"
+        assert "DeformationContext" not in set(_identifiers(tree)), path.name

@@ -7,11 +7,11 @@ from qsphere.errors import ExprSyntaxError, IndexOutOfRange, QsphereError, Unkno
 from qsphere.freealg import DINV, EMPTY, NcPoly, u, z, zs
 from qsphere.parser import _Parser, parse_expr, render, render_scalar
 from qsphere.presentations import build
-from qsphere.scalars import ONE, Scalar
+from qsphere.scalars import ONE, QPARAM, Scalar
 
 sphere = build("sphere", 2)
 uq = build("uq", 2)
-q = sphere.ctx.q
+q = QPARAM
 
 
 def test_parse_generators():

@@ -21,10 +21,9 @@ from qsphere.presentations import (
     dinv_split,
     quantum_determinant,
 )
-from qsphere.scalars import DeformationContext, ONE, Scalar
+from qsphere.scalars import QPARAM, Scalar
 
-ctx = DeformationContext.standard()
-q = ctx.q
+q = QPARAM
 
 
 # -- rule counts ------------------------------------------------------------

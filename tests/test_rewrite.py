@@ -9,7 +9,6 @@ from qsphere.errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from qsphere.freealg import NcPoly, z, zs
 from qsphere.presentations import build, build_free_matrix
 from qsphere.rewrite import MonomialOrder, RewriteSystem, Rule
-from qsphere.scalars import DeformationContext, ONE
 
 A, B, C = ("g", 1), ("g", 2), ("g", 3)
 

@@ -1,4 +1,4 @@
-"""The exact coefficient field and parameter bindings."""
+"""The exact coefficient field and the deformation parameter."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.errors import PoleAtPoint
-from qsphere.scalars import ONE, ZERO, DeformationContext, Scalar
+from qsphere.scalars import ONE, QPARAM, ZERO, Scalar, qnum
 
-q = DeformationContext.standard().q
+q = QPARAM
 
 
 def _rand_scalar(num, den):
@@ -108,16 +108,14 @@ class TestEvaluation:
         assert s.compose(t ** -3).eval_at(2) == s.eval_at(Fraction(1, 8))
 
 
-class TestContexts:
-    def test_standard_binding(self):
-        ctx = DeformationContext.standard()
-        assert ctx.q == Scalar.variable()
+class TestDeformationParameter:
+    def test_q_is_the_base_variable(self):
+        assert QPARAM == Scalar.variable()
 
     def test_qnum(self):
-        ctx = DeformationContext.standard()
-        assert ctx.qnum(1) == ONE
-        assert ctx.qnum(2) == q + q ** (-1)
-        assert ctx.qnum(3) == q ** 2 + ONE + q ** (-2)
+        assert qnum(1) == ONE
+        assert qnum(2) == q + q ** (-1)
+        assert qnum(3) == q ** 2 + ONE + q ** (-2)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ def test_dim_irrep_values():
     assert dim_irrep(3, 2, 0) == 6
 
 
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+def test_dim_irrep_at_large_n_matches_weyl_formula(n, k):
+    # the patterns nest about N^2/2 choices deep, past the recursion limit
+    assert dim_irrep(60, n, k) == _weyl_dim((n + k,) + (k,) * 58 + (0,))
+
+
 @given(st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=25, deadline=None)
 def test_dim_symmetry(n, k):
