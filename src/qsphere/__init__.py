@@ -23,6 +23,7 @@ from .hopf import (
     counit,
     embed_sphere,
     invariant_forms,
+    solve_invariant_forms,
     star_laws,
     verify_hopf,
 )
@@ -56,6 +57,7 @@ from .spectrum import (
     dim_irrep,
     enumerate_gt,
     spectrum_with_multiplicities,
+    weyl_dim,
 )
 
 __version__ = "0.1.0"

@@ -134,7 +134,8 @@ def _check_cqt(P, args):
 
 def _check_invariant_form(P, args):
     N = P.N
-    F, H = hopf.invariant_forms(N, P)
+    out = hopf.solve_invariant_forms(N, P)
+    F, H = out["F"], out["H"]
     E = presentations.invariant_form_matrix(N)
     denom = sum((QPARAM ** (2 * m) for m in range(1, N + 1)), start=ZERO)
     c = QPARAM ** (2 * N) / denom
@@ -146,6 +147,8 @@ def _check_invariant_form(P, args):
         "z_zstar_matches_diagonal_form": ok_f,
         "zstar_z_scalar_matrix": ok_h,
         "scalar": parser.render_scalar(c),
+        "solve": out["solve"],
+        "systems": out["systems"],
     }
     return ("pass" if ok_f and ok_h else "fail", details, None)
 

@@ -7,6 +7,8 @@ verified by relation kills plus the laws on each generator, which proves
 them in every degree (see ``verify_hopf``).  On the standard presentations
 the kills of the coproduct, the antipode and the star are proved from
 generator-level lemmas; elsewhere each relation is mapped and tested.
+There too the torus bigrading leaves only the diagonal block of the
+invariant-form systems to solve (``_invariance_solution``).
 """
 
 from __future__ import annotations
@@ -689,24 +691,82 @@ def check_intertwine(psi: Morphism, rho_u: Coaction, rho: Coaction) -> bool:
 
 
 def _invariance_solution(N: int, P: Presentation, variant: str):
-    """Solve the invariance linear system over the scalar field.
+    """Solve one invariance linear system over the scalar field; returns
+    the solution matrix X and the size of the system solved.
 
     Unknowns X_{kl}; equations, per (i,j), compared word by word after
     ``P.zero_test_images``:
       zstar_z:  sum_{k,l} X_{kl} S(u^i_k) u^l_j = X_{ij} 1
       z_zstar:  sum_{k,l} X_{kl} u^k_i S(u^j_l) = X_{ij} 1
+
+    On suq and uq as ``build`` makes them (``matches_construction`` holds
+    in full) only the diagonal unknowns are solved for.  Give u^a_b
+    the bidegree (e_a; e_b) in Z^N x Z^N and dinv the bidegree -(1; 1),
+    with 1 = (1, ..., 1).  The argument rests on four facts, each pinned by
+    a test at N = 2, 3, 4 rather than checked at run time:
+
+    * the mq rules are homogeneous, so the mq normal form and ``reduce``
+      (which moves the central dinv letters aside) keep bidegrees;
+    * D is homogeneous of bidegree (1; 1), so the clearing step of the
+      zero test, core dinv^k -> core D^(M - k), shifts every word of one
+      call by the same M (1; 1) on uq.  On suq D = 1 and the shift
+      (M - len // N) (1; 1) varies, so there bidegrees count modulo (1; 1);
+    * the antipode entry S(u^i_k) has bidegree (-e_k; -e_i) (modulo (1; 1)
+      on suq, whose cofactors carry no dinv);
+    * 1 is not zero in P: its image under the exact zero test is D^M, a
+      nonzero mq normal form.
+
+    So the images of parts of different bidegree share no words, and an
+    equation holds exactly when it holds in each bidegree.  In equation
+    (i, j) of zstar_z the term in X_kl has bidegree (e_l - e_k; e_j - e_i)
+    and the unit term bidegree 0; in z_zstar, u^k_i S(u^j_l) has bidegree
+    (e_k - e_l; e_i - e_j).  Neither is 0, even modulo (1; 1), unless
+    k = l and i = j.  For i != j the unit term is alone in bidegree 0, so
+    X_ij = 0.  With the off-diagonal unknowns zero the system is
+    sum_k x_k S(u^i_k) u^k_j = delta_ij x_i for all (i, j) (likewise for
+    z_zstar), which is the full system restricted to diagonal matrices.
+    The two have isomorphic solution spaces, so ``Inconsistent`` and
+    ``SolutionNotUnique`` are raised in the same cases.  ``nullspace``
+    scales the solution to 1 at the last unknown in its support, the same
+    diagonal unknown in both column orders, so it is the same matrix.  The
+    reduced system takes N^3 products instead of N^4 (64 and 256 at
+    N = 4).  Elsewhere the full system is solved; it is also the test
+    oracle.
     """
+    return _solve_invariance(N, P, variant, _as_built(P))
+
+
+def _as_built(P: Presentation) -> bool:
+    """Does ``matches_construction`` hold in full on P?  Memoised on P."""
+
+    def compute():
+        same = matches_construction(P)
+        return bool(same) and all(same.values())
+
+    return P.memo(("as-built",), compute)
+
+
+def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):
     S = P.structure.antipode
-    unknowns = [(k, l) for k in range(1, N + 1) for l in range(1, N + 1)]
-    col = {kl: idx for idx, kl in enumerate(unknowns)}
+    idx = range(1, N + 1)
+    if graded:
+        unknowns = [(k, k) for k in idx]
+    else:
+        unknowns = [(k, l) for k in idx for l in idx]
+    col = {kl: c for c, kl in enumerate(unknowns)}
     rows = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
+    for i in idx:
+        for j in idx:
             if variant == "zstar_z":
                 polys = [S[u(i, k)] * NcPoly.gen(u(l, j)) for k, l in unknowns]
             else:
                 polys = [NcPoly.gen(u(k, i)) * S[u(j, l)] for k, l in unknowns]
-            *images, unit_side = P.zero_test_images(polys + [NcPoly.unit()])
+            # the unit term X_ij 1, absent where X_ij is known to be 0
+            target = col.get((i, j))
+            if target is not None:
+                polys.append(NcPoly.unit())
+            images = P.zero_test_images(polys)
+            unit_side = images.pop() if target is not None else NcPoly()
             words = set(unit_side.terms)
             for p in images:
                 words.update(p.terms)
@@ -714,13 +774,13 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
                 row = [p.coeff(w) for p in images]
                 cu = unit_side.coeff(w)
                 if not cu.is_zero:
-                    row[col[(i, j)]] = row[col[(i, j)]] - cu
+                    row[target] = row[target] - cu
                 if any(not x.is_zero for x in row):
                     rows.append(row)
     if rows:
         basis = nullspace(rows)
     else:
-        # no constraints at all: every matrix is invariant
+        # no constraints at all: every choice of the unknowns solves it
         basis = [
             [ONE if k == c else ZERO for k in range(len(unknowns))]
             for c in range(len(unknowns))
@@ -730,13 +790,22 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
     if len(basis) > 1:
         raise SolutionNotUnique(f"solution space has dimension {len(basis)}")
     v = basis[0]
-    return [[v[col[(k, l)]] for l in range(1, N + 1)] for k in range(1, N + 1)]
+    X = [[v[col[(k, l)]] if (k, l) in col else ZERO for l in idx] for k in idx]
+    system = {
+        "solve": "graded" if graded else "full",
+        "unknowns": len(unknowns),
+        "products": N * N * len(unknowns),
+        "rows": len(rows),
+    }
+    return X, system
 
 
-def invariant_forms(N: int, P: Presentation | None = None):
+def solve_invariant_forms(N: int, P: Presentation | None = None) -> dict:
     """The matrices of the Haar-induced inner products on the span of the
-    generators, as the unique normalized solutions (F, H) of the two
-    invariance systems, each solved once.
+    generators, as the unique normalized solutions F and H of the two
+    invariance systems, each solved once, with the way they were solved:
+    ``solve`` is ``"graded"`` or ``"full"`` (``_invariance_solution``) and
+    ``systems`` gives each system's unknowns, products and equation rows.
 
     F, with F_{ij} ~ h(z_i z*_j), is normalized to trace 1 (the unit
     relation of the sphere).  H, with H_{ij} ~ h(z*_i z_j), is normalized
@@ -744,19 +813,29 @@ def invariant_forms(N: int, P: Presentation | None = None):
     agree, H_NN = F_NN.
     """
     P = P or build("uq", N)
-    F = _invariance_solution(N, P, "z_zstar")
+    F, sys_f = _invariance_solution(N, P, "z_zstar")
     tr = ZERO
     for k in range(N):
         tr = tr + F[k][k]
     if tr.is_zero:
         raise Inconsistent("trace of the z_zstar solution vanishes")
     F = [[x / tr for x in row] for row in F]
-    H = _invariance_solution(N, P, "zstar_z")
+    H, sys_h = _invariance_solution(N, P, "zstar_z")
     corner = H[N - 1][N - 1]
     if corner.is_zero:
         raise Inconsistent("corner entry of the zstar_z solution vanishes")
     scale = F[N - 1][N - 1] / corner
-    return F, [[x * scale for x in row] for row in H]
+    H = [[x * scale for x in row] for row in H]
+    systems = {"z_zstar": sys_f, "zstar_z": sys_h}
+    solve = sys_f.pop("solve")
+    sys_h.pop("solve")
+    return {"F": F, "H": H, "solve": solve, "systems": systems}
+
+
+def invariant_forms(N: int, P: Presentation | None = None):
+    """The pair (F, H) of ``solve_invariant_forms``."""
+    out = solve_invariant_forms(N, P)
+    return out["F"], out["H"]
 
 
 def check_form_preservation(rho: Coaction, hmat) -> bool:

@@ -1,15 +1,17 @@
 """Dirac spectrum on the odd-dimensional quantum spheres.
 
-Multiplicities come from counting Gelfand-Tsetlin patterns: the bidegree
-(n, k) part of the sphere algebra carries the irreducible with highest
-weight (n + k, k, ..., k, 0), whose dimension is the number of interlacing
-triangular patterns with that top row.
+Multiplicities are dimensions of irreducibles: the bidegree (n, k) part of
+the sphere algebra carries the irreducible with highest weight
+(n + k, k, ..., k, 0), whose dimension is the number of interlacing
+triangular Gelfand-Tsetlin patterns with that top row.  ``dim_irrep`` takes
+it from Weyl's product formula; ``enumerate_gt`` lists the patterns and is
+the test oracle for the formula.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 from .errors import InvalidTopRow
 from .freealg import NcPoly, z, zs
@@ -51,13 +53,23 @@ def _top_row(N: int, n: int, k: int):
     return (n + k,) + (k,) * (N - 2) + (0,)
 
 
-@lru_cache(maxsize=None)
+def weyl_dim(top) -> int:
+    """Weyl's product formula for the dimension of the irreducible with
+    highest weight ``top``: with l_i = top_i + n - 1 - i for i < n, the
+    product of l_i - l_j over i < j divided by that of j - i.  It equals
+    the number of Gelfand-Tsetlin patterns with top row ``top``."""
+    n = len(top)
+    shifted = [top[i] + n - 1 - i for i in range(n)]
+    pairs = list(combinations(range(n), 2))
+    return prod(shifted[i] - shifted[j] for i, j in pairs) // prod(j - i for i, j in pairs)
+
+
 def dim_irrep(N: int, n: int, k: int) -> int:
     """Dimension of the bidegree-(n, k) irreducible summand: the count of
     patterns with top row (n+k, k, ..., k, 0) of length N."""
     if N < 2:
         raise InvalidTopRow("need N >= 2")
-    return len(enumerate_gt(_top_row(N, n, k)))
+    return weyl_dim(_top_row(N, n, k))
 
 
 def d_eigenvalue(n: int, k: int) -> int:

@@ -133,7 +133,7 @@ def test_09_cqt_structure():
 
 
 def test_10_invariant_form():
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4):
         P = build("uq", N)
         S = P.structure.antipode
         norm = sum((q ** (2 * i) for i in range(N)), start=ZERO)
@@ -155,7 +155,7 @@ def test_10_invariant_form():
                 assert P.equals(accH, NcPoly.unit(H[i - 1][j - 1]) if i == j else NcPoly())
         # and the solver recovers exactly these matrices
         assert invariant_forms(N) == (F, H)
-    _ok("invariant-form", "closed-form F and H verified and uniquely solved, N=1,2,3")
+    _ok("invariant-form", "closed-form F and H verified and uniquely solved, N=1..4")
 
 
 def test_11_morphism_builder():

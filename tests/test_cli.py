@@ -461,6 +461,19 @@ def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):
     assert sorted(calls) == ["z_zstar", "zstar_z"]
 
 
+def test_invariant_form_report_records_the_solve(capsys, tmp_path):
+    path = str(tmp_path / "report.json")
+    code, _, _ = run(capsys, "verify", "--algebra", "uq", "--N", "4",
+                     "--checks", "invariant-form-rem68", "--json", path)
+    assert code == 0
+    (report,) = json.load(open(path))
+    details = report["details"]
+    assert details["solve"] == "graded"
+    # the full solve: 16 unknowns, 256 products, 1,728 rows
+    system = {"unknowns": 4, "products": 64, "rows": 224}
+    assert details["systems"] == {"z_zstar": system, "zstar_z": system}
+
+
 def test_hopf_report_records_generators_checked(capsys, tmp_path):
     path = str(tmp_path / "report.json")
     code, _, _ = run(

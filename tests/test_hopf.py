@@ -5,7 +5,13 @@ import copy
 import pytest
 
 from qsphere import hopf
-from qsphere.errors import AxiomFails, HypothesisFails, MissingStructureMaps, StarViolation
+from qsphere.errors import (
+    AxiomFails,
+    HypothesisFails,
+    Inconsistent,
+    MissingStructureMaps,
+    StarViolation,
+)
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from qsphere.hopf import (
     Morphism,
@@ -631,6 +637,72 @@ def test_invariant_form_closed_forms(N):
     for i in range(N):
         for j in range(N):
             assert H[i][j] == (c if i == j else ZERO)
+
+
+def _bidegree(word, N):
+    """The torus bidegree of a word: u^a_b counts (e_a; e_b), dinv -(1; 1)."""
+    row, col = [0] * N, [0] * N
+    for g in word:
+        if g == DINV:
+            row = [x - 1 for x in row]
+            col = [x - 1 for x in col]
+        else:
+            row[g[1] - 1] += 1
+            col[g[2] - 1] += 1
+    return tuple(row), tuple(col)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_torus_bigrading_facts(N):
+    # the graded solve of hopf._invariance_solution rests on these: the mq
+    # rules are homogeneous, D has bidegree (1; 1) and S(u^i_k) has
+    # bidegree (-e_k; -e_i), on suq up to (1; 1)
+    for r in build("mq", N).system.rules:
+        assert len({_bidegree(w, N) for w in (r.lhs, *r.rhs.terms)}) == 1, r
+    ones = (1,) * N
+    assert {_bidegree(w, N) for w in quantum_determinant(N).terms} == {(ones, ones)}
+
+    def e(a, shift):
+        return tuple(shift - (b == a) for b in range(1, N + 1))
+
+    for name, shift in (("uq", 0), ("suq", 1)):
+        S = build(name, N).structure.antipode
+        for i in range(1, N + 1):
+            for k in range(1, N + 1):
+                degs = {_bidegree(w, N) for w in S[u(i, k)].terms}
+                assert degs == {(e(k, shift), e(i, shift))}, (name, i, k)
+
+
+@pytest.mark.parametrize("variant", ["z_zstar", "zstar_z"])
+@pytest.mark.parametrize("name", ["uq", "suq"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_graded_invariance_solve_matches_full_solve(N, name, variant):
+    P = build(name, N)
+    X, graded = hopf._solve_invariance(N, P, variant, True)
+    Y, full = hopf._solve_invariance(N, P, variant, False)
+    assert X == Y
+    assert (graded["unknowns"], graded["products"]) == (N, N ** 3)
+    assert (full["unknowns"], full["products"]) == (N * N, N ** 4)
+    assert graded["rows"] <= full["rows"]
+
+
+def test_invariance_solve_off_construction_is_full(monkeypatch):
+    # S(u^1_1) scaled by q^2 keeps every bidegree, so both solves still
+    # see the system as it is: it has only the zero solution
+    P = build("uq", 3)
+    _mutate(P, antipode={u(1, 1): P.structure.antipode[u(1, 1)].scale(q ** 2)})
+    for variant in ("z_zstar", "zstar_z"):
+        for graded in (True, False):
+            with pytest.raises(Inconsistent):
+                hopf._solve_invariance(3, P, variant, graded)
+    seen = []
+    solve = hopf._solve_invariance
+    monkeypatch.setattr(
+        hopf, "_solve_invariance", lambda *a: (seen.append(a[3]), solve(*a))[1]
+    )
+    with pytest.raises(Inconsistent):
+        invariant_forms(3, P)
+    assert seen == [False]
 
 
 def test_form_preserved_by_coaction():

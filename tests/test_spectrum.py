@@ -1,7 +1,5 @@
 """Gelfand-Tsetlin counting and the Dirac eigenvalue ledger."""
 
-from math import prod
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,15 +11,8 @@ from qsphere.spectrum import (
     dim_irrep,
     enumerate_gt,
     spectrum_with_multiplicities,
+    weyl_dim,
 )
-
-
-def _weyl_dim(top):
-    # independent oracle: product formula over pairs of shifted entries
-    n = len(top)
-    lam = [top[i] + n - 1 - i for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return prod(lam[i] - lam[j] for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 def test_gt_enumeration_small():
@@ -34,7 +25,8 @@ def test_gt_enumeration_small():
 @settings(max_examples=40, deadline=None)
 def test_gt_count_matches_weyl_formula(rows):
     top = tuple(sorted(rows, reverse=True))
-    assert len(enumerate_gt(top)) == _weyl_dim(top)
+    # enumeration is the oracle for the product formula dim_irrep uses
+    assert len(enumerate_gt(top)) == weyl_dim(top)
 
 
 def test_gt_interlacing_property():
@@ -65,7 +57,8 @@ def test_dim_irrep_values():
 @pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
 def test_dim_irrep_at_large_n_matches_weyl_formula(n, k):
     # the patterns nest about N^2/2 choices deep, past the recursion limit
-    assert dim_irrep(60, n, k) == _weyl_dim((n + k,) + (k,) * 58 + (0,))
+    top = (n + k,) + (k,) * 58 + (0,)
+    assert dim_irrep(60, n, k) == weyl_dim(top) == len(enumerate_gt(top))
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
