@@ -51,14 +51,7 @@ from .rmatrix import (
     rhat_inverse,
 )
 from .scalars import ONE, QPARAM, ZERO, Scalar, qnum
-from .spectrum import (
-    bigraded_dim_check,
-    d_eigenvalue,
-    dim_irrep,
-    enumerate_gt,
-    spectrum_with_multiplicities,
-    weyl_dim,
-)
+from .spectrum import d_eigenvalue, dim_irrep, spectrum_with_multiplicities, weyl_dim
 
 __version__ = "0.1.0"
 

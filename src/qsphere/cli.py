@@ -51,10 +51,14 @@ def _report(algebra, N, check, params, status, details, counterexample, ms):
 # ---------------------------------------------------------------------------
 
 
+def _certificate(P):
+    """The confluence certificate of P's rewriting system, once per P."""
+    return P.memo("confluence", P.system.check_confluence)
+
+
 def _check_confluence(P, args):
-    rep = P.system.check_confluence()
-    d = rep.to_dict()
-    return ("pass" if rep.confluent else "fail", d, None)
+    rep = _certificate(P)
+    return ("pass" if rep.confluent else "fail", rep.to_dict(), None)
 
 
 def _check_star_laws(P, args):
@@ -154,10 +158,27 @@ def _check_invariant_form(P, args):
 
 
 def _check_spectrum(P, args):
+    # Under the confluence certificate the normal words are a basis, and
+    # the one inhomogeneous relation, sum z_i z*_i = 1, only lowers
+    # bidegree, so the normal words with n letters z_i and k letters z*_i
+    # count the (n, k) summand: one count for each summand of the spectrum
     out = spectrum.spectrum_with_multiplicities(P.N, args.max_eig)
-    bi = spectrum.bigraded_dim_check(P.N, 1, 1)
-    status = out["status"] if bi["equal"] else "fail"
-    return (status, {"spectrum": out["spectrum"], "bigraded_1_1": bi}, None)
+    grade = {g: (1, 0) if g[0] == "z" else (0, 1) for g in P.generators}
+    counts = P.system.count_normal_words(grade, args.max_eig)
+    dims = {(s["n"], s["k"]): s["dim"] for e in out["spectrum"] for s in e["summands"]}
+    bidegrees = [
+        {"n": n, "k": k, "normal_words": counts.get((n, k), 0), "dim": dim}
+        for (n, k), dim in sorted(dims.items())
+    ]
+    confluent = _certificate(P).confluent
+    ok = confluent and all(b["normal_words"] == b["dim"] for b in bidegrees)
+    details = {
+        "spectrum": out["spectrum"],
+        "max_eig": args.max_eig,
+        "confluent": confluent,
+        "bidegrees": bidegrees,
+    }
+    return (out["status"] if ok else "fail", details, None)
 
 
 # name -> (check, algebras it applies to, least N it applies to)

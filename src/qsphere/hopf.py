@@ -747,7 +747,7 @@ def _as_built(P: Presentation) -> bool:
 
 
 def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):
-    S = P.structure.antipode
+    S = _antipode_table(P)
     idx = range(1, N + 1)
     if graded:
         unknowns = [(k, k) for k in idx]

@@ -12,6 +12,8 @@ vector-space basis.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from .freealg import EMPTY, NcPoly, word_name
 from .scalars import ONE
@@ -279,6 +281,11 @@ class RewriteSystem:
                                 )
         return AmbiguityReport(total, unresolved)
 
+    def _ends_in_lhs(self, word) -> bool:
+        """Does some rule's left side end at the last letter of ``word``?"""
+        n = len(word)
+        return any(word[n - L :] in self._lhs_index for L in self._lhs_lengths if L <= n)
+
     def enumerate_basis(self, max_degree: int):
         """Irreducible words grouped by degree, ascending within each degree.
 
@@ -294,12 +301,37 @@ class RewriteSystem:
                 for (g,) in gens:
                     cand = w + (g,)
                     # appending one letter can only create a redex at a suffix
-                    if not any(
-                        cand[-L:] == r.lhs
-                        for r in self.rules
-                        if (L := len(r.lhs)) <= len(cand)
-                    ):
+                    if not self._ends_in_lhs(cand):
                         level.append(cand)
             graded.append(level)
         return graded
 
+    def count_normal_words(self, grade: dict, max_degree: int) -> dict:
+        """The number of irreducible words of each grade among the words of
+        length at most ``max_degree``, counted without listing them.
+
+        ``grade`` maps each generator to a tuple of integers, and a word's
+        grade is the sum over its letters.  A word is irreducible exactly
+        when no rule's left side ends at any of its letters, so whether a
+        letter may be appended depends only on the word's last maxL - 1
+        letters (maxL the longest left side).  The count runs level by level
+        over (those letters, grade) pairs, as ``enumerate_basis`` runs over
+        words.  If confluence has not been certified these are only
+        spanning bounds.
+        """
+        keep = max(self._lhs_lengths, default=1) - 1
+        zero = tuple(0 for _ in next(iter(grade.values()), ()))
+        counts = {zero: 1}
+        level = {(EMPTY, zero): 1}  # (last letters, grade) -> words
+        for _ in range(max_degree):
+            nxt = {}
+            for (tail, deg), c in level.items():
+                for g in self.order.precedence:
+                    cand = tail + (g,)
+                    if not self._ends_in_lhs(cand):
+                        key = (cand[len(cand) - keep :], tuple(map(add, deg, grade[g])))
+                        nxt[key] = nxt.get(key, 0) + c
+            level = nxt
+            for (_, deg), c in level.items():
+                counts[deg] = counts.get(deg, 0) + c
+        return counts

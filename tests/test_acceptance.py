@@ -33,7 +33,8 @@ from qsphere.presentations import (
 )
 from qsphere.rmatrix import check_cqt, check_hecke, mult_kernel, rhat, RFormEvaluator
 from qsphere.scalars import ONE, QPARAM, ZERO
-from qsphere.spectrum import bigraded_dim_check, d_eigenvalue, spectrum_with_multiplicities
+from qsphere.spectrum import d_eigenvalue, spectrum_with_multiplicities
+from spectrum_oracles import bigraded_dim_check
 
 import pytest
 

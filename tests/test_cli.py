@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: output contracts and exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from qsphere import cli, hopf
+from qsphere import cli, hopf, presentations
 from qsphere.cli import REPORT_VERSION, main
+from qsphere.freealg import NcPoly
+from qsphere.rewrite import Ambiguity, AmbiguityReport, RewriteSystem
 
 
 def run(capsys, *argv):
@@ -459,6 +462,75 @@ def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):
                        "--checks", "invariant-form-rem68")
     assert (code, out) == (0, "invariant-form-rem68: pass\n")
     assert sorted(calls) == ["z_zstar", "zstar_z"]
+
+
+def _spectrum_report(capsys, tmp_path, N, *extra):
+    path = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", str(N),
+                       "--checks", "gt-spectrum-thm76", "--json", path, *extra)
+    (report,) = json.load(open(path))
+    return code, out, report
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_spectrum_check_counts_every_bidegree(capsys, tmp_path, N):
+    code, out, report = _spectrum_report(capsys, tmp_path, N)
+    status = "flagged" if N == 2 else "pass"
+    assert (code, out) == (0, f"gt-spectrum-thm76: {status}\n")
+    details = report["details"]
+    assert (details["max_eig"], details["confluent"]) == (2, True)
+    assert [(b["n"], b["k"]) for b in details["bidegrees"]] == [
+        (n, k) for n in range(3) for k in range(3 - n)
+    ]
+    summands = {(s["n"], s["k"]): s["dim"]
+                for e in details["spectrum"] for s in e["summands"]}
+    for b in details["bidegrees"]:
+        assert b["normal_words"] == b["dim"] == summands[(b["n"], b["k"])]
+
+
+def test_spectrum_check_fails_with_a_rule_dropped(capsys, tmp_path, monkeypatch):
+    # without z_N z*_N -> 1 - ..., the words z_i z*_j are all normal, and
+    # the (1, 1) count is N^2 where the summand has dimension N^2 - 1; the
+    # smaller system is still confluent, so the count alone fails it
+    rules = presentations._sphere_rules
+    monkeypatch.setattr(presentations, "_sphere_rules", lambda N: rules(N)[:-1])
+    code, out, report = _spectrum_report(capsys, tmp_path, 3)
+    assert (code, out) == (1, "gt-spectrum-thm76: fail\n")
+    details = report["details"]
+    assert details["confluent"]
+    wrong = [(b["n"], b["k"], b["normal_words"], b["dim"])
+             for b in details["bidegrees"] if b["normal_words"] != b["dim"]]
+    assert wrong == [(1, 1, 9, 8)]
+
+
+def test_spectrum_check_fails_without_the_confluence_certificate():
+    # every count matches, but without confluence the normal words are
+    # only a spanning set, and the count proves nothing
+    P = presentations.build("sphere", 3)
+    rule = P.system.rules[0]
+    bad = AmbiguityReport(1, [Ambiguity("overlap", 0, 0, rule.lhs, NcPoly.unit())])
+    P.memo("confluence", lambda: bad)
+    status, details, _ = cli._check_spectrum(P, argparse.Namespace(max_eig=2))
+    assert (status, details["confluent"]) == ("fail", False)
+    assert all(b["normal_words"] == b["dim"] for b in details["bidegrees"])
+
+
+def test_sphere_suite_certifies_confluence_once(capsys, monkeypatch):
+    calls = []
+    check = RewriteSystem.check_confluence
+    monkeypatch.setattr(RewriteSystem, "check_confluence",
+                        lambda self: (calls.append(self), check(self))[1])
+    code, _, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_spectrum_check_reaches_n6_at_max_eig_20(capsys, tmp_path):
+    # listing the normal words would take degree^(2N - 1) of them; the
+    # count holds only each word's last letter and bidegree
+    code, out, report = _spectrum_report(capsys, tmp_path, 6, "--max-eig", "20")
+    assert (code, out, report["status"]) == (0, "gt-spectrum-thm76: pass\n", "pass")
+    assert len(report["details"]["bidegrees"]) == 21 * 22 // 2
 
 
 def test_invariant_form_report_records_the_solve(capsys, tmp_path):

@@ -81,6 +81,12 @@ def test_mq_has_no_antipode():
         antipode(NcPoly.gen(u(1, 1)), build("mq", 2))
 
 
+@pytest.mark.parametrize("name", ["mq", "sphere"])
+def test_invariant_forms_need_an_antipode(name):
+    with pytest.raises(MissingStructureMaps):
+        invariant_forms(2, build(name, 2))
+
+
 # -- axioms -----------------------------------------------------------------
 
 

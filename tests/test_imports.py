@@ -72,3 +72,11 @@ def test_q_is_one_constant_with_no_context():
                 names = {p.arg for p in params if p is not None}
                 assert "ctx" not in names, f"{path.name}:{fn.lineno} takes ctx"
         assert "DeformationContext" not in set(_identifiers(tree)), path.name
+
+
+def test_spectrum_imports_only_errors():
+    # the Weyl dimensions need no algebra; the check that ties them to the
+    # sphere lives in cli, and the rank and pattern oracles in the tests
+    tree = ast.parse((SRC / "spectrum.py").read_text())
+    targets = {t for node in _imports(tree) for t in _package_targets(node)}
+    assert targets == {"errors"}

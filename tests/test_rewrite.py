@@ -107,6 +107,23 @@ def test_basis_enumeration_matches_irreducibility():
         assert len(level) == comb(d + 3, 3)
 
 
+@pytest.mark.parametrize("algebra, N, degree", [
+    ("mq", 2, 4), ("suq", 2, 4), ("suq", 3, 4), ("uq", 2, 3), ("sphere", 3, 4),
+])
+def test_normal_word_count_matches_enumeration(algebra, N, degree):
+    # graded by each letter's own count, so the count sees every letter
+    # multiset; suq 3 has left sides of lengths 2 and 3
+    P = build(algebra, N)
+    gens = P.generators
+    grade = {g: tuple(int(g == h) for h in gens) for g in gens}
+    listed = {}
+    for level in P.system.enumerate_basis(degree):
+        for w in level:
+            key = tuple(w.count(h) for h in gens)
+            listed[key] = listed.get(key, 0) + 1
+    assert P.system.count_normal_words(grade, degree) == listed
+
+
 def test_inclusion_ambiguities_counted():
     # determinant rules have length-N lhs containing length-2 lhs
     P = build("suq", 2)

@@ -1,18 +1,15 @@
-"""Gelfand-Tsetlin counting and the Dirac eigenvalue ledger."""
+"""Gelfand-Tsetlin counting, the Dirac eigenvalue ledger, and the count of
+the sphere's normal words in each bidegree against both."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.errors import InvalidTopRow
-from qsphere.spectrum import (
-    bigraded_dim_check,
-    bigraded_dimension,
-    d_eigenvalue,
-    dim_irrep,
-    enumerate_gt,
-    spectrum_with_multiplicities,
-    weyl_dim,
-)
+from qsphere.presentations import build
+from qsphere.spectrum import d_eigenvalue, dim_irrep, spectrum_with_multiplicities, weyl_dim
+from spectrum_oracles import bigraded_dim_check, bigraded_dimension, enumerate_gt
 
 
 def test_gt_enumeration_small():
@@ -107,3 +104,39 @@ def test_bigraded_dimension_and_rank():
 def test_bigraded_rank_n2():
     out = bigraded_dim_check(2, 2, 1)
     assert out["equal"]
+
+
+def _bidegree(word):
+    """(letters z_i, letters z*_i) of a sphere word."""
+    a = sum(g[0] == "z" for g in word)
+    return (a, len(word) - a)
+
+
+def _bidegree_counts(N, max_degree):
+    P = build("sphere", N)
+    grade = {g: _bidegree((g,)) for g in P.generators}
+    return P, P.system.count_normal_words(grade, max_degree)
+
+
+@pytest.mark.parametrize("N, degree", [(2, 10), (3, 7), (4, 6), (5, 5), (6, 4)])
+def test_normal_word_count_matches_enumeration_and_dim_irrep(N, degree):
+    P, counts = _bidegree_counts(N, degree)
+    listed = Counter(_bidegree(w) for level in P.system.enumerate_basis(degree) for w in level)
+    assert counts == dict(listed)
+    assert len(counts) == (degree + 1) * (degree + 2) // 2
+    for (a, b), c in counts.items():
+        assert c == dim_irrep(N, a, b)
+
+
+@pytest.mark.parametrize("N, pairs", [
+    (2, [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]),
+    (3, [(1, 1), (2, 1), (1, 2), (2, 2)]),
+])
+def test_filtered_count_matches_the_rank_of_the_products(N, pairs):
+    # the products of a letters z_i and b letters z*_i span the sum of the
+    # (a - j, b - j) parts: the rank oracle and the count agree on it
+    _, counts = _bidegree_counts(N, max(a + b for a, b in pairs))
+    for a, b in pairs:
+        filtered = sum(counts[(a - j, b - j)] for j in range(min(a, b) + 1))
+        out = bigraded_dim_check(N, a, b)
+        assert out["equal"] and filtered == out["rank"] == bigraded_dimension(N, a, b)
