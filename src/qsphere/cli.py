@@ -115,14 +115,25 @@ def _check_matrix_identities(P, args):
 
 def _check_coaction(P, args):
     # one mq companion for both coefficient algebras, so the facts about D
-    # memoised on it (``hopf.det_fact``) are computed once
+    # memoised on it (``hopf.det_fact``) are computed once.  deltaR is
+    # rho_u pushed along uq -> suq and the embedding is deltaR at a point
+    # of the sphere; each is verified on its own only where that is
+    # refused, in the order of the report, so that a failure is the one
+    # the report's first failing map gives.
     suq = presentations.build("suq", P.N)
     uq = presentations.build("uq", P.N, aux=suq.aux)
-    maps = {
-        "embedding": hopf.embed_sphere(P.N, sphere=P, target=suq),
-        "deltaR": hopf.build_coaction("deltaR", P.N, sphere=P, coeff=suq),
-        "rho_u": hopf.build_coaction("rho_u", P.N, sphere=P, coeff=uq),
-    }
+    try:
+        rho_u, rho_u_failure = hopf.build_coaction("rho_u", P.N, sphere=P, coeff=uq), None
+    except QsphereError as exc:
+        rho_u, rho_u_failure = None, exc
+    delta_r = rho_u and hopf.deltaR_from_rho_u(rho_u, suq)
+    embedding = (delta_r and hopf.embedding_from_deltaR(delta_r)) or hopf.embed_sphere(
+        P.N, sphere=P, target=suq
+    )
+    delta_r = delta_r or hopf.build_coaction("deltaR", P.N, sphere=P, coeff=suq)
+    if rho_u_failure is not None:
+        raise rho_u_failure
+    maps = {"embedding": embedding, "deltaR": delta_r, "rho_u": rho_u}
     details = {
         "embedding": True,
         "coactions": ["deltaR", "rho_u"],

@@ -9,6 +9,49 @@ the kills of the coproduct, the antipode and the star are proved from
 generator-level lemmas; elsewhere each relation is mapped and tested.
 There too the torus bigrading leaves only the diagonal block of the
 invariant-form systems to solve (``_invariance_solution``).
+
+The three maps of ``coaction-eq20`` (the sphere embedding into suq, deltaR
+into sphere (x) suq and rho_u into sphere (x) uq) are decided by four
+lemmas where their hypotheses hold, each checked exactly at run time; the
+loops stay as the fallback and the test oracle.  Write J for the ideal of
+the target (I_B (x) F + F (x) I_H for a coaction with coefficients in H).
+
+1. Relation kills on star orbits (``_relations_to_test``).  Where the
+   star step holds by construction, phi star and star phi are
+   antimultiplicative maps of the free source algebra that agree on
+   generators modulo J, so phi(star r) = star phi(r) mod J.  Where also
+   the source star maps the relations among themselves, as free
+   polynomials, and the target star keeps J (``star_lemma``; on the sphere
+   leg the permuted relations show it), phi kills star r whenever it kills
+   r.  So only the first relation of each orbit {r, star r} is tested, in
+   relation order, which meets the same first failure as the full loop.
+2. Coaction laws from the Hopf axioms of H (``Coaction._laws_by_hopf``).
+   With z_i -> sum_j z_j (x) u^j_i and z*_i -> sum_j z*_j (x) S(u^i_j),
+   and Delta, epsilon the matrix tables, coassociativity on z_i is an
+   equality of free tensors, and on z*_i it is
+   Delta S(u^i_k) = sum_j S(u^j_k) (x) S(u^i_j), that is
+   Delta S = (S (x) S) Delta^op; the counit law on z*_i is epsilon S =
+   epsilon.  Both hold in every Hopf algebra (Kassel, Quantum Groups,
+   III.3), so ``verify_hopf(H)`` proves the laws on generators.
+3. deltaR from rho_u (``deltaR_from_rho_u``).  suq is the quotient of uq
+   by D = 1.  Let pi be the quotient map (u -> u, dinv -> 1), a
+   well-defined star map with (pi (x) pi) Delta = Delta pi and
+   epsilon pi = epsilon on generators, hence everywhere, both sides being
+   algebra maps.  Where deltaR = (id (x) pi) rho_u on generators, it is so
+   everywhere.  Then deltaR kills the sphere's relations because rho_u
+   does and pi maps the ideal of uq into that of suq;
+   (deltaR (x) id) deltaR = (id (x) pi (x) pi)(rho_u (x) id) rho_u =
+   (id (x) pi (x) pi)(id (x) Delta) rho_u = (id (x) Delta) deltaR;
+   (id (x) epsilon) deltaR = (id (x) epsilon pi) rho_u = id; and
+   deltaR star = (id (x) pi)(star (x) star) rho_u = (star (x) star) deltaR.
+4. The embedding from deltaR (``embedding_from_deltaR``).  The point
+   z = (1, 0, ..., 0) of the sphere, chi: z_1, z*_1 -> 1 and every other
+   generator -> 0, kills the sphere's relations and has real values, so
+   chi star = chi.  (chi (x) id) deltaR sends z_i to u^1_i and z*_i to
+   S(u^i_1), as the embedding does.  It kills the sphere's relations, as
+   chi kills I_B and deltaR maps I_B into I_B (x) F + F (x) I_suq, and
+   (chi (x) id) deltaR star = (chi star (x) star) deltaR =
+   star (chi (x) id) deltaR.
 """
 
 from __future__ import annotations
@@ -21,12 +64,14 @@ from .errors import (
     RelationViolation,
     SolutionNotUnique,
     StarViolation,
+    UndefinedStar,
 )
 from .freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from .linalg import nullspace
 from .presentations import (
     Presentation,
     StructureMaps,
+    as_built,
     build,
     check_central,
     matches_construction,
@@ -62,17 +107,22 @@ def coproduct(a: NcPoly, P: Presentation) -> TensorPoly:
     return _free_coproduct(a, P).map_legs(P.reduce, P.reduce)
 
 
-def counit(a: NcPoly, P: Presentation) -> Scalar:
-    maps = _require_structure(P)
+def _evaluate(a: NcPoly, values: dict) -> Scalar:
+    """The image of a under the character of the free algebra that sends
+    each generator g to the scalar values[g]."""
     total = ZERO
     for w, c in a.terms.items():
         val = c
         for g in w:
-            val = val * maps.epsilon[g]
+            val = val * values[g]
             if val.is_zero:
                 break
         total = total + val
     return total
+
+
+def counit(a: NcPoly, P: Presentation) -> Scalar:
+    return _evaluate(a, _require_structure(P).epsilon)
 
 
 def _antipode_table(P: Presentation) -> dict:
@@ -342,8 +392,7 @@ def star_lemma(P: Presentation):
 def _star_lemma(P: Presentation):
     if P.star is None or P.structure is None or P.structure.antipode is None:
         return None
-    same = matches_construction(P)
-    if not same or not all(same.values()):
+    if not as_built(P):
         return None
     maps = P.structure
     for g in P.generators:
@@ -444,6 +493,58 @@ def _star_step_by_construction(source, images, free_image, free_star, targets):
             "target-star-involution"]
 
 
+def _star_orbit_firsts(P: Presentation):
+    """The relations of P that come first, in relation order, in their orbit
+    under the star, or None unless the star maps the set of relations into
+    itself as free polynomials.  Memoised on P."""
+
+    def compute():
+        rels = P.relations
+        index = {r: k for k, r in enumerate(rels)}
+        firsts = []
+        for k, r in enumerate(rels):
+            try:
+                j = index.get(r.star(P.star))
+            except UndefinedStar:
+                return None
+            if j is None:
+                return None
+            if j >= k:
+                firsts.append(r)
+        return firsts
+
+    return P.memo(("star-orbit-firsts",), compute)
+
+
+def _relations_to_test(source: Presentation, star_hyps, targets):
+    """The source relations whose kills a map must test, with the
+    hypotheses under which the others follow (lemma 1 of the module):
+    the star step holds by construction (``star_hyps``); the source star
+    maps the relations among themselves (``_star_orbit_firsts``), which
+    also shows that it keeps the source ideal; the star of each target
+    algebra keeps its ideal (``star_lemma``).  A relation that is not first
+    in its orbit is star r' for the earlier r' of the orbit (star star = id
+    on the free source algebra), so its kill follows from that of r'.
+    Otherwise every relation, with no hypotheses.
+    """
+    if star_hyps is not None:
+        firsts = _star_orbit_firsts(source)
+        if firsts is not None and all(star_lemma(T) is not None for T in targets):
+            return firsts, ["source-star-permutes-relations", "target-star-closure"]
+    return source.relations, []
+
+
+def _map_report(kill_hyps, star_hyps, stars, laws=None, law_hyps=()):
+    """How each part of a map's verification was decided, with the
+    hypotheses checked for the parts not decided by a loop."""
+    report = {"relation_kills": "orbits" if kill_hyps else "loop"}
+    if laws is not None:
+        report["laws"] = laws
+    report["star_step"] = None if not stars else "loop" if star_hyps is None else "lemma"
+    report["hypotheses"] = [*(star_hyps or []), *kill_hyps, *law_hyps]
+    return report
+
+
 class Morphism:
     """An algebra map from ``source`` to ``target``, given on generators."""
 
@@ -461,31 +562,54 @@ class Morphism:
 
     def verify(self) -> dict:
         """Check relations map to zero, and star-compatibility when defined.
-        Returns, and keeps as ``report``, how the star step was decided."""
-        for rel in self.source.relations:
-            if not self.target.is_zero_elem(self._free_apply(rel)):
-                raise RelationViolation(repr(rel), self.apply(rel))
-        report = {"relation_kills": "loop", "star_step": None}
+        Returns, and keeps as ``report``, how each was decided, with the
+        hypotheses checked: the relation kills on star orbits (lemma 1 of
+        the module, ``"orbits"``) or by the loop, the star step by
+        construction (``"lemma"``, ``_star_step_by_construction``) or by
+        the loop.  The star step's hypotheses are checked first, as the
+        orbits need them; failures come in the loop's order."""
         A, B = self.source, self.target
-        if A.star is not None and B.star is not None:
-            hyps = _star_step_by_construction(
+        stars = A.star is not None and B.star is not None
+        star_hyps = None
+        if stars:
+            star_hyps = _star_step_by_construction(
                 A, self.images, self._free_apply, lambda b: b.star(B.star), (B,)
             )
-            if hyps is None:
-                for g in self.images:
-                    lhs = self.apply(A.star[g])
-                    rhs = B.anti_extend(self.images[g], B.star)
-                    if not B.equals(lhs, rhs):
-                        raise StarViolation(f"star breaks at {word_name((g,))}")
-            report["star_step"] = "loop" if hyps is None else "lemma"
-            report["hypotheses"] = hyps or []
-        self.report = report
-        return report
+        relations, kill_hyps = _relations_to_test(A, star_hyps, (B,))
+        for rel in relations:
+            if not B.is_zero_elem(self._free_apply(rel)):
+                raise RelationViolation(repr(rel), self.apply(rel))
+        if stars and star_hyps is None:
+            for g in self.images:
+                lhs = self.apply(A.star[g])
+                rhs = B.anti_extend(self.images[g], B.star)
+                if not B.equals(lhs, rhs):
+                    raise StarViolation(f"star breaks at {word_name((g,))}")
+        self.report = _map_report(kill_hyps, star_hyps, stars)
+        return self.report
 
 
 # ---------------------------------------------------------------------------
 # coactions
 # ---------------------------------------------------------------------------
+
+
+def _coaction_images(N: int, H: Presentation) -> dict:
+    """z_i -> sum_j z_j (x) u^j_i and z*_i -> sum_j z*_j (x) S(u^i_j), with
+    S the antipode table of H."""
+    S = _antipode_table(H)
+    images = {}
+    for i in range(1, N + 1):
+        ti = TensorPoly()
+        for j in range(1, N + 1):
+            ti._iadd_term(((z(j),), (u(j, i),)), ONE)
+        images[z(i)] = ti
+        tsi = TensorPoly()
+        for j in range(1, N + 1):
+            for k, c in TensorPoly.of(NcPoly.gen(zs(j)), S[u(i, j)]).terms.items():
+                tsi._iadd_term(k, c)
+        images[zs(i)] = tsi
+    return images
 
 
 class Coaction:
@@ -514,15 +638,28 @@ class Coaction:
                 mat[j - 1][i - 1] = mat[j - 1][i - 1] + NcPoly.monomial(wh, c)
         return mat
 
-    def verify(self) -> dict:
-        """Relation kills, coassociativity and counit on generators, and
-        star-compatibility when both stars are defined.  Returns, and keeps
-        as ``report``, how the star step was decided."""
+    def _laws_by_hopf(self):
+        """The hypotheses under which coassociativity and the counit law
+        hold on the generators (lemma 2 of the module), or None: H is as
+        ``build`` makes it (``as_built``), so Delta and epsilon are the
+        matrix tables; the Hopf axioms hold on H (``verify_hopf``); the
+        images are ``_coaction_images`` of H.
+        """
+        H = self.coeff
+        if not as_built(H) or H.structure.antipode is None:
+            return None
+        if self.images != _coaction_images(H.N, H):
+            return None
+        try:
+            verify_hopf(H)
+        except AxiomFails:
+            return None
+        return ["coefficients-as-built", "images-as-built", "coefficient-hopf-axioms"]
+
+    def _check_laws(self):
+        """Coassociativity and the counit law on each generator, by the
+        zero test; raises AxiomFails at the first generator that breaks."""
         B, H = self.source, self.coeff
-        for rel in B.relations:
-            if not tensor_zero(self._free_apply(rel).terms, (B, H)):
-                raise RelationViolation(repr(rel), self.apply(rel))
-        # coassociativity and counit on generators
         legs3 = (B, H, H)
         for g in self.images:
             img = self.apply(NcPoly.gen(g))
@@ -539,25 +676,45 @@ class Coaction:
                 back = back + NcPoly.monomial(wb, c * counit(NcPoly.monomial(wh), H))
             if not B.equals(back, NcPoly.gen(g)):
                 raise AxiomFails("coaction-counit", word_name((g,)))
-        report = {"relation_kills": "loop", "star_step": None}
-        if B.star is not None and H.star is not None:
-            hyps = _star_step_by_construction(
+
+    def verify(self) -> dict:
+        """Relation kills, coassociativity and counit on generators, and
+        star-compatibility when both stars are defined.  Returns, and keeps
+        as ``report``, how each was decided, with the hypotheses checked:
+        the relation kills on star orbits (lemma 1 of the module,
+        ``"orbits"``) or by the loop, the laws from the Hopf axioms of H
+        (lemma 2, ``"lemma"``) or by the loop, the star step by
+        construction (``"lemma"``) or by the loop.  Failures come in the
+        loops' order: kills, laws, star step."""
+        B, H = self.source, self.coeff
+        stars = B.star is not None and H.star is not None
+        star_hyps = None
+        if stars:
+            star_hyps = _star_step_by_construction(
                 B, self.images, self._free_apply,
                 lambda t: t.star(B.star, H.star), (H,),
             )
-            if hyps is None:
-                for g in self.images:
-                    lhs = self.apply(B.star[g])
-                    rhs = self.apply(NcPoly.gen(g)).map_legs(
-                        lambda a: B.anti_extend(a, B.star),
-                        lambda h: H.anti_extend(h, H.star),
-                    )
-                    if not tensor_equal(lhs.terms, rhs.terms, (B, H)):
-                        raise StarViolation(f"coaction star breaks at {word_name((g,))}")
-            report["star_step"] = "loop" if hyps is None else "lemma"
-            report["hypotheses"] = hyps or []
-        self.report = report
-        return report
+        relations, kill_hyps = _relations_to_test(B, star_hyps, (H,))
+        for rel in relations:
+            if not tensor_zero(self._free_apply(rel).terms, (B, H)):
+                raise RelationViolation(repr(rel), self.apply(rel))
+        law_hyps = self._laws_by_hopf()
+        if law_hyps is None:
+            self._check_laws()
+        if stars and star_hyps is None:
+            for g in self.images:
+                lhs = self.apply(B.star[g])
+                rhs = self.apply(NcPoly.gen(g)).map_legs(
+                    lambda a: B.anti_extend(a, B.star),
+                    lambda h: H.anti_extend(h, H.star),
+                )
+                if not tensor_equal(lhs.terms, rhs.terms, (B, H)):
+                    raise StarViolation(f"coaction star breaks at {word_name((g,))}")
+        self.report = _map_report(
+            kill_hyps, star_hyps, stars,
+            "loop" if law_hyps is None else "lemma", law_hyps or (),
+        )
+        return self.report
 
 
 def embed_sphere(
@@ -572,13 +729,20 @@ def embed_sphere(
         raise ValueError("embedding needs N >= 2")
     sphere = sphere or build("sphere", N)
     target = target or build("suq", N)
+    phi = Morphism(sphere, target, _embedding_images(N, target))
+    phi.verify()
+    return phi
+
+
+def _embedding_images(N: int, target: Presentation) -> dict:
+    """z_i -> u^1_i and z*_i -> S(u^i_1), with S the antipode table of the
+    target."""
+    S = _antipode_table(target)
     images = {}
     for i in range(1, N + 1):
         images[z(i)] = NcPoly.gen(u(1, i))
-        images[zs(i)] = target.structure.antipode[u(i, 1)]
-    phi = Morphism(sphere, target, images)
-    phi.verify()
-    return phi
+        images[zs(i)] = S[u(i, 1)]
+    return images
 
 
 def build_coaction(
@@ -598,22 +762,94 @@ def build_coaction(
         raise ValueError(f"unknown coaction {name!r}")
     sphere = sphere or build("sphere", N)
     H = coeff or build(algebras[name], N)
-    S = H.structure.antipode
-    images = {}
-    for i in range(1, N + 1):
-        ti = TensorPoly()
-        for j in range(1, N + 1):
-            ti._iadd_term(((z(j),), (u(j, i),)), ONE)
-        images[z(i)] = ti
-        tsi = TensorPoly()
-        for j in range(1, N + 1):
-            piece = TensorPoly.of(NcPoly.gen(zs(j)), S[u(i, j)])
-            for k, c in piece.terms.items():
-                tsi._iadd_term(k, c)
-        images[zs(i)] = tsi
-    rho = Coaction(sphere, H, images)
+    rho = Coaction(sphere, H, _coaction_images(N, H))
     rho.verify()
     return rho
+
+
+def _respects_coalgebra(pi: Morphism) -> bool:
+    """(pi (x) pi) Delta(g) = Delta(pi g) and epsilon(pi g) = epsilon(g) on
+    every generator g of pi's source."""
+    A, B = pi.source, pi.target
+    maps = _require_structure(A)
+    return all(
+        tensor_equal(
+            _free_coproduct(img, B).terms,
+            maps.delta[g].map_legs(pi._free_apply, pi._free_apply).terms,
+            (B, B),
+        )
+        and counit(img, B) == maps.epsilon[g]
+        for g, img in pi.images.items()
+    )
+
+
+def deltaR_from_rho_u(rho_u: Coaction, suq: Presentation) -> Coaction | None:
+    """deltaR as (id (x) pi) rho_u for pi: uq -> suq, u^i_j -> u^i_j,
+    dinv -> 1, with its report, or None when a hypothesis fails (then
+    verify deltaR on its own, ``build_coaction``).  ``rho_u`` must be
+    verified.  Checked (lemma 3 of the module): pi is a well-defined star
+    map (``Morphism.verify``); it respects Delta and epsilon on generators
+    (``_respects_coalgebra``); the images of deltaR are those of rho_u
+    with pi applied to the coefficient leg, as free tensors.
+    """
+    if rho_u.report is None:
+        raise ValueError("rho_u must be verified first")
+    uq = rho_u.coeff
+    pi = Morphism(uq, suq, {
+        g: NcPoly.unit() if g == DINV else NcPoly.gen(g) for g in uq.generators
+    })
+    try:
+        pi.verify()
+    except (RelationViolation, StarViolation):
+        return None
+    if not _respects_coalgebra(pi):
+        return None
+    delta_r = Coaction(rho_u.source, suq, _coaction_images(suq.N, suq))
+    pushed = {g: t.map_legs(lambda a: a, pi._free_apply) for g, t in rho_u.images.items()}
+    if pushed != delta_r.images:
+        return None
+    delta_r.report = {
+        "relation_kills": "pushed-forward",
+        "laws": "pushed-forward",
+        "star_step": "pushed-forward",
+        "hypotheses": ["rho_u-verified", "quotient-map-star-morphism",
+                       "quotient-map-hopf-on-generators", "images-pushed-forward"],
+    }
+    return delta_r
+
+
+def embedding_from_deltaR(delta_r: Coaction) -> Morphism | None:
+    """The sphere embedding as (chi (x) id) deltaR, for chi the point
+    z = (1, 0, ..., 0) of the sphere, with its report, or None when a
+    hypothesis fails (then verify the embedding on its own,
+    ``embed_sphere``).  ``delta_r`` must be verified.  Checked (lemma 4 of
+    the module): chi kills every relation of the sphere; chi(star g) =
+    chi(g) on generators; the images of the embedding are those of deltaR
+    with chi applied to the sphere leg, as free polynomials.
+    """
+    if delta_r.report is None:
+        raise ValueError("deltaR must be verified first")
+    B, H = delta_r.source, delta_r.coeff
+    point = {g: ONE if g in (z(1), zs(1)) else ZERO for g in B.generators}
+    if any(not _evaluate(r, point).is_zero for r in B.relations):
+        return None
+    if B.star is None or any(_evaluate(B.star[g], point) != point[g] for g in B.generators):
+        return None
+    phi = Morphism(B, H, _embedding_images(B.N, H))
+    pushed = {}
+    for g, t in delta_r.images.items():
+        pushed[g] = NcPoly()
+        for (wb, wh), c in t.terms.items():
+            pushed[g]._iadd_term(wh, c * _evaluate(NcPoly.monomial(wb), point))
+    if pushed != phi.images:
+        return None
+    phi.report = {
+        "relation_kills": "pushed-forward",
+        "star_step": "pushed-forward",
+        "hypotheses": ["deltaR-verified", "point-is-star-character",
+                       "images-pushed-forward"],
+    }
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +969,7 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
     N = 4).  Elsewhere the full system is solved; it is also the test
     oracle.
     """
-    return _solve_invariance(N, P, variant, _as_built(P))
-
-
-def _as_built(P: Presentation) -> bool:
-    """Does ``matches_construction`` hold in full on P?  Memoised on P."""
-
-    def compute():
-        same = matches_construction(P)
-        return bool(same) and all(same.values())
-
-    return P.memo(("as-built",), compute)
+    return _solve_invariance(N, P, variant, as_built(P))
 
 
 def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):

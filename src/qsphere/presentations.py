@@ -211,8 +211,14 @@ class Presentation:
         return images
 
     def _clear(self, p: NcPoly, M: int) -> NcPoly:
+        """``clear_word`` on each word of a reduced p.  A word at the top
+        level, g = M, is sent to its core, which ``reduce`` left mq-normal."""
         out = NcPoly()
         for w, c in p.terms.items():
+            core, k = self._level(w)
+            if k == M:
+                out._iadd_term(core, c)
+                continue
             for w2, c2 in self.clear_word(w, M).terms.items():
                 out._iadd_term(w2, c * c2)
         return out
@@ -430,20 +436,33 @@ def matches_construction(P: Presentation) -> dict:
     """Which parts of P are exactly what ``build`` makes for its name and N:
     the relations (as a set of polynomials), each table, D and the
     mq companion.  Empty when P has no such construction or no structure
-    maps.  The relation-kill lemmas of ``hopf`` apply only where this holds.
+    maps.  The lemmas of ``hopf`` apply only where this holds.  P's own
+    parts are compared once while they stay the same objects
+    (``Presentation.memo``); the companion's verdict is read through its
+    own memo, so a part replaced on either is seen.
     """
+    same = P.memo(("construction",), lambda: _own_parts_as_built(P))
+    if not same:
+        return {}
+    if P.det is None:
+        companion = P.aux is None
+    else:
+        companion = P.aux is not None and P.aux.name == "mq" and as_built(P.aux)
+    return {**same, "companion": companion}
+
+
+def as_built(P: Presentation) -> bool:
+    """Does ``matches_construction`` hold in full on P?"""
+    same = matches_construction(P)
+    return bool(same) and all(same.values())
+
+
+def _own_parts_as_built(P: Presentation) -> dict:
     parts = _standard_parts(P.name, P.N)
     if parts is None or P.structure is None:
         return {}
     rules, star, maps, det = parts
     mine = P.structure
-    if det is None:
-        companion = P.aux is None
-    else:
-        companion = (
-            P.aux is not None and P.aux.name == "mq"
-            and all(matches_construction(P.aux).values())
-        )
     return {
         "relations": len(P.system.rules) == len(rules)
         and _relation_set(P.system.rules) == _relation_set(rules),
@@ -452,7 +471,6 @@ def matches_construction(P: Presentation) -> dict:
         "antipode": mine.antipode == maps.antipode,
         "star": P.star == star,
         "det": P.det == det,
-        "companion": companion,
     }
 
 

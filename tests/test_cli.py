@@ -1,14 +1,16 @@
 """End-to-end command-line behavior: output contracts and exit codes."""
 
 import argparse
+import copy
 import json
 
 import pytest
 
 from qsphere import cli, hopf, presentations
 from qsphere.cli import REPORT_VERSION, main
-from qsphere.freealg import NcPoly
+from qsphere.freealg import NcPoly, TensorPoly, u
 from qsphere.rewrite import Ambiguity, AmbiguityReport, RewriteSystem
+from qsphere.scalars import Scalar
 
 
 def run(capsys, *argv):
@@ -423,17 +425,93 @@ def test_hopf_and_star_laws_reach_n4(capsys, tmp_path, algebra):
     assert all(r["details"]["hypotheses"] for r in reports)
 
 
-def test_coaction_report_says_how_the_star_step_was_decided(capsys, tmp_path):
-    path = str(tmp_path / "report.json")
-    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "2",
+def _coaction_maps(capsys, tmp_path, N):
+    path = str(tmp_path / f"report{N}.json")
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", str(N),
                        "--checks", "coaction-eq20", "--json", path)
     assert (code, out) == (0, "coaction-eq20: pass\n")
     (report,) = json.load(open(path))
-    maps = report["details"]["maps"]
-    assert sorted(maps) == ["deltaR", "embedding", "rho_u"]
-    for m in maps.values():
-        assert (m["relation_kills"], m["star_step"]) == ("loop", "lemma")
-        assert "target-star-involution" in m["hypotheses"]
+    return report["details"]["maps"]
+
+
+def _check_coaction_maps(maps):
+    assert list(maps) == ["embedding", "deltaR", "rho_u"]
+    assert maps["embedding"] == {
+        "relation_kills": "pushed-forward", "star_step": "pushed-forward",
+        "hypotheses": ["deltaR-verified", "point-is-star-character", "images-pushed-forward"],
+    }
+    assert maps["rho_u"] == {
+        "relation_kills": "orbits", "laws": "lemma", "star_step": "lemma",
+        "hypotheses": ["source-star-swaps-generators", "star-commutes-in-free-algebra",
+                       "target-star-involution", "source-star-permutes-relations",
+                       "target-star-closure", "coefficients-as-built", "images-as-built",
+                       "coefficient-hopf-axioms"],
+    }
+    assert maps["deltaR"] == {
+        "relation_kills": "pushed-forward", "laws": "pushed-forward",
+        "star_step": "pushed-forward",
+        "hypotheses": ["rho_u-verified", "quotient-map-star-morphism",
+                       "quotient-map-hopf-on-generators", "images-pushed-forward"],
+    }
+
+
+def test_coaction_report_says_how_the_star_step_was_decided(capsys, tmp_path):
+    # and how the relation kills and the laws were decided, per map
+    for N in (2, 3):
+        _check_coaction_maps(_coaction_maps(capsys, tmp_path, N))
+
+
+def test_coaction_check_reaches_sphere_n4(capsys, tmp_path):
+    _check_coaction_maps(_coaction_maps(capsys, tmp_path, 4))
+
+
+def _tamper(P, part):
+    if part == "delta":
+        P.structure = copy.copy(P.structure)
+        P.structure.delta = {**P.structure.delta,
+                             u(1, 1): TensorPoly.monomial((u(1, 1),), (u(1, 1),))}
+    else:
+        P.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
+    return P
+
+
+@pytest.mark.parametrize(
+    "algebra, part, error",
+    [
+        ("suq", "delta", "axiom coaction-coassociativity fails on z[1]"),
+        ("suq", "star", "star breaks at z[2]"),
+        ("uq", "delta", "axiom coaction-coassociativity fails on z[1]"),
+    ],
+)
+def test_coaction_check_on_a_tampered_coefficient_algebra_keeps_its_verdict(
+    capsys, tmp_path, monkeypatch, algebra, part, error
+):
+    # the push-forward is refused (suq) or never tried (rho_u fails on uq),
+    # so the maps are verified on their own, and the check fails as with
+    # the push-forward switched off
+    build, push, pushed = presentations.build, hopf.deltaR_from_rho_u, []
+
+    def tampered_build(name, N, **kw):
+        P = build(name, N, **kw)
+        return _tamper(P, part) if name == algebra else P
+
+    def spied_push(rho_u, suq):
+        pushed.append(push(rho_u, suq))
+        return pushed[-1]
+
+    monkeypatch.setattr(presentations, "build", tampered_build)
+    monkeypatch.setattr(hopf, "deltaR_from_rho_u", spied_push)
+    path = str(tmp_path / "report.json")
+    run(capsys, "verify", "--algebra", "sphere", "--N", "2", "--checks", "coaction-eq20",
+        "--json", path)
+    (with_push,) = json.load(open(path))
+    monkeypatch.setattr(hopf, "deltaR_from_rho_u", lambda r, s: None)
+    run(capsys, "verify", "--algebra", "sphere", "--N", "2", "--checks", "coaction-eq20",
+        "--json", path)
+    (alone,) = json.load(open(path))
+    assert with_push["status"] == alone["status"] == "fail"
+    assert with_push["details"] == alone["details"] == {"error": error}
+    assert pushed == ([None] if algebra == "suq" else [])
 
 
 def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):

@@ -10,10 +10,12 @@ from qsphere.errors import (
     HypothesisFails,
     Inconsistent,
     MissingStructureMaps,
+    RelationViolation,
     StarViolation,
 )
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, word_name, z, zs
 from qsphere.hopf import (
+    Coaction,
     Morphism,
     _expand_delta_leg,
     antipode,
@@ -592,7 +594,9 @@ def test_star_steps_by_construction_match_the_loops(monkeypatch, N):
     assert all(m.report["star_step"] == "lemma" for m in maps)
     monkeypatch.setattr(hopf, "_star_step_by_construction", lambda *args: None)
     for m in maps:
-        assert m.verify()["star_step"] == "loop"
+        report = m.verify()
+        # the orbits need the star step by construction
+        assert (report["star_step"], report["relation_kills"]) == ("loop", "loop")
 
 
 def test_star_step_needs_both_hypotheses():
@@ -630,6 +634,201 @@ def test_coaction_star_legs_match_free_expansion(name, N):
             lambda a: B.anti_extend(a, B.star), lambda h: H.anti_extend(h, H.star)
         )
         assert tensor_zero((reduced - img.star(B.star, H.star)).terms, (B, H)), g
+
+
+# -- coaction-eq20 by lemma: star orbits, Hopf laws, the push-forward ----------
+
+
+def _eq20_lemmas_off(monkeypatch):
+    """Every relation kill and coaction law of the maps decided by its loop."""
+    monkeypatch.setattr(hopf, "_star_orbit_firsts", lambda P: None)
+    monkeypatch.setattr(Coaction, "_laws_by_hopf", lambda self: None)
+
+
+def _eq20_maps(N, sphere=None, doubled=()):
+    """The embedding, deltaR and rho_u of ``coaction-eq20``, not yet
+    verified, with the images of the generators in ``doubled`` doubled."""
+    B = sphere or build("sphere", N)
+    suq = build("suq", N)
+    uq = build("uq", N, aux=suq.aux)
+    two = Scalar.from_int(2)
+
+    def double(images):
+        return {g: img.scale(two) if g in doubled else img for g, img in images.items()}
+
+    return [
+        Morphism(B, suq, double(hopf._embedding_images(N, suq))),
+        Coaction(B, suq, double(hopf._coaction_images(N, suq))),
+        Coaction(B, uq, double(hopf._coaction_images(N, uq))),
+    ]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_eq20_lemmas_agree_with_the_loops(monkeypatch, N):
+    maps = _eq20_maps(N)
+    fast = [m.verify() for m in maps]
+    assert [r["relation_kills"] for r in fast] == ["orbits"] * 3
+    assert [r.get("laws") for r in fast] == [None, "lemma", "lemma"]
+    with monkeypatch.context() as m:
+        _eq20_lemmas_off(m)
+        slow = [m.verify() for m in maps]
+    assert [r["relation_kills"] for r in slow] == ["loop"] * 3
+    assert [r.get("laws") for r in slow] == [None, "loop", "loop"]
+    assert [r["star_step"] for r in fast] == [r["star_step"] for r in slow] == ["lemma"] * 3
+    # deltaR pushed forward from rho_u is the deltaR verified on its own,
+    # and the embedding pushed forward from deltaR is the embedding
+    pushed = hopf.deltaR_from_rho_u(maps[2], maps[1].coeff)
+    assert pushed.images == maps[1].images
+    embedding = hopf.embedding_from_deltaR(pushed)
+    assert embedding.images == maps[0].images
+    assert pushed.report["relation_kills"] == embedding.report["relation_kills"] == "pushed-forward"
+
+
+@pytest.mark.parametrize("doubled", [(z(1), zs(1)), (z(2), zs(2))], ids=["z1", "z2"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_broken_eq20_maps_fail_alike_on_orbits_and_loops(monkeypatch, N, doubled):
+    # doubling z_i and z*_i keeps the star step by construction, so the
+    # orbit path runs, and breaks the relations with z_i z*_i
+    seen, relations_to_test = [], hopf._relations_to_test
+
+    def spied(*args):
+        relations, hypotheses = relations_to_test(*args)
+        seen.append(hypotheses)
+        return relations, hypotheses
+
+    monkeypatch.setattr(hopf, "_relations_to_test", spied)
+    for k in range(3):
+        with pytest.raises(RelationViolation) as fast:
+            _eq20_maps(N, doubled=doubled)[k].verify()
+        with monkeypatch.context() as m:
+            _eq20_lemmas_off(m)
+            with pytest.raises(RelationViolation) as slow:
+                _eq20_maps(N, doubled=doubled)[k].verify()
+        assert fast.value.relation == slow.value.relation
+        assert fast.value.residual == slow.value.residual
+    assert seen[0::2] == [["source-star-permutes-relations", "target-star-closure"]] * 3
+    assert seen[1::2] == [[]] * 3
+
+
+def _sphere_with_summed_relation(N):
+    """A sphere whose first diagonal rule zs_1 z_1 -> ... also adds the
+    relation of zs_2 z_1: the same ideal, but star no longer maps the
+    relations among themselves."""
+    P = build("sphere", N)
+    rules = list(P.system.rules)
+    k = next(i for i, r in enumerate(rules) if r.lhs == (zs(1), z(1)))
+    extra = NcPoly.monomial((zs(2), z(1))) - NcPoly.monomial((z(1), zs(2)), q ** (-1))
+    rules[k] = Rule(rules[k].lhs, rules[k].rhs + extra)
+    P2 = copy.copy(P)
+    P2.system = RewriteSystem(P.system.order, rules)
+    return P2
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_orbits_need_the_star_to_permute_the_relations(N):
+    P = _sphere_with_summed_relation(N)
+    assert hopf._star_orbit_firsts(P) is None
+    reports = [m.verify() for m in _eq20_maps(N, sphere=P)]
+    assert [r["relation_kills"] for r in reports] == ["loop"] * 3
+    assert [r["star_step"] for r in reports] == ["lemma"] * 3
+    assert [r.get("laws") for r in reports] == [None, "lemma", "lemma"]
+
+
+def test_orbits_need_the_star_closure_of_the_target(monkeypatch):
+    # without star_lemma the target star is still an involution, by the
+    # loop over its generators, but nothing shows that it keeps the ideal
+    monkeypatch.setattr(hopf, "star_lemma", lambda P: None)
+    reports = [m.verify() for m in _eq20_maps(2)]
+    assert [r["relation_kills"] for r in reports] == ["loop"] * 3
+    assert [r["star_step"] for r in reports] == ["lemma"] * 3
+
+
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_coaction_laws_need_the_hopf_axioms_of_the_coefficients(monkeypatch, name):
+    H = build(name, 2)
+    images = hopf._coaction_images(2, H)
+    assert Coaction(build("sphere", 2), H, images)._laws_by_hopf()
+    doubled = {g: t.scale(Scalar.from_int(2)) for g, t in images.items()}
+    assert Coaction(build("sphere", 2), H, doubled)._laws_by_hopf() is None
+    # a Hopf algebra, but not as built: out of the lemma's scope
+    H2 = _with_changed_relation(build(name, 2))
+    verify_hopf(H2)
+    assert Coaction(build("sphere", 2), H2, hopf._coaction_images(2, H2))._laws_by_hopf() is None
+    H = _antipode_u12_doubled(build(name, 2))
+    rho = Coaction(build("sphere", 2), H, hopf._coaction_images(2, H))
+    assert rho._laws_by_hopf() is None
+    with pytest.raises(AxiomFails) as exc:
+        rho._check_laws()
+    assert exc.value.axiom == "coaction-coassociativity"
+    # S o phi, phi(u^i_j) = 2^(i-j) u^i_j, in H and in its reference alike:
+    # H is as built, but not a Hopf algebra; the laws, by loop, still hold
+    from qsphere import presentations
+
+    cofactors = presentations.antipode_matrix
+    monkeypatch.setattr(
+        presentations, "antipode_matrix",
+        lambda N, variant: [
+            [x.scale(Scalar.from_int(2) ** (i - j)) for j, x in enumerate(row)]
+            for i, row in enumerate(cofactors(N, variant))
+        ],
+    )
+    H = build(name, 2)
+    assert presentations.as_built(H)
+    rho = Coaction(build("sphere", 2), H, hopf._coaction_images(2, H))
+    assert rho._laws_by_hopf() is None
+    rho._check_laws()
+
+
+def _suq_star_u12_doubled(P):
+    P.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
+    return P
+
+
+@pytest.mark.parametrize("tamper", [_delta_u11_grouplike, _suq_star_u12_doubled])
+@pytest.mark.parametrize("N", [2, 3])
+def test_push_forward_is_refused_on_a_tampered_suq(N, tamper):
+    rho_u = build_coaction("rho_u", N)
+    assert hopf.deltaR_from_rho_u(rho_u, build("suq", N)) is not None
+    assert hopf.deltaR_from_rho_u(rho_u, tamper(build("suq", N))) is None
+
+
+def test_push_forward_needs_the_images_of_rho_u():
+    rho_u = build_coaction("rho_u", 2)
+    with pytest.raises(ValueError):
+        hopf.deltaR_from_rho_u(Coaction(rho_u.source, rho_u.coeff, rho_u.images), build("suq", 2))
+    # images other than those of rho_u, under a report of rho_u's
+    two = Scalar.from_int(2)
+    other = Coaction(rho_u.source, rho_u.coeff,
+                     {g: t.scale(two) for g, t in rho_u.images.items()})
+    other.report = rho_u.report
+    assert hopf.deltaR_from_rho_u(other, build("suq", 2)) is None
+
+
+def test_embedding_push_forward_checks_its_hypotheses():
+    delta_r = build_coaction("deltaR", 2)
+    B, H = delta_r.source, delta_r.coeff
+    assert hopf.embedding_from_deltaR(delta_r) is not None
+    with pytest.raises(ValueError):
+        hopf.embedding_from_deltaR(Coaction(B, H, delta_r.images))
+
+    def verified(source, images=delta_r.images):
+        rho = Coaction(source, H, images)
+        rho.report = delta_r.report
+        return rho
+
+    # the point off the sphere: z_2 z*_2 = 2 - z_1 z*_1
+    rules = [Rule(r.lhs, r.rhs + NcPoly.unit()) if r.lhs == (z(2), zs(2)) else r
+             for r in B.system.rules]
+    off = copy.copy(B)
+    off.system = RewriteSystem(B.system.order, rules)
+    assert hopf.embedding_from_deltaR(verified(off)) is None
+    # a star that does not fix the value of the point: star z_1 = 2 z*_1
+    doubled = copy.copy(B)
+    doubled.star = {**B.star, z(1): B.star[z(1)].scale(Scalar.from_int(2))}
+    assert hopf.embedding_from_deltaR(verified(doubled)) is None
+    # images that are not deltaR's
+    images = {g: t.scale(Scalar.from_int(2)) for g, t in delta_r.images.items()}
+    assert hopf.embedding_from_deltaR(verified(B, images)) is None
 
 
 # -- invariant form ---------------------------------------------------------

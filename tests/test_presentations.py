@@ -13,12 +13,14 @@ from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from qsphere.hopf import antipode, embed_sphere, star_laws, tensor_zero
 from qsphere.presentations import (
     antipode_matrix,
+    as_built,
     build,
     build_free_matrix,
     build_torus,
     check_central,
     check_matrix_identities,
     dinv_split,
+    matches_construction,
     quantum_determinant,
 )
 from qsphere.scalars import QPARAM, Scalar
@@ -393,6 +395,52 @@ def test_zero_test_matches_normal_form_oracle(name, N):
         # unresolved ambiguities exist, and their differences are zeros
         # with a nonzero normal form
         assert any(not P.nf(a).is_zero for a, v in zip(cases, want) if v)
+
+
+@pytest.mark.parametrize("name,N", [("suq", 2), ("suq", 3), ("uq", 2), ("uq", 3)])
+def test_clearing_skips_top_level_words_exactly(name, N):
+    # a reduced word at the top level g = M is its own image; the oracle
+    # sends every word through ``clear_word``
+    P, cases = _reduce_oracle_cases(name, N)
+    reduced = [P.reduce(a) for a in cases]
+    M = max(P._level(w)[1] for p in reduced for w in p.terms)
+    want = []
+    for p in reduced:
+        img = NcPoly()
+        for w, c in p.terms.items():
+            img = img + P.clear_word(w, M).scale(c)
+        want.append(img)
+    assert P.zero_test_images(cases) == want
+    assert any(P._level(w)[1] == M for p in reduced for w in p.terms)
+
+
+def test_matches_construction_is_memoised_and_follows_replaced_parts(monkeypatch):
+    from qsphere import presentations
+
+    P = build("uq", 2)
+    calls = []
+    parts = presentations._standard_parts
+    monkeypatch.setattr(
+        presentations, "_standard_parts",
+        lambda name, N: (calls.append(name), parts(name, N))[1],
+    )
+    assert as_built(P) and as_built(P)
+    assert calls == ["uq", "mq"]
+    # a table replaced on a copy of P
+    Q = copy.copy(P)
+    assert as_built(Q)
+    Q.structure = copy.copy(P.structure)
+    Q.structure.antipode = {**P.structure.antipode, u(1, 2): NcPoly.gen(u(1, 2))}
+    assert matches_construction(Q)["antipode"] is False and not as_built(Q)
+    assert as_built(P)
+    # a table replaced on a copy of the companion, after the first call
+    R = copy.copy(P)
+    R.aux = copy.copy(P.aux)
+    assert as_built(R)
+    R.aux.structure = copy.copy(P.aux.structure)
+    R.aux.structure.epsilon = {**P.aux.structure.epsilon, u(1, 2): Scalar.from_int(1)}
+    assert matches_construction(R)["companion"] is False and not as_built(R)
+    assert as_built(P)
 
 
 def _det_relations(P):
