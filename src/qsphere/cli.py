@@ -356,7 +356,7 @@ def cmd_morphism(args) -> int:
         print(f"unknown preset {args.target!r}", file=sys.stderr)
         return 2
     try:
-        psi = hopf.build_u_morphism(Q, qmat, N)
+        psi = hopf.build_u_morphism(Q, qmat)
     except HypothesisFails as exc:
         if args.target == "free-fail" and exc.which == "ii":
             print("morphism: fails at hypothesis (ii), as required")

@@ -29,9 +29,6 @@ class MonomialOrder:
     def key(self, word):
         return (len(word), tuple(self.rank[g] for g in word))
 
-    def sorted_words(self, words, reverse=True):
-        return sorted(words, key=self.key, reverse=reverse)
-
 
 class Rule:
     """One oriented rule lhs -> rhs."""
@@ -71,7 +68,7 @@ class AmbiguityReport:
     def confluent(self) -> bool:
         return not self.unresolved
 
-    def to_dict(self, render=word_name):
+    def to_dict(self):
         return {
             "ambiguities": self.total,
             "confluent": self.confluent,
@@ -79,7 +76,7 @@ class AmbiguityReport:
                 {
                     "kind": a.kind,
                     "rules": [a.rule_a, a.rule_b],
-                    "word": render(a.word),
+                    "word": word_name(a.word),
                     "difference": repr(a.difference),
                 }
                 for a in self.unresolved
@@ -241,44 +238,40 @@ class RewriteSystem:
                 _add_scaled(out.terms, self.reduce_word(w).terms, c)
         return out
 
-    def check_confluence(self) -> AmbiguityReport:
-        """Enumerate and resolve all overlap and inclusion ambiguities."""
-        total = 0
-        unresolved = []
+    def _ambiguities(self):
+        """Every overlap and inclusion ambiguity of two rules, in rule-pair
+        order, as (kind, rule indices, word, its two one-step reducts)."""
         for ia, ra in enumerate(self.rules):
             for ib, rb in enumerate(self.rules):
                 # overlap: proper suffix of lhs_a equals proper prefix of lhs_b
                 for k in range(1, min(len(ra.lhs), len(rb.lhs))):
                     if ra.lhs[-k:] == rb.lhs[:k]:
-                        word = ra.lhs + rb.lhs[k:]
-                        left = self.normal_form(
-                            ra.rhs * NcPoly.monomial(rb.lhs[k:])
+                        yield (
+                            "overlap", ia, ib, ra.lhs + rb.lhs[k:],
+                            ra.rhs * NcPoly.monomial(rb.lhs[k:]),
+                            NcPoly.monomial(ra.lhs[:-k]) * rb.rhs,
                         )
-                        right = self.normal_form(
-                            NcPoly.monomial(ra.lhs[:-k]) * rb.rhs
-                        )
-                        total += 1
-                        diff = left - right
-                        if not diff.is_zero:
-                            unresolved.append(
-                                Ambiguity("overlap", ia, ib, word, diff)
-                            )
                 # inclusion: lhs_b a proper subword of lhs_a
                 if ia != ib and len(rb.lhs) < len(ra.lhs):
                     for pos in range(len(ra.lhs) - len(rb.lhs) + 1):
                         if ra.lhs[pos : pos + len(rb.lhs)] == rb.lhs:
                             pre = ra.lhs[:pos]
                             suf = ra.lhs[pos + len(rb.lhs) :]
-                            left = self.normal_form(ra.rhs)
-                            right = self.normal_form(
-                                NcPoly.monomial(pre) * rb.rhs * NcPoly.monomial(suf)
+                            yield (
+                                "inclusion", ia, ib, ra.lhs, ra.rhs,
+                                NcPoly.monomial(pre) * rb.rhs * NcPoly.monomial(suf),
                             )
-                            total += 1
-                            diff = left - right
-                            if not diff.is_zero:
-                                unresolved.append(
-                                    Ambiguity("inclusion", ia, ib, ra.lhs, diff)
-                                )
+
+    def check_confluence(self) -> AmbiguityReport:
+        """Enumerate and resolve all overlap and inclusion ambiguities: each
+        is resolved when its two reducts have the same normal form."""
+        total = 0
+        unresolved = []
+        for kind, ia, ib, word, left, right in self._ambiguities():
+            total += 1
+            diff = self.normal_form(left) - self.normal_form(right)
+            if not diff.is_zero:
+                unresolved.append(Ambiguity(kind, ia, ib, word, diff))
         return AmbiguityReport(total, unresolved)
 
     def _ends_in_lhs(self, word) -> bool:
@@ -291,14 +284,11 @@ class RewriteSystem:
 
         If confluence has not been certified this is only a spanning bound.
         """
-        gens = self.order.sorted_words(
-            [(g,) for g in self.order.precedence], reverse=False
-        )
         graded = [[EMPTY]]
         for d in range(1, max_degree + 1):
             level = []
             for w in graded[d - 1]:
-                for (g,) in gens:
+                for g in self.order.precedence:
                     cand = w + (g,)
                     # appending one letter can only create a redex at a suffix
                     if not self._ends_in_lhs(cand):

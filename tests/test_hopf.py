@@ -558,13 +558,16 @@ def test_morphism_identity_prints_dinv(monkeypatch, N):
     assert build_u_morphism(Q, qmat).images[DINV] == NcPoly.gen(DINV)
 
 
-def test_morphism_torus_preset():
-    Q = build_torus(2)
-    qmat = [
+def _torus_diagonal():
+    return [
         [NcPoly.gen(("T", i + 1)) if i == j else NcPoly() for j in range(2)]
         for i in range(2)
     ]
-    psi = build_u_morphism(Q, qmat)
+
+
+def test_morphism_torus_preset():
+    Q = build_torus(2)
+    psi = build_u_morphism(Q, _torus_diagonal())
     assert psi.apply(NcPoly.gen(u(1, 1))) == NcPoly.gen(("T", 1))
     # dinv goes to the inverse of T1 T2
     prod = psi.images[DINV] * NcPoly.monomial((("T", 1), ("T", 2)))
@@ -577,6 +580,58 @@ def test_morphism_free_fails_at_frt():
     with pytest.raises(HypothesisFails) as exc:
         build_u_morphism(Q, qmat)
     assert exc.value.which == "ii"
+
+
+def test_morphism_fails_at_the_comatrix_condition():
+    # hypothesis (i), decided by ``_respects_coalgebra`` on u -> qmat
+    Q = build_torus(2)
+    qmat = _torus_diagonal()
+    qmat[0][0] = NcPoly.gen(("T", 1)) + NcPoly.gen(("T", 2))
+    with pytest.raises(HypothesisFails) as exc:
+        build_u_morphism(Q, qmat)
+    assert (exc.value.which, exc.value.witness) == ("i", "coproduct of entry (1,1)")
+    # the zero matrix has the matrix coproduct, but not the counit
+    with pytest.raises(HypothesisFails) as exc:
+        build_u_morphism(Q, [[NcPoly() for _ in range(2)] for _ in range(2)])
+    assert (exc.value.which, exc.value.witness) == ("i", "counit of entry (1,1)")
+
+
+def test_morphism_fails_at_unitarity():
+    # a torus whose star fixes each T_i: (i) and (ii) hold, q q* = diag(T_i^2)
+    Q = build_torus(2)
+    Q.star = {g: NcPoly.gen(g) for g in Q.generators}
+    with pytest.raises(HypothesisFails) as exc:
+        build_u_morphism(Q, _torus_diagonal())
+    assert (exc.value.which, exc.value.witness) == ("iii", "(q q*)_11")
+
+
+def _quotient_map(uq, suq, dinv_image):
+    return Morphism(uq, suq, {
+        g: dinv_image if g == DINV else NcPoly.gen(g) for g in uq.generators
+    })
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_quotient_map_kills_without_the_zero_test(monkeypatch, N):
+    # pi: uq -> suq sends each relation to 0 or to a relation of suq, as
+    # free polynomials.  The target's star is dropped so that the star step
+    # makes no zero test either.
+    uq = build("uq", N)
+    suq = build("suq", N, aux=uq.aux)
+    suq.star = None
+    calls = []
+    zero_test = Presentation.is_zero_elem
+    monkeypatch.setattr(Presentation, "is_zero_elem",
+                        lambda self, a: calls.append(a) or zero_test(self, a))
+    assert _quotient_map(uq, suq, NcPoly.unit()).verify()["relation_kills"] == "loop"
+    assert calls == []
+    # dinv -> 2: the dinv-central relations still go to 0, but the first
+    # determinant relation goes to neither 0 nor a relation of suq, and
+    # the zero test refuses it
+    with pytest.raises(RelationViolation) as exc:
+        _quotient_map(uq, suq, NcPoly.unit(Scalar.from_int(2))).verify()
+    assert exc.value.relation == repr(uq.relations[-2])
+    assert len(calls) == 1
 
 
 def test_intertwine_identity():

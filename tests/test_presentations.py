@@ -8,10 +8,12 @@ from math import comb
 
 import pytest
 
-from qsphere.errors import AlphabetMismatch
+from qsphere.errors import AlphabetMismatch, IdentityFails
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from qsphere.hopf import antipode, embed_sphere, star_laws, tensor_zero
 from qsphere.presentations import (
+    Presentation,
+    StructureMaps,
     antipode_matrix,
     as_built,
     build,
@@ -574,12 +576,47 @@ def test_mq_pbw_counts(N):
 # -- matrix identities ------------------------------------------------------
 
 
+def _count_zero_tests(monkeypatch):
+    calls = []
+    zero_test = Presentation.is_zero_elem
+    monkeypatch.setattr(Presentation, "is_zero_elem",
+                        lambda self, a: calls.append(a) or zero_test(self, a))
+    return calls
+
+
 @pytest.mark.parametrize("name,N", [("suq", 2), ("uq", 2)])
-def test_matrix_identities(name, N):
+def test_matrix_identities(monkeypatch, name, N):
+    calls = _count_zero_tests(monkeypatch)
     report = check_matrix_identities(build(name, N))
+    assert list(report) == ["S(u)*u", "u*S(u)", "u*ustar", "ustar*u"] + (
+        ["E-relation-left", "E-relation-right"] if name == "uq" else []
+    )
     assert all(report.values())
-    if name == "uq":
-        assert "E-relation-left" in report and "E-relation-right" in report
+    # u* = S(u) as built: the star products are the antipode products,
+    # zero-tested once, N^2 entries per distinct product
+    assert len(calls) == N * N * (4 if name == "uq" else 2)
+
+
+def test_matrix_identities_fail_on_a_scaled_antipode_entry():
+    P = build("suq", 2)
+    maps = P.structure
+    table = {**maps.antipode, u(1, 1): maps.antipode[u(1, 1)].scale(Scalar.from_int(2))}
+    P.structure = StructureMaps(maps.delta, maps.epsilon, table)
+    with pytest.raises(IdentityFails) as exc:
+        check_matrix_identities(P)
+    assert exc.value.entry == ("S(u)*u", (1, 1))
+
+
+def test_matrix_identities_compute_the_star_products_where_u_star_is_not_s_u(monkeypatch):
+    # the antipode products hold; u* differs from S(u) at (1, 1), so the
+    # star products are formed and u u* fails there
+    P = build("suq", 2)
+    P.star = {**P.star, u(1, 1): P.star[u(1, 1)].scale(Scalar.from_int(2))}
+    calls = _count_zero_tests(monkeypatch)
+    with pytest.raises(IdentityFails) as exc:
+        check_matrix_identities(P)
+    assert exc.value.entry == ("u*ustar", (1, 1))
+    assert len(calls) == 2 * 4 + 1
 
 
 def test_matrix_identities_wrong_algebra():
