@@ -574,7 +574,10 @@ class Morphism:
         A relation whose free image is 0, or is itself a relation of the
         target as a free polynomial, is killed without the zero test; the
         target's relations are kept as a set (``Presentation.memo``).  Every
-        kill of uq -> suq (u -> u, dinv -> 1) is of this kind."""
+        kill of uq -> suq (u -> u, dinv -> 1) is of this kind.  Likewise the
+        star step of a generator whose image of the star and star of the
+        image agree as free polynomials needs no zero test; for uq -> suq
+        only dinv (D against 1) does."""
         A, B = self.source, self.target
         stars = A.star is not None and B.star is not None
         star_hyps = None
@@ -592,6 +595,10 @@ class Morphism:
                 raise RelationViolation(repr(rel), self.apply(rel))
         if stars and star_hyps is None:
             for g in self.images:
+                # equal free images are equal in B; only the rest need the
+                # zero test
+                if self._free_apply(A.star[g]) == self.images[g].star(B.star):
+                    continue
                 lhs = self.apply(A.star[g])
                 rhs = B.anti_extend(self.images[g], B.star)
                 if not B.equals(lhs, rhs):

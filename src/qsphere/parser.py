@@ -16,13 +16,39 @@ the only scalar name (``rform`` prints in t, which does not parse).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import ExprSyntaxError, IndexOutOfRange, UnknownGenerator
 from .freealg import DINV, EMPTY, NcPoly, gen_name
 from .scalars import QPARAM, Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
+
+# CPython refuses int <-> str conversions past a configurable number of
+# digits (4,300 by default, never less than 640).  Integers longer than
+# these bounds are converted in halves, so that any integer renders and
+# parses whatever the limit.
+_SAFE_DIGITS = 600
+_SAFE_BITS = 1990  # 2^1990 < 10^600
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of an integer of any size."""
+    if n.bit_length() <= _SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half of its decimal digits
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _text_int(digits: str) -> int:
+    """The integer of a string of decimal digits of any length."""
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _text_int(digits[:-k]) * 10**k + _text_int(digits[-k:])
 
 
 def _tokenize(src: str):
@@ -39,7 +65,8 @@ def _tokenize(src: str):
             j = i
             while j < n and src[j].isdigit():
                 j += 1
-            toks.append(("int", int(src[i:j]), i))
+            digits = src[i:j]
+            toks.append(("int", int(digits) if j - i <= _SAFE_DIGITS else _text_int(digits), i))
             i = j
         elif c.isalpha() or c == "_":
             j = i
@@ -61,7 +88,7 @@ class _Expr:
 
     def __init__(self, negate: bool):
         self.negate = negate  # a leading "-" negates the first term
-        self.total = None
+        self.total = NcPoly()
         self.sign = 1  # the operator before the current term
         self.term = None
         self.op = None  # "*" or "/" before the next factor
@@ -79,13 +106,16 @@ class _Expr:
             self.term = self.term.scale(c.inverse())
 
     def add_term(self):
+        """Add the current term to the total in place."""
         t, self.term = self.term, None
-        if self.total is None:
-            self.total = -t if self.negate else t
-        elif self.sign > 0:
-            self.total = self.total + t
+        add = self.total._iadd_term
+        if self.negate or self.sign < 0:
+            self.negate = False
+            for w, c in t.terms.items():
+                add(w, -c)
         else:
-            self.total = self.total - t
+            for w, c in t.terms.items():
+                add(w, c)
 
 
 class _Parser:
@@ -93,8 +123,9 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.P = P
+        self.generators = set(P.generators)
         # dinv is spelled by name only; its internal family is not a name
-        self.families = {g[0] for g in P.generators if g != DINV}
+        self.families = {g[0] for g in self.generators if g != DINV}
 
     def _peek(self):
         return self.toks[self.pos]
@@ -190,7 +221,7 @@ class _Parser:
     def _named(self, name: str, at: int) -> NcPoly:
         if name == "q":
             return NcPoly.monomial(EMPTY, QPARAM)
-        if name == "dinv" and DINV in self.P.generators:
+        if name == "dinv" and DINV in self.generators:
             return NcPoly.gen(DINV)
         if name not in self.families:
             raise UnknownGenerator(f"{name} is not a generator of {self.P.name}({self.P.N})")
@@ -202,7 +233,7 @@ class _Parser:
         else:
             g = (name, i)
         self._expect("]")
-        if g not in self.P.generators:
+        if g not in self.generators:
             raise IndexOutOfRange(f"{gen_name(g)} not a generator (N = {self.P.N})")
         return NcPoly.gen(g)
 
@@ -212,22 +243,26 @@ def parse_expr(src: str, P) -> NcPoly:
     return _Parser(src, P).parse()
 
 
-def _poly_terms(coeffs, shift: int, scale: Fraction, var: str):
-    """Render an integer-coefficient polynomial, exponents shifted, as a
-    list of (sign, text) term pairs in descending exponent order."""
+def _poly_terms(coeffs, val: int, d: int, var: str):
+    """Render v^val * (integer-coefficient polynomial) / d, d a positive
+    integer, as a list of (sign, text) term pairs in descending exponent
+    order; each coefficient in lowest terms."""
     parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[e]) * scale
-        if c == 0:
+    for i in range(len(coeffs) - 1, -1, -1):
+        n = coeffs[i]
+        if not n:
             continue
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        exp = e + shift
+        sign = "-" if n < 0 else "+"
+        n = abs(n)
+        g = gcd(n, d)
+        n, den = n // g, d // g
+        c = _int_text(n) if den == 1 else f"{_int_text(n)}/{_int_text(den)}"
+        exp = i + val
         if exp == 0:
-            body = str(c)
+            body = c
         else:
             qpart = var if exp == 1 else f"{var}^{exp}"
-            body = qpart if c == 1 else f"{c}*{qpart}"
+            body = qpart if c == "1" else f"{c}*{qpart}"
         parts.append((sign, body))
     return parts
 
@@ -243,50 +278,39 @@ def _join(parts) -> str:
 def render_scalar(s: Scalar, var: str = "q") -> str:
     if s.is_zero:
         return "0"
-    num, den = s.num, s.den
-    nz = [i for i, c in enumerate(den) if c]
-    if len(nz) == 1:
-        k = nz[0]
-        return _join(_poly_terms(num, -k, Fraction(1, den[k]), var))
-    num_s = _join(_poly_terms(num, 0, Fraction(1), var))
-    den_s = _join(_poly_terms(den, 0, Fraction(1), var))
+    if len(s.dn) == 1:
+        return _join(_poly_terms(s.cf, s.val, s.dn[0], var))
+    num_s = _join(_poly_terms(s.cf, max(s.val, 0), 1, var))
+    den_s = _join(_poly_terms(s.dn, max(-s.val, 0), 1, var))
     return f"({num_s})/({den_s})"
-
-
-def _multi_term(text: str) -> bool:
-    """Does the rendered scalar have a top-level + or - past its head?
-    A "-" immediately after "^" is an exponent sign, not a term break."""
-    depth = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif depth == 0 and i > 0 and c in "+-" and text[i - 1] != "^":
-            return True
-    return False
 
 
 def render(a: NcPoly, var: str = "q") -> str:
     """Deterministic text form; parse_expr(render(a)) == a."""
     if a.is_zero:
         return "0"
+    names = {g: gen_name(g) for g in set().union(*a.terms)}
     parts = []
     for w in sorted(a.terms, key=lambda w: (len(w), w)):
         c = a.terms[w]
-        cs = render_scalar(c, var)
-        sign = "+"
-        if cs.startswith("-") and not _multi_term(cs):
-            sign = "-"
-            cs = render_scalar(-c, var)
-        word_s = "*".join(gen_name(g) for g in w)
-        if not w:
-            text = f"({cs})" if _multi_term(cs) else cs
-        elif cs == "1":
-            text = word_s
+        # a one-term coefficient carries its own sign; a sum of terms or a
+        # fraction of polynomials is one factor with sign "+"
+        sign, multi = "+", False
+        if len(c.dn) == 1:
+            terms = _poly_terms(c.cf, c.val, c.dn[0], var)
+            if len(terms) == 1:
+                sign, cs = terms[0]
+            else:
+                cs, multi = _join(terms), True
         else:
-            if _multi_term(cs) or cs.startswith("-"):
+            cs = render_scalar(c, var)
+        if not w:
+            text = f"({cs})" if multi else cs
+        elif cs == "1":
+            text = "*".join(map(names.__getitem__, w))
+        else:
+            if multi:
                 cs = f"({cs})"
-            text = f"{cs}*{word_s}"
+            text = cs + "*" + "*".join(map(names.__getitem__, w))
         parts.append((sign, text))
     return _join(parts)

@@ -16,7 +16,7 @@ from operator import add
 
 from .errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from .freealg import EMPTY, NcPoly, word_name
-from .scalars import ONE
+from .scalars import ONE, Scalar
 
 
 class MonomialOrder:
@@ -90,6 +90,9 @@ def _add_scaled(acc, terms, c):
     Sums that cancel are deleted, so ``acc`` never holds a zero coefficient.
     """
     one = c.is_one
+    if not acc:  # nothing to add to or cancel against
+        acc.update(terms if one else {w: c2 * c for w, c2 in terms.items()})
+        return
     for w, c2 in terms.items():
         if not one:
             c2 = c2 * c
@@ -126,7 +129,57 @@ class RewriteSystem:
             r.validate(self.order)
         self._lhs_index = seen
         self._lhs_lengths = sorted({len(r.lhs) for r in self.rules})
+        self._back = max(self._lhs_lengths, default=1) - 1
         self._nf_cache: dict[tuple, NcPoly] = {}
+        self._index_redexes()
+
+    def _index_redexes(self):
+        """The tables of the redex search and the rewrite step, built once.
+
+        ``_pair_index`` maps a letter pair to the rules that can match at a
+        position holding it, in rule order, as (index, the lhs past its
+        first two letters); a left side shorter than two letters is listed
+        under every pair it begins.  ``_last_index`` maps a letter to the
+        first such short rule that matches a word's last letter alone.
+        ``_steps`` holds, for each rule with a one-term rhs, (lhs length,
+        rhs word, run letter, coefficient), and None for the other rules;
+        the coefficient is an (exponent, integer) pair when it is a Laurent
+        monomial and a ``Scalar`` otherwise.  The run letter is x for a
+        swap x y -> c y x whose pair (x, y) lies in no other left side
+        (see ``reduce_word``), and None otherwise.
+        """
+        rules = self.rules
+        pairs, short = {}, []
+        holders = {}  # letter pair -> the rules whose lhs contains it
+        for idx, r in enumerate(rules):
+            lhs = r.lhs
+            if len(lhs) < 2:
+                short.append((idx, lhs))
+                continue
+            pairs.setdefault(lhs[:2], []).append((idx, lhs[2:]))
+            for i in range(len(lhs) - 1):
+                holders.setdefault(lhs[i : i + 2], set()).add(idx)
+        last = {}
+        for idx, lhs in short:
+            for a in self.alphabet:
+                if lhs in ((), (a,)):
+                    last.setdefault(a, idx)
+                    for b in self.alphabet:
+                        pairs.setdefault((a, b), []).append((idx, ()))
+        self._pair_index = {k: tuple(sorted(v)) for k, v in pairs.items()}
+        self._last_index = last
+        self._steps = []
+        for idx, r in enumerate(rules):
+            if len(r.rhs.terms) != 1:
+                self._steps.append(None)
+                continue
+            ((word, c),) = r.rhs.terms.items()
+            if c.dn == (1,) and len(c.cf) == 1:
+                c = (c.val, c.cf[0])
+            run = None
+            if len(r.lhs) == 2 and word == r.lhs[::-1] and holders[r.lhs] == {idx}:
+                run = r.lhs[0]
+            self._steps.append((len(r.lhs), word, run, c))
 
     # -- single-word machinery
 
@@ -136,19 +189,18 @@ class RewriteSystem:
         ``word`` is a tuple or a list.  The caller guarantees that no redex
         begins before ``start``.
         """
-        get = self._lhs_index.get
-        lengths = self._lhs_lengths
-        n = len(word)
+        get = self._pair_index.get
+        n = len(word) - 1
         for pos in range(start, n):
-            best = None
-            for L in lengths:
-                if pos + L > n:
-                    break
-                idx = get(tuple(word[pos : pos + L]))
-                if idx is not None and (best is None or idx < best):
-                    best = idx
-            if best is not None:
-                return (pos, best)
+            cands = get((word[pos], word[pos + 1]))
+            if cands is not None:
+                for idx, tail in cands:
+                    if not tail or tuple(word[pos + 2 : pos + 2 + len(tail)]) == tail:
+                        return (pos, idx)
+        if self._last_index and 0 <= start <= n:
+            idx = self._last_index.get(word[n])
+            if idx is not None:
+                return (n, idx)
         return None
 
     def reduce_word(self, word) -> NcPoly:
@@ -162,12 +214,29 @@ class RewriteSystem:
         inside the run, and only its first and last words are cached.  After
         a rewrite at ``pos`` the untouched prefix still holds no whole lhs,
         so the next redex search starts ``maxL - 1`` letters before ``pos``.
-        For N >= 2 every one-term rule keeps the word length (the
-        commutation rules and ``dinv u -> u dinv``), so each step of a run
-        costs the length of its rule, not of the word; the one-term rules
-        that shorten a word exist only at N = 1.  Iterative over an explicit
-        stack, so a long chain of rewrite steps is not limited by the
-        interpreter's recursion depth.
+        The run's coefficient is kept as an exponent and an integer while
+        its rules' coefficients are Laurent monomials, and becomes one
+        ``Scalar`` at its end.
+
+        A swap x y -> c y x whose pair (x, y) lies in no other left side
+        moves y past the whole run of x before the redex in one step, with
+        coefficient c^k for the k letters x it passes.  This is the chain
+        of k single steps, because after a single step at ``pos`` the next
+        redex is the same rule at ``pos - 1`` when the letter there is x:
+
+        - nothing that starts and ends before ``pos`` is a redex, since
+          that part of the word is unchanged and held no redex before;
+        - a left side that covers both ``pos - 1`` and ``pos`` holds the
+          pair (x, y) there, so it is this rule's, starting at ``pos - 1``;
+        - a left side of fewer than two letters that matched at ``pos - 1``
+          would have matched there before the step.
+
+        The search after the run starts ``maxL - 1`` letters before its new
+        front, as after the last of the single steps.  For N >= 2 every
+        one-term rule keeps the word length (the commutation rules and
+        ``dinv u -> u dinv``); the ones that shorten a word exist only at
+        N = 1.  Iterative over an explicit stack, so a long chain of
+        rewrite steps is not limited by the interpreter's recursion depth.
         """
         word = tuple(word)
         cache = self._nf_cache
@@ -175,8 +244,9 @@ class RewriteSystem:
         if cached is not None:
             return cached
         rules = self.rules
+        steps = self._steps
         find = self._find_redex
-        back = max(self._lhs_lengths, default=1) - 1
+        back = self._back
         # (word, redex search start, None) to reduce, or
         # (word, None, [(child, coef), ...]) once its children are queued
         stack = [(word, 0, None)]
@@ -186,23 +256,39 @@ class RewriteSystem:
                 if w in cache:
                     continue
                 x = w
-                buf, coef = None, ONE
+                buf = None
+                e, m, other = 0, 1, ONE  # the run's coefficient m * q^e * other
                 hit = find(w, start)
                 while hit is not None:
                     pos, idx = hit
-                    rule = rules[idx]
-                    if len(rule.rhs.terms) != 1:
+                    step = steps[idx]
+                    if step is None:
                         break
-                    ((r, c),) = rule.rhs.terms.items()
+                    L, r, run, c = step
                     if buf is None:
                         buf = list(w)
-                    buf[pos : pos + len(rule.lhs)] = r
-                    if not c.is_one:
-                        coef = coef * c
+                    k = 1
+                    if run is not None and pos and buf[pos - 1] == run:
+                        s = pos - 1
+                        while s and buf[s - 1] == run:
+                            s -= 1
+                        k += pos - s
+                        buf[s : pos + 2] = r[:1] + r[1:] * k
+                        pos = s
+                    else:
+                        buf[pos : pos + L] = r
+                    if type(c) is tuple:
+                        e += c[0] * k
+                        m *= c[1] ** k
+                    else:
+                        other = other * (c if k == 1 else c**k)
                     start = max(0, pos - back)
                     hit = find(buf, start)
                 if buf is not None:  # at least one step was taken
                     x = tuple(buf)
+                    coef = Scalar.monomial(m, e)
+                    if other is not ONE:
+                        coef = coef * other
                     stack.append((w, None, [(x, coef)]))
                     if x in cache:
                         continue
@@ -228,10 +314,11 @@ class RewriteSystem:
     # -- public operations
 
     def normal_form(self, a: NcPoly) -> NcPoly:
+        alphabet = self.alphabet
         for w in a.terms:
-            for g in w:
-                if g not in self.alphabet:
-                    raise AlphabetMismatch(f"unknown generator {g}")
+            if not alphabet.issuperset(w):
+                g = next(g for g in w if g not in alphabet)
+                raise AlphabetMismatch(f"unknown generator {g}")
         out = NcPoly()
         for w, c in a.terms.items():
             if not c.is_zero:

@@ -139,6 +139,11 @@ class Scalar:
     def variable() -> "Scalar":
         return _new(1, PONE, PONE)
 
+    @staticmethod
+    def monomial(c: int, e: int) -> "Scalar":
+        """c * v^e for a nonzero integer c."""
+        return _new(e, (c,), PONE)
+
     # -- the lowest-terms fraction num/den in Z[v]
 
     @property

@@ -92,6 +92,40 @@ def test_nf_command(capsys):
     assert out.strip() == "q^-1*z[1]*z[2]"
 
 
+def _digits_value(digits):
+    """The integer of a digit string, one digit at a time, so that no
+    conversion meets the interpreter's limit on digits."""
+    value = 0
+    for d in digits:
+        value = value * 10 + ord(d) - ord("0")
+    return value
+
+
+def test_nf_prints_and_reads_integers_past_the_digit_limit(capsys):
+    # 2^20000 has 6,021 digits, past CPython's default limit of 4,300 on
+    # int <-> str conversion; render's output must parse back
+    code, out, err = run(capsys, "nf", "--algebra", "mq", "--N", "2", "--expr",
+                         "2^20000*u[1,1]")
+    assert (code, err) == (0, "")
+    digits, word = out.strip().split("*", 1)
+    assert (len(digits), word) == (6021, "u[1,1]")
+    assert _digits_value(digits) == 2**20000
+    assert run(capsys, "nf", "--algebra", "mq", "--N", "2", "--expr", out.strip()) == (
+        0, out, "")
+    literal = "9" + "0" * 4998 + "7"
+    assert run(capsys, "nf", "--algebra", "sphere", "--N", "2", "--expr",
+               f"z[1]*{literal}") == (0, f"{literal}*z[1]\n", "")
+
+
+def test_nf_of_a_deep_word(capsys):
+    # z[2]^12000*z[1] = q^-12000 z[1]*z[2]^12000: one run of 12,000 swaps
+    k = 12000
+    code, out, err = run(capsys, "nf", "--algebra", "sphere", "--N", "2", "--expr",
+                         f"z[2]^{k}*z[1]")
+    assert (code, err) == (0, "")
+    assert out == f"q^-{k}*z[1]*" + "*".join(["z[2]"] * k) + "\n"
+
+
 def test_nf_parse_error(capsys):
     code, _, err = run(capsys, "nf", "--algebra", "sphere", "--N", "2", "--expr", "z[")
     assert code == 2

@@ -634,6 +634,25 @@ def test_quotient_map_kills_without_the_zero_test(monkeypatch, N):
     assert len(calls) == 1
 
 
+def test_quotient_map_star_step_tests_only_dinv(monkeypatch):
+    # the image of star g and the star of the image of g agree as free
+    # polynomials on every u^i_j; only dinv (D against star 1 = 1) needs
+    # the zero test
+    uq = build("uq", 3)
+    suq = build("suq", 3, aux=uq.aux)
+    calls = []
+    zero_test = Presentation.is_zero_elem
+    monkeypatch.setattr(Presentation, "is_zero_elem",
+                        lambda self, a: calls.append(a) or zero_test(self, a))
+    assert _quotient_map(uq, suq, NcPoly.unit()).verify()["star_step"] == "loop"
+    assert len(calls) == 1
+    # a wrong star table on the target: the free images differ at u^1_2,
+    # and the zero test refuses it
+    suq.star = {**suq.star, u(1, 2): suq.star[u(1, 2)].scale(Scalar.from_int(2))}
+    with pytest.raises(StarViolation, match=r"u\[1,2\]"):
+        _quotient_map(uq, suq, NcPoly.unit()).verify()
+
+
 def test_intertwine_identity():
     rho_u = build_coaction("rho_u", 2)
     rho = rho_u

@@ -1,13 +1,16 @@
 """The expression language: parsing, rendering, round-trips."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere.errors import ExprSyntaxError, IndexOutOfRange, QsphereError, UnknownGenerator
 from qsphere.freealg import DINV, EMPTY, NcPoly, u, z, zs
-from qsphere.parser import _Parser, parse_expr, render, render_scalar
+from qsphere.parser import _int_text, _Parser, _text_int, parse_expr, render, render_scalar
 from qsphere.presentations import build
-from qsphere.scalars import ONE, QPARAM, Scalar
+from qsphere.scalars import ONE, QPARAM, Scalar, qnum
 
 sphere = build("sphere", 2)
 uq = build("uq", 2)
@@ -226,3 +229,145 @@ def polys(draw):
 @given(polys())
 def test_round_trip(p):
     assert parse_expr(render(p), sphere) == p
+
+
+# -- the integer renderer against the Fraction one -------------------------
+
+
+def _fraction_poly_terms(coeffs, shift, scale, var):
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = Fraction(coeffs[e]) * scale
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        exp = e + shift
+        if exp == 0:
+            body = str(c)
+        else:
+            qpart = var if exp == 1 else f"{var}^{exp}"
+            body = qpart if c == 1 else f"{c}*{qpart}"
+        parts.append((sign, body))
+    return parts
+
+
+def _fraction_join(parts):
+    head_sign, head = parts[0]
+    out = ("-" if head_sign == "-" else "") + head
+    for sign, body in parts[1:]:
+        out += sign + body
+    return out
+
+
+def _fraction_render_scalar(s, var="q"):
+    """The renderer before coefficients were formatted with integers: every
+    coefficient of num/den, padded to plain polynomials, goes through
+    ``Fraction``.  Kept as the oracle of ``render_scalar``."""
+    if s.is_zero:
+        return "0"
+    num, den = s.num, s.den
+    nz = [i for i, c in enumerate(den) if c]
+    if len(nz) == 1:
+        k = nz[0]
+        return _fraction_join(_fraction_poly_terms(num, -k, Fraction(1, den[k]), var))
+    num_s = _fraction_join(_fraction_poly_terms(num, 0, Fraction(1), var))
+    den_s = _fraction_join(_fraction_poly_terms(den, 0, Fraction(1), var))
+    return f"({num_s})/({den_s})"
+
+
+def _multi_term(text):
+    depth = 0
+    for i, c in enumerate(text):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif depth == 0 and i > 0 and c in "+-" and text[i - 1] != "^":
+            return True
+    return False
+
+
+def _fraction_render(a, var="q"):
+    """``render`` as it was, with each coefficient rendered up to three
+    times through the Fraction renderer.  Kept as the oracle of ``render``."""
+    from qsphere.freealg import gen_name
+
+    if a.is_zero:
+        return "0"
+    parts = []
+    for w in sorted(a.terms, key=lambda w: (len(w), w)):
+        c = a.terms[w]
+        cs = _fraction_render_scalar(c, var)
+        sign = "+"
+        if cs.startswith("-") and not _multi_term(cs):
+            sign = "-"
+            cs = _fraction_render_scalar(-c, var)
+        word_s = "*".join(gen_name(g) for g in w)
+        if not w:
+            text = f"({cs})" if _multi_term(cs) else cs
+        elif cs == "1":
+            text = word_s
+        else:
+            if _multi_term(cs) or cs.startswith("-"):
+                cs = f"({cs})"
+            text = f"{cs}*{word_s}"
+        parts.append((sign, text))
+    return _fraction_join(parts)
+
+
+def _random_scalar(rng):
+    """Laurent polynomials with negative valuations, zero gaps and integer
+    denominators, and now and then a true denominator such as [N]_q."""
+    cf = [rng.choice([0, 0, 1, -1, 2, -3, 12, -35, 10**30 + 1])
+          for _ in range(rng.randint(1, 5))]
+    if not any(cf):
+        cf[-1] = 1
+    s = Scalar(tuple(cf)) * QPARAM ** rng.randint(-8, 8)
+    s = s / Scalar.from_int(rng.choice([1, 1, 2, 3, 4, 6, 12, 35, 10**25]))
+    kind = rng.random()
+    if kind < 0.15:
+        s = s / qnum(rng.randint(2, 4))
+    elif kind < 0.25:
+        s = s / (QPARAM ** 2 + Scalar.from_int(rng.choice([1, -3, 5])))
+    return s
+
+
+def test_render_scalar_matches_the_fraction_renderer():
+    rng = random.Random("render")
+    for _ in range(4000):
+        s = _random_scalar(rng)
+        for var in ("q", "t"):
+            assert render_scalar(s, var) == _fraction_render_scalar(s, var), s
+            assert render_scalar(-s, var) == _fraction_render_scalar(-s, var), s
+
+
+def test_render_matches_the_fraction_renderer():
+    rng = random.Random("render-poly")
+    gens = [z(1), z(2), zs(1), zs(2)]
+    for _ in range(600):
+        p = NcPoly()
+        for _ in range(rng.randint(0, 5)):
+            w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+            p._iadd_term(w, _random_scalar(rng))
+        assert render(p) == _fraction_render(p)
+        assert parse_expr(render(p), sphere) == p
+
+
+def _digits_value(digits):
+    value = 0
+    for d in digits:
+        value = value * 10 + ord(d) - ord("0")
+    return value
+
+
+def test_integers_of_any_size_convert_both_ways():
+    # past CPython's default limit of 4,300 digits on int <-> str; the
+    # halves of 10^5000 + 7 keep the zeros between them
+    for n in (0, 7, -7, 10**599, 10**600 - 1, 2**1990, 2**1991, 10**600,
+              -(10**600), 10**5000 + 7, 3**20000, -(2**40000) + 1):
+        text = _int_text(n)
+        digits = text.lstrip("-")
+        assert digits == "0" or not digits.startswith("0")
+        assert (-1 if text.startswith("-") else 1) * _digits_value(digits) == n
+        assert (-1 if n < 0 else 1) * _text_int(digits) == n

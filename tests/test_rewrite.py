@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qsphere.errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from qsphere.freealg import NcPoly, z, zs
 from qsphere.presentations import build, build_free_matrix
-from qsphere.rewrite import MonomialOrder, RewriteSystem, Rule
+from qsphere.rewrite import MonomialOrder, RewriteSystem, Rule, _add_scaled
+from qsphere.scalars import ONE, QPARAM, Scalar
 
 A, B, C = ("g", 1), ("g", 2), ("g", 3)
 
@@ -276,3 +277,205 @@ def test_single_term_chain_caches_only_its_ends():
     nf = system.normal_form(NcPoly.monomial((z(2),) * k + (z(1),)))
     assert list(nf.terms) == [(z(1),) + (z(2),) * k]
     assert len(system._nf_cache) <= 2
+
+
+# -- the batched kernel against the unbatched one ----------------------------
+
+
+def _unbatched_find_redex(system, word, start=0):
+    """The redex search by lhs length: a slice of the word for every left
+    side length at every position.  Kept as the oracle of the pair index."""
+    get = system._lhs_index.get
+    n = len(word)
+    for pos in range(start, n):
+        best = None
+        for L in system._lhs_lengths:
+            if pos + L > n:
+                break
+            idx = get(tuple(word[pos : pos + L]))
+            if idx is not None and (best is None or idx < best):
+                best = idx
+        if best is not None:
+            return (pos, best)
+    return None
+
+
+def _unbatched_reduce_word(system, word, cache):
+    """The kernel before runs were batched: a one-term run is followed one
+    rewrite step at a time on a list, its coefficient multiplied as a
+    ``Scalar`` at each step, and only its first and last words are cached.
+    Kept as the oracle of ``RewriteSystem.reduce_word``, which must give the
+    same normal forms, term order and cached words.
+    """
+    word = tuple(word)
+    if word in cache:
+        return cache[word]
+    rules = system.rules
+    back = max(system._lhs_lengths, default=1) - 1
+    stack = [(word, 0, None)]
+    while stack:
+        w, start, children = stack.pop()
+        if children is None:
+            if w in cache:
+                continue
+            x = w
+            buf, coef = None, ONE
+            hit = _unbatched_find_redex(system, w, start)
+            while hit is not None:
+                pos, idx = hit
+                rule = rules[idx]
+                if len(rule.rhs.terms) != 1:
+                    break
+                ((r, c),) = rule.rhs.terms.items()
+                if buf is None:
+                    buf = list(w)
+                buf[pos : pos + len(rule.lhs)] = r
+                if not c.is_one:
+                    coef = coef * c
+                start = max(0, pos - back)
+                hit = _unbatched_find_redex(system, buf, start)
+            if buf is not None:
+                x = tuple(buf)
+                stack.append((w, None, [(x, coef)]))
+                if x in cache:
+                    continue
+            if hit is None:
+                cache[x] = NcPoly.monomial(x)
+                continue
+            pos, idx = hit
+            rule = rules[idx]
+            pre, suf = x[:pos], x[pos + len(rule.lhs) :]
+            children = [(pre + r + suf, c) for r, c in rule.rhs.terms.items()]
+            stack.append((x, None, children))
+            start = max(0, pos - back)
+            stack.extend(
+                (y, start, None) for y, _ in reversed(children) if y not in cache
+            )
+            continue
+        out = NcPoly()
+        for x, c in children:
+            _add_scaled(out.terms, cache[x].terms, c)
+        cache[w] = out
+    return cache[word]
+
+
+def _assert_matches_unbatched(system, words):
+    """Fresh copies of ``system`` (its rules as built and reversed) give the
+    unbatched kernel's normal forms, term order and cached words."""
+    for rules in (system.rules, system.rules[::-1]):
+        fresh = RewriteSystem(system.order, rules)
+        oracle = {}
+        for word in words:
+            got = fresh.reduce_word(word)
+            want = _unbatched_reduce_word(fresh, word, oracle)
+            assert list(got.terms.items()) == list(want.terms.items()), word
+        assert fresh._nf_cache.keys() == oracle.keys()
+        for w, nf in fresh._nf_cache.items():
+            assert list(nf.terms.items()) == list(oracle[w].terms.items())
+
+
+def _run_words(gens, count, rng, max_runs=4, max_run=6):
+    """Random words made of runs of one letter, so that runs get batched."""
+    words = []
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(1, max_runs)):
+            word += [rng.choice(gens)] * rng.randint(1, max_run)
+        words.append(tuple(word))
+    return words
+
+
+@pytest.mark.parametrize(
+    "algebra,N",
+    [(a, n) for a in ("mq", "suq", "uq", "sphere") for n in (2, 3)]
+    + [("mq", 4), ("suq", 4), ("sphere", 4), ("uq", 4)]
+    + [("suq", 1), ("uq", 1), ("sphere", 1)],
+)
+def test_batched_runs_match_the_unbatched_kernel(algebra, N):
+    # at N = 1, u[1,1] -> 1 on suq is a one-letter left side, and the
+    # one-term rules of uq and the sphere shorten the word
+    # suq and uq are not confluent, so this pins every redex choice
+    system = build(algebra, N).system
+    rng = random.Random(f"runs{algebra}{N}")
+    gens = system.order.precedence
+    small = (algebra, N) in (("uq", 4), ("suq", 4))
+    words = [
+        tuple(rng.choice(gens) for _ in range(rng.randint(0, 5 if small else 8)))
+        for _ in range(60)
+    ]
+    words += _run_words(gens, 60, rng, max_runs=3 if small else 4)
+    _assert_matches_unbatched(system, words)
+
+
+def test_batched_power_words_match_the_unbatched_kernel():
+    u11, u22 = ("u", 1, 1), ("u", 2, 2)
+    for k in (1, 2, 5, 40):
+        _assert_matches_unbatched(build("mq", 2).system, [(u22,) * k + (u11,)])
+        _assert_matches_unbatched(build("sphere", 2).system, [(z(2),) * k + (z(1),)])
+        _assert_matches_unbatched(
+            build("sphere", 2).system, [(zs(1),) * min(k, 8) + (z(1),) * min(k, 8)]
+        )
+
+
+A4, B4, C4, D4, E4 = (("g", i) for i in range(1, 6))
+
+
+def _coefficient_system():
+    """Swaps whose coefficients are a sum, a fraction and an integer times
+    a power of q; one pair that a longer left side contains, so that its
+    swap is not batched; and a one-letter left side."""
+    q = QPARAM
+    rules = [
+        Rule((B4, A4), NcPoly.monomial((A4, B4), ONE + q)),
+        Rule((C4, A4), NcPoly.monomial((A4, C4), q / (ONE + q))),
+        Rule((C4, B4), NcPoly.monomial((B4, C4), Scalar.from_int(2) * q ** -1)),
+        Rule((A4, C4, B4), NcPoly.monomial((A4, B4, C4)) + NcPoly.monomial((A4, A4), q)),
+        Rule((D4,), NcPoly.monomial((A4,), -q)),
+        Rule((E4, A4), NcPoly.monomial((A4, E4), Scalar.from_int(-3) * q ** 2)),
+        Rule((E4, C4), NcPoly.monomial((C4, E4), Scalar.from_int(2))),
+    ]
+    return RewriteSystem(MonomialOrder([A4, B4, C4, D4, E4]), rules)
+
+
+def test_batched_runs_with_other_coefficients_match_the_unbatched_kernel():
+    system = _coefficient_system()
+    runs = [step[2] if step else None for step in system._steps]
+    assert runs == [B4, C4, None, None, None, E4, E4]
+    rng = random.Random("coefficients")
+    gens = system.order.precedence
+    words = _run_words(gens, 300, rng)
+    words += [(B4,) * 9 + (A4,), (C4,) * 7 + (A4,) * 3, (C4,) * 5 + (B4,) + (D4,) * 3,
+              (E4,) * 6 + (A4,) + (E4,) * 3 + (C4,) * 2]
+    _assert_matches_unbatched(system, words)
+    for rules in (system.rules, system.rules[::-1]):
+        fresh = RewriteSystem(system.order, rules)
+        for word in words:
+            start = rng.randint(0, len(word))
+            assert fresh._find_redex(word) == _linear_scan_redex(fresh, word)
+            assert fresh._find_redex(list(word), start) == _unbatched_find_redex(
+                fresh, word, start)
+
+
+def _redex_searches(monkeypatch, system, word):
+    calls = []
+    find = RewriteSystem._find_redex
+    monkeypatch.setattr(RewriteSystem, "_find_redex",
+                        lambda self, w, start=0: calls.append(1) or find(self, w, start))
+    RewriteSystem(system.order, system.rules).reduce_word(word)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("algebra, head, tail", [
+    ("mq", ("u", 2, 2), ("u", 1, 1)),
+    ("sphere", z(2), z(1)),
+])
+def test_redex_searches_grow_linearly_on_power_words(monkeypatch, algebra, head, tail):
+    # each child of u[2,2]^k*u[1,1] moves through its run of u[2,2] in one
+    # step, so the searches grow with k, not k^2 (10,201 at k = 100 when
+    # each swap was a step of its own)
+    system = build(algebra, 2).system
+    n100, n200 = (_redex_searches(monkeypatch, system, (head,) * k + (tail,))
+                  for k in (100, 200))
+    assert n200 <= 2 * n100 + 1
+    assert n100 <= 5 * 100
