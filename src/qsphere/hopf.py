@@ -595,8 +595,6 @@ class Morphism:
                 raise RelationViolation(repr(rel), self.apply(rel))
         if stars and star_hyps is None:
             for g in self.images:
-                # equal free images are equal in B; only the rest need the
-                # zero test
                 if self._free_apply(A.star[g]) == self.images[g].star(B.star):
                     continue
                 lhs = self.apply(A.star[g])

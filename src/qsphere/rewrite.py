@@ -197,7 +197,7 @@ class RewriteSystem:
                 for idx, tail in cands:
                     if not tail or tuple(word[pos + 2 : pos + 2 + len(tail)]) == tail:
                         return (pos, idx)
-        if self._last_index and 0 <= start <= n:
+        if self._last_index and start <= n:
             idx = self._last_index.get(word[n])
             if idx is not None:
                 return (n, idx)

@@ -9,6 +9,7 @@ import pytest
 from qsphere import cli, hopf, presentations
 from qsphere.cli import REPORT_VERSION, main
 from qsphere.freealg import NcPoly, TensorPoly, u
+from qsphere.parser import _int_text
 from qsphere.rewrite import Ambiguity, AmbiguityReport, RewriteSystem
 from qsphere.scalars import Scalar
 
@@ -92,15 +93,6 @@ def test_nf_command(capsys):
     assert out.strip() == "q^-1*z[1]*z[2]"
 
 
-def _digits_value(digits):
-    """The integer of a digit string, one digit at a time, so that no
-    conversion meets the interpreter's limit on digits."""
-    value = 0
-    for d in digits:
-        value = value * 10 + ord(d) - ord("0")
-    return value
-
-
 def test_nf_prints_and_reads_integers_past_the_digit_limit(capsys):
     # 2^20000 has 6,021 digits, past CPython's default limit of 4,300 on
     # int <-> str conversion; render's output must parse back
@@ -109,7 +101,7 @@ def test_nf_prints_and_reads_integers_past_the_digit_limit(capsys):
     assert (code, err) == (0, "")
     digits, word = out.strip().split("*", 1)
     assert (len(digits), word) == (6021, "u[1,1]")
-    assert _digits_value(digits) == 2**20000
+    assert digits == _int_text(2**20000)  # checked digit by digit in test_parser
     assert run(capsys, "nf", "--algebra", "mq", "--N", "2", "--expr", out.strip()) == (
         0, out, "")
     literal = "9" + "0" * 4998 + "7"
