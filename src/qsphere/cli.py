@@ -7,12 +7,12 @@ check passed, 1 means at least one failed, 2 means a usage or parse error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import hopf, parser, presentations, rmatrix, spectrum
 from .errors import (
@@ -377,99 +377,128 @@ def cmd_morphism(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors as one stderr line, not the usage text."""
-
-    def error(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+class _UsageError(Exception):
+    """A bad command line, as (prog, message): one stderr line, exit 2."""
 
 
 def _int_at_least(lo):
     def parse(text):
-        try:
-            n = int(text)
-        except ValueError:
-            n = None
-        if n is None or n < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
-        return n
+        with contextlib.suppress(ValueError):
+            if int(text) >= lo:
+                return int(text)
+        raise ValueError(f"expected an integer >= {lo}, got {text!r}")
 
     return parse
 
 
 def _nonzero_rational(text):
-    try:
-        q0 = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        q0 = None
-    if not q0:
-        raise argparse.ArgumentTypeError(f"expected a nonzero rational, got {text!r}")
-    return q0
+    with contextlib.suppress(ValueError, ZeroDivisionError):
+        if Fraction(text):
+            return Fraction(text)
+    raise ValueError(f"expected a nonzero rational, got {text!r}")
 
 
-def _make_argparser():
-    top = _ArgumentParser(prog="qsphere")
-    sub = top.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
+_N = (_int_at_least(1), _REQUIRED)
+_ALGEBRA_N = {"--algebra": (ALGEBRAS, _REQUIRED), "--N": _N}
 
-    def common(p, algebra=True):
-        if algebra:
-            p.add_argument("--algebra", choices=ALGEBRAS, required=True)
-        p.add_argument("--N", type=_int_at_least(1), required=True)
+# command -> (help line, {option: (converter or choices, default)}), from which
+# the usage text, --help and every usage error are read; command X runs
+# cmd_X, looked up when it runs so that a replaced cmd_X is the one called
+COMMANDS = {
+    "verify": ("run named checks on an algebra", {
+        **_ALGEBRA_N, "--checks": (str, "all"), "--max-degree": (_int_at_least(0), 3),
+        "--max-eig": (_int_at_least(0), 2), "--json": (str, None),
+        "--q": (_nonzero_rational, None)}),
+    "basis": ("irreducible words by degree",
+              {**_ALGEBRA_N, "--max-degree": (_int_at_least(0), _REQUIRED)}),
+    "nf": ("normal form of an expression", {**_ALGEBRA_N, "--expr": (str, _REQUIRED)}),
+    "det": ("print the quantum determinant", {"--N": _N}),
+    "spectrum": ("Dirac eigenvalues with multiplicities", {
+        "--N": _N, "--max-eig": (_int_at_least(0), _REQUIRED), "--json": (str, None)}),
+    "rform": ("evaluate the universal r-form",
+              {"--N": _N, "--left": (str, _REQUIRED), "--right": (str, _REQUIRED)}),
+    "morphism": ("run a morphism-builder preset",
+                 {"--N": _N, "--target": (("identity", "torus", "free-fail"), _REQUIRED)}),
+}
 
-    p = sub.add_parser("verify", help="run named checks on an algebra")
-    common(p)
-    p.add_argument("--checks", default="all")
-    p.add_argument("--max-degree", type=_int_at_least(0), default=3,
-                   help="recorded in the report; no verify check reads it")
-    p.add_argument("--max-eig", type=_int_at_least(0), default=2)
-    p.add_argument("--json", default=None)
-    p.add_argument("--q", type=_nonzero_rational, default=None,
-                   help="nonzero rational value for numeric checks")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("basis", help="irreducible words by degree")
-    common(p)
-    p.add_argument("--max-degree", type=_int_at_least(0), required=True)
-    p.set_defaults(fn=cmd_basis)
+def _show_usage(commands):
+    """Print the usage of the named commands, with all their options."""
+    lines = ["usage: qsphere COMMAND [--option value ...]; -h or --help prints this",
+             "Options read --name value or --name=value, and a unique prefix of a name",
+             "will do; a value is the next token, even one that begins with '-'."]
+    for command in commands:
+        line, options = COMMANDS[command]
+        lines += ["", f"{command}: {line}"]
+        for o, (c, d) in options.items():
+            form = f"{o} {{{','.join(c)}}}" if isinstance(c, tuple) else f"{o} {o[2:].upper()}"
+            note = "required" if d is _REQUIRED else "optional" if d is None else f"default {d}"
+            lines.append(f"  {form:<36} {note}")
+    print("\n".join(lines))
+    return 0
 
-    p = sub.add_parser("nf", help="normal form of an expression")
-    common(p)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_nf)
 
-    p = sub.add_parser("det", help="print the quantum determinant")
-    common(p, algebra=False)
-    p.set_defaults(fn=cmd_det)
+def _option(token, names, prog):
+    """The option a token names, exactly or by a unique prefix, and its
+    value after '=' (or None); (None, None) if it names none."""
+    key, eq, value = token.partition("=")
+    key = "--help" if key == "-h" else key
+    hits = [n for n in names if n == key] or [
+        n for n in names if key.startswith("--") and len(key) > 2 and n.startswith(key)]
+    if len(hits) > 1:
+        raise _UsageError(prog, f"ambiguous option: {token} could match {', '.join(hits)}")
+    return (hits[0], value if eq else None) if hits else (None, None)
 
-    p = sub.add_parser("spectrum", help="Dirac eigenvalues with multiplicities")
-    common(p, algebra=False)
-    p.add_argument("--max-eig", type=_int_at_least(0), required=True)
-    p.add_argument("--json", default=None)
-    p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("rform", help="evaluate the universal r-form")
-    common(p, algebra=False)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(fn=cmd_rform)
-
-    p = sub.add_parser("morphism", help="run a morphism-builder preset")
-    common(p, algebra=False)
-    p.add_argument("--target", choices=("identity", "torus", "free-fail"), required=True)
-    p.set_defaults(fn=cmd_morphism)
-
-    return top
+def _parse_args(argv):
+    """The function to run and its argument: a command with its options read
+    by COMMANDS, or _show_usage with the commands whose usage is asked for."""
+    if not argv:
+        raise _UsageError("qsphere", "the following arguments are required: command")
+    command, *rest = argv
+    if _option(command, ["--help"], "qsphere")[0]:
+        return _show_usage, list(COMMANDS)
+    if command not in COMMANDS:
+        raise _UsageError("qsphere", f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, COMMANDS))})")
+    prog, options = f"qsphere {command}", COMMANDS[command][1]
+    values, extras, tokens = {}, [], iter(rest)
+    for token in tokens:
+        opt, value = _option(token, [*options, "--help"], prog)
+        if opt == "--help":
+            return _show_usage, [command]
+        if opt is None:
+            extras.append(token)
+            continue
+        value = next(tokens, None) if value is None else value
+        if value is None:
+            raise _UsageError(prog, f"argument {opt}: expected one argument")
+        conv = options[opt][0]
+        if isinstance(conv, tuple) and value not in conv:
+            raise _UsageError(prog, f"argument {opt}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, conv))})")
+        try:
+            values[opt] = value if isinstance(conv, tuple) else conv(value)
+        except ValueError as exc:
+            raise _UsageError(prog, f"argument {opt}: {exc}") from None
+    missing = [o for o, (_, d) in options.items() if d is _REQUIRED and o not in values]
+    if missing:
+        raise _UsageError(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError("qsphere", f"unrecognized arguments: {' '.join(extras)}")
+    return globals()[f"cmd_{command}"], SimpleNamespace(
+        **{o[2:].replace("-", "_"): values.get(o, d) for o, (_, d) in options.items()})
 
 
 def main(argv=None) -> int:
-    top = _make_argparser()
     try:
-        args = top.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        fn, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        print(f"{exc.args[0]}: error: {exc.args[1]}", file=sys.stderr)
+        return 2
     try:
-        return args.fn(args)
+        return fn(args)
     except ExprSyntaxError as exc:
         print(f"syntax error at {exc.position}: expected {exc.expected}", file=sys.stderr)
         return 2

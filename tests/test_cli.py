@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: output contracts and exit codes."""
 
-import argparse
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -301,6 +305,124 @@ def test_cache_dir_is_a_usage_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == f"qsphere: error: unrecognized arguments: --cache-dir {cache}\n"
     assert not (tmp_path / "cache").exists()
+
+
+NF_MQ2 = ("nf", "--algebra", "mq", "--N", "2", "--expr")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ((), "qsphere: error: the following arguments are required: command"),
+    (("frobnicate",), "qsphere: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'verify', 'basis', 'nf', 'det', 'spectrum', 'rform', 'morphism')"),
+    (("nf", "--algebra", "mq", "--N", "2", "--expr", "u[1,1]", "--bogus", "x"),
+     "qsphere: error: unrecognized arguments: --bogus x"),
+    (("nf", "stray", "--algebra", "mq", "--N", "2", "--expr", "u[1,1]"),
+     "qsphere: error: unrecognized arguments: stray"),
+    (("nf",), "qsphere nf: error: the following arguments are required: "
+     "--algebra, --N, --expr"),
+    (("rform", "--N", "2", "--left", "u[1,1]"),
+     "qsphere rform: error: the following arguments are required: --right"),
+    (NF_MQ2, "qsphere nf: error: argument --expr: expected one argument"),
+    (("nf", "--algebra", "mq", "--N", "0", "--expr", "u[1,1]"),
+     "qsphere nf: error: argument --N: expected an integer >= 1, got '0'"),
+    (("nf", "--algebra", "nope", "--N", "2", "--expr", "u[1,1]"),
+     "qsphere nf: error: argument --algebra: invalid choice: 'nope' "
+     "(choose from 'mq', 'suq', 'uq', 'sphere')"),
+    (("morphism", "--N", "2", "--target", "nope"),
+     "qsphere morphism: error: argument --target: invalid choice: 'nope' "
+     "(choose from 'identity', 'torus', 'free-fail')"),
+    (("verify", "--algebra", "mq", "--N", "2", "--q", "1/0"),
+     "qsphere verify: error: argument --q: expected a nonzero rational, got '1/0'"),
+    (("verify", "--algebra", "mq", "--N", "2", "--max", "2"),
+     "qsphere verify: error: ambiguous option: --max could match --max-degree, --max-eig"),
+    (("verify", "--algebra", "mq", "--N", "2", "--max=2"),
+     "qsphere verify: error: ambiguous option: --max=2 could match --max-degree, --max-eig"),
+], ids=["no-command", "unknown-command", "unknown-option", "stray-token", "nf-required",
+        "rform-required", "trailing-option", "N0", "bad-algebra", "bad-target", "q-1/0",
+        "ambiguous-prefix", "ambiguous-prefix-inline"])
+def test_usage_errors_are_one_stderr_line(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err + "\n")
+
+
+def test_first_option_error_wins_over_a_later_help(capsys):
+    # options are read left to right: a bad value before --help is reported
+    code, out, err = run(capsys, "nf", "--N", "0", "--help")
+    assert (code, out) == (2, "")
+    assert err.startswith("qsphere nf: error: argument --N:")
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--he",)], ids=str)
+def test_help_at_the_top_names_every_command_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qsphere COMMAND")
+    for command, (line, options) in cli.COMMANDS.items():
+        assert f"{command}: {line}" in out
+        assert all(opt in out for opt in options)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_of_a_command_names_its_options(capsys, command, flag):
+    # --help is read wherever it stands, before required options are missed
+    code, out, err = run(capsys, command, "--N", "2", flag)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qsphere")
+    options = cli.COMMANDS[command][1]
+    listed = [l.split()[0] for l in out.splitlines() if l.startswith("  --")]
+    assert listed == list(options)
+    for other in set(cli.COMMANDS) - {command}:
+        assert f"\n{other}: " not in out
+
+
+@pytest.mark.parametrize("argv", [
+    NF_MQ2 + ("u[2,2]*u[1,1]",),
+    ("nf", "--algebra=mq", "--N=2", "--expr=u[2,2]*u[1,1]"),
+    ("nf", "--alg", "mq", "--N", "2", "--ex", "u[2,2]*u[1,1]"),
+    ("nf", "--a=mq", "--N", "2", "--e", "u[2,2]*u[1,1]"),
+    ("nf", "--expr", "u[2,2]*u[1,1]", "--N", "3", "--algebra", "sphere", "--N", "2",
+     "--algebra", "mq"),
+], ids=["spaced", "inline", "prefix", "prefix-inline", "last-wins"])
+def test_option_forms_read_the_same(capsys, argv):
+    assert run(capsys, *argv) == (0, "u[1,1]*u[2,2]+(-q+q^-1)*u[1,2]*u[2,1]\n", "")
+
+
+def test_nf_output_beginning_with_minus_reads_back(capsys):
+    # the value of an option is the next token even when it begins with '-',
+    # so what nf prints can be given back to it as it stands
+    code, out, _ = run(capsys, *NF_MQ2, "u[1,2]*u[2,1]-u[2,2]*u[1,1]")
+    assert (code, out) == (0, "-u[1,1]*u[2,2]+(q+1-q^-1)*u[1,2]*u[2,1]\n")
+    assert run(capsys, *NF_MQ2, out.strip()) == (0, out, "")
+
+
+def test_rform_reads_arguments_beginning_with_minus(capsys):
+    assert run(capsys, "rform", "--N", "2", "--left", "-u[1,1]", "--right", "u[1,1]") == (
+        0, "-t^-1\n", "")
+
+
+def test_benchmark_argument_shapes_parse(capsys, tmp_path):
+    path = str(tmp_path / "r.json")
+    code, out, err = run(capsys, "verify", "--algebra", "mq", "--N", "2", "--checks",
+                         "confluence,hecke-eq11,hopf-axioms", "--max-degree", "2",
+                         "--json", path)
+    assert (code, err) == (0, "")
+    assert out == "confluence: pass\nhecke-eq11: pass\nhopf-axioms: pass\n"
+    assert [r["params"] for r in json.load(open(path))] == [{"max_degree": 2}] * 3
+    expr = "+".join(["z[2]*z[1]*zs[1]"] * 251)
+    assert len(expr) > 4000
+    code, out, err = run(capsys, "nf", "--algebra", "sphere", "--N", "2", "--expr", expr)
+    assert (code, out, err) == (0, "251*q^-1*z[1]*z[2]*zs[1]\n", "")
+
+
+def test_cli_import_leaves_argparse_out():
+    # the command line is read from cli.COMMANDS; argparse and the gettext
+    # it loads would add their import time to every run
+    code = ("import sys, qsphere.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "[]\n"
 
 
 def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
@@ -614,7 +736,7 @@ def test_spectrum_check_fails_without_the_confluence_certificate():
     rule = P.system.rules[0]
     bad = AmbiguityReport(1, [Ambiguity("overlap", 0, 0, rule.lhs, NcPoly.unit())])
     P.memo("confluence", lambda: bad)
-    status, details, _ = cli._check_spectrum(P, argparse.Namespace(max_eig=2))
+    status, details, _ = cli._check_spectrum(P, SimpleNamespace(max_eig=2))
     assert (status, details["confluent"]) == ("fail", False)
     assert all(b["normal_words"] == b["dim"] for b in details["bidegrees"])
 
