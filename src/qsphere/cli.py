@@ -96,6 +96,7 @@ def _check_det_central(P, args):
     details = {
         "central": hopf.det_fact(P, "central"),
         "grouplike": hopf.det_fact(P, "grouplike"),
+        "grouplike_by": hopf.grouplike_by(P),
         "counit_one": hopf.counit(det, P).is_one,
         "decided_in": "mq",
     }

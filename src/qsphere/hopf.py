@@ -73,6 +73,7 @@ from .presentations import (
     StructureMaps,
     as_built,
     build,
+    build_exterior,
     check_central,
     identity_defect,
     matches_construction,
@@ -209,18 +210,107 @@ def check_grouplike(x: NcPoly, P: Presentation) -> bool:
 
 def det_fact(P: Presentation, fact: str) -> bool:
     """A fact about the quantum determinant D in the mq of P (P itself on mq,
-    its companion on suq and uq): ``"grouplike"`` (``check_grouplike``) or
-    ``"central"``.  Each is computed once per mq presentation and its
+    its companion on suq and uq): ``"grouplike"`` or ``"central"``
+    (``check_central``).  Each is computed once per mq presentation and its
     tables, and shared by ``det-central-rem36`` and the relation-kill
     lemmas.  Both carry over from mq to suq and uq: they are quotients of
     mq (uq after adjoining the central dinv) by ideals that Delta respects.
+
+    D group-like, Delta(D) = D (x) D and epsilon(D) = 1, is proved through
+    the quantum exterior algebra L (``build_exterior``: x_i x_i = 0 and
+    x_j x_i = -q x_i x_j for i < j) with delta(x_i) = sum_k u^i_k (x) x_k,
+    where these hypotheses hold, checked exactly in this order
+    (``_grouplike_by_exterior``):
+
+    1. the relations and the Delta table of mq are as built
+       (``matches_construction``), so Delta is an algebra map of mq by the
+       FRT lemma of ``verify_hopf``;
+    2. L's system is confluent (``check_confluence``), so its normal form is
+       canonical and x_1 ... x_N, a normal word, is not 0 in L;
+    3. delta kills every relation of L modulo I_mq (x) L (``tensor_zero``
+       with legs mq and L), so it is an algebra map L -> mq (x) L;
+    4. (Delta (x) id) delta = (id (x) delta) delta on each x_i, as free
+       tensors;
+    5. delta(x_1 ... x_N) = D (x) x_1 ... x_N, with D compared as a free
+       polynomial with ``quantum_determinant``.
+
+    Both sides of 4 are algebra maps L -> mq (x) mq (x) L, so they agree on
+    all of L.  On w = x_1 ... x_N, by 5, the left side is Delta(D) (x) w and
+    the right side D (x) D (x) w.  As w is not 0 (2), Delta(D) = D (x) D in
+    mq (x) mq.  epsilon(D) = 1 is computed.  Where a hypothesis fails the
+    coproduct of D, N! N^N terms, is zero-tested instead
+    (``check_grouplike``), which is also the test oracle; ``grouplike_by``
+    says which way was taken.
     """
     mq = P.aux if P.aux is not None else P
-    checks = {"grouplike": check_grouplike, "central": check_central}
-    if fact not in checks:
-        raise ValueError(f"unknown determinant fact {fact!r}")
-    return mq.memo(
-        ("det", fact), lambda: checks[fact](quantum_determinant(mq.N), mq)
+    if fact == "grouplike":
+        return _grouplike(mq)[0]
+    if fact == "central":
+        return mq.memo(
+            ("det", fact), lambda: check_central(quantum_determinant(mq.N), mq)
+        )
+    raise ValueError(f"unknown determinant fact {fact!r}")
+
+
+def grouplike_by(P: Presentation) -> str:
+    """How ``det_fact(P, "grouplike")`` was decided: ``"exterior-algebra"``
+    or ``"coproduct"``."""
+    return _grouplike(P.aux if P.aux is not None else P)[1]
+
+
+def _grouplike(mq: Presentation):
+    """The verdict on D group-like in mq and the way it was decided, once
+    per mq and its tables."""
+    return mq.memo(("det", "grouplike"), lambda: _decide_grouplike(mq))
+
+
+def _decide_grouplike(mq: Presentation):
+    D = quantum_determinant(mq.N)
+    if _grouplike_by_exterior(mq, D):
+        return counit(D, mq) == ONE, "exterior-algebra"
+    return check_grouplike(D, mq), "coproduct"
+
+
+def _grouplike_by_exterior(mq: Presentation, D: NcPoly) -> bool:
+    """Do hypotheses 1-5 of ``det_fact`` hold, with D in place of the
+    quantum determinant?  The Lambda leg of delta(x_1 ... x_N) is reduced
+    after each factor, so a repeated x_k drops at once and the product has
+    N! terms, not N^N."""
+    same = matches_construction(mq)
+    if not (same and same["relations"] and same["delta"]):
+        return False
+    N = mq.N
+    L = build_exterior(N)
+    if not L.system.check_confluence().confluent:
+        return False
+    x = L.generators
+    delta = {
+        x[i - 1]: TensorPoly({((u(i, k),), (x[k - 1],)): ONE for k in range(1, N + 1)})
+        for i in range(1, N + 1)
+    }
+    if not all(tensor_zero(TensorPoly.extend(r, delta).terms, (mq, L)) for r in L.relations):
+        return False
+    for g in x:
+        left, right = {}, {}
+        for (a, (h,)), c in delta[g].terms.items():
+            for (a1, a2), c1 in mq.structure.delta[a[0]].terms.items():
+                _triple_add(left, (a1, a2, (h,)), c * c1)
+            for (b, xk), c2 in delta[h].terms.items():
+                _triple_add(right, (a, b, xk), c * c2)
+        if left != right:
+            return False
+    image = {((), ()): ONE}
+    for g in x:
+        step = {}
+        for (a, w), c in image.items():
+            for (b, (h,)), c1 in delta[g].terms.items():
+                for w2, c2 in L.nf(NcPoly.monomial(w + (h,))).terms.items():
+                    _triple_add(step, (a + b, w2), c * c1 * c2)
+        image = step
+    top = tuple(x)
+    return (
+        L.nf(NcPoly.monomial(top)) == NcPoly.monomial(top)
+        and image == TensorPoly.of(D, NcPoly.monomial(top)).terms
     )
 
 

@@ -89,10 +89,13 @@ def rank(A) -> int:
 
 
 def nullspace(A):
-    """Basis of the right nullspace, one vector per free column."""
+    """Basis of the right nullspace, one vector per free column.  Repeated
+    rows are dropped before elimination: the row space, and so its reduced
+    echelon form, stays the same (the graded invariant-form systems of uq 4
+    have 224 rows, 110 and 107 of them distinct)."""
     if not A:
         return []
-    R, pivots = rref(A)
+    R, pivots = rref(list(dict.fromkeys(map(tuple, A))))
     cols = len(A[0])
     free = [c for c in range(cols) if c not in pivots]
     basis = []

@@ -377,21 +377,26 @@ def build(
         prec.append(DINV)
     system = RewriteSystem(MonomialOrder(prec), rules)
     aux = None if name == "mq" else aux or build("mq", N)
-    return Presentation(
+    P = Presentation(
         name, N, system, star=star, structure=structure, aux=aux, det=det,
     )
+    # these parts are what _standard_parts makes, so P vouches for them
+    # itself; a part replaced later changes the memo's identity key and is
+    # compared by value (``matches_construction``)
+    P.memo(("construction",), lambda: dict.fromkeys(_BUILT_PARTS, True))
+    return P
 
 
 def _standard_parts(name, N):
     """Rules, star table, structure maps and determinant of mq, suq or uq,
     as ``build`` makes them; None for any other name."""
+    if name not in ("mq", "suq", "uq"):
+        return None
     rules = _mq_rules(N)
     delta = _matrix_delta(N)
     epsilon = _matrix_epsilon(N)
     if name == "mq":
         return rules, None, StructureMaps(delta, epsilon, None), None
-    if name not in ("suq", "uq"):
-        return None
     det = quantum_determinant(N)
     # the leading word of D and its coefficient
     lead = tuple(u(r, N + 1 - r) for r in range(1, N + 1))
@@ -432,8 +437,10 @@ def matches_construction(P: Presentation) -> dict:
     mq companion.  Empty when P has no such construction or no structure
     maps.  The lemmas of ``hopf`` apply only where this holds.  P's own
     parts are compared once while they stay the same objects
-    (``Presentation.memo``); the companion's verdict is read through its
-    own memo, so a part replaced on either is seen.
+    (``Presentation.memo``), and ``build`` seeds that memo for the parts it
+    has just made, so a presentation straight from ``build`` is not
+    compared at all.  The companion's verdict is read through its own memo,
+    so a part replaced on either is seen.
     """
     same = P.memo(("construction",), lambda: _own_parts_as_built(P))
     if not same:
@@ -451,21 +458,28 @@ def as_built(P: Presentation) -> bool:
     return bool(same) and all(same.values())
 
 
+# the parts of P that ``matches_construction`` compares with its construction
+_BUILT_PARTS = ("relations", "delta", "epsilon", "antipode", "star", "det")
+
+
 def _own_parts_as_built(P: Presentation) -> dict:
+    if P.structure is None:
+        return {}
     parts = _standard_parts(P.name, P.N)
-    if parts is None or P.structure is None:
+    if parts is None:
         return {}
     rules, star, maps, det = parts
     mine = P.structure
-    return {
-        "relations": len(P.system.rules) == len(rules)
+    same = (
+        len(P.system.rules) == len(rules)
         and _relation_set(P.system.rules) == _relation_set(rules),
-        "delta": mine.delta == maps.delta,
-        "epsilon": mine.epsilon == maps.epsilon,
-        "antipode": mine.antipode == maps.antipode,
-        "star": P.star == star,
-        "det": P.det == det,
-    }
+        mine.delta == maps.delta,
+        mine.epsilon == maps.epsilon,
+        mine.antipode == maps.antipode,
+        P.star == star,
+        P.det == det,
+    )
+    return dict(zip(_BUILT_PARTS, same))
 
 
 def _matrix_delta(N):
@@ -596,8 +610,22 @@ def check_matrix_identities(P: Presentation) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary presentations for the morphism builder presets
+# auxiliary presentations: the quantum exterior algebra and the morphism
+# builder presets
 # ---------------------------------------------------------------------------
+
+
+def build_exterior(N: int) -> Presentation:
+    """The quantum exterior algebra on x_1, ..., x_N: x_i x_i = 0 and
+    x_j x_i = -q x_i x_j for i < j, oriented towards increasing indices.
+    x_i -> sum_k u^i_k (x) x_k makes it an mq-comodule algebra, through
+    which ``hopf.det_fact`` proves D group-like."""
+    x = [("x", i) for i in range(1, N + 1)]
+    rules = [Rule((g, g), NcPoly()) for g in x]
+    for i in range(N):
+        for j in range(i + 1, N):
+            rules.append(Rule((x[j], x[i]), NcPoly.monomial((x[i], x[j]), -QPARAM)))
+    return Presentation("exterior", N, RewriteSystem(MonomialOrder(x), rules))
 
 
 def build_torus(N: int) -> Presentation:

@@ -666,13 +666,36 @@ def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):
     # the suq and uq of the check share one mq companion, and the verdict
     # on D is memoised there
     seen = []
-    grouplike = hopf.check_grouplike
-    monkeypatch.setattr(hopf, "check_grouplike",
-                        lambda x, P: (seen.append(P), grouplike(x, P))[1])
+    decide = hopf._decide_grouplike
+    monkeypatch.setattr(hopf, "_decide_grouplike",
+                        lambda P: (seen.append(P), decide(P))[1])
     code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
                        "--checks", "coaction-eq20")
     assert (code, out) == (0, "coaction-eq20: pass\n")
     assert len(seen) == 1 and seen[0].name == "mq"
+
+
+@pytest.mark.parametrize("algebra, tamper, by, status", [
+    ("mq", False, "exterior-algebra", "pass"),
+    ("uq", False, "exterior-algebra", "pass"),
+    ("mq", True, "coproduct", "fail"),
+])
+def test_det_central_report_says_how_d_grouplike_was_decided(
+    capsys, tmp_path, monkeypatch, algebra, tamper, by, status
+):
+    if tamper:
+        build = presentations.build
+        monkeypatch.setattr(presentations, "build",
+                            lambda name, N, **kw: _tamper(build(name, N, **kw), "delta"))
+    path = str(tmp_path / "report.json")
+    run(capsys, "verify", "--algebra", algebra, "--N", "3", "--checks", "det-central-rem36",
+        "--json", path)
+    (report,) = json.load(open(path))
+    assert report["status"] == status
+    assert report["details"] == {
+        "central": True, "grouplike": status == "pass", "grouplike_by": by,
+        "counit_one": True, "decided_in": "mq",
+    }
 
 
 def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):
@@ -742,13 +765,16 @@ def test_spectrum_check_fails_without_the_confluence_certificate():
 
 
 def test_sphere_suite_certifies_confluence_once(capsys, monkeypatch):
+    # counted on the sphere's own system: the exterior algebra through
+    # which D is proved group-like has its own certificate
     calls = []
     check = RewriteSystem.check_confluence
     monkeypatch.setattr(RewriteSystem, "check_confluence",
                         lambda self: (calls.append(self), check(self))[1])
     code, _, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3")
     assert code == 0
-    assert len(calls) == 1
+    sphere = presentations.build("sphere", 3).system.alphabet
+    assert len([s for s in calls if s.alphabet == sphere]) == 1
 
 
 def test_spectrum_check_reaches_n6_at_max_eig_20(capsys, tmp_path):

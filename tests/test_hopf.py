@@ -414,6 +414,77 @@ def test_det_hypothesis_catches_a_wrong_determinant(monkeypatch):
     assert exc.value.axiom == "delta-kills-relations"
 
 
+def _spy_grouplike(monkeypatch):
+    """The presentations on which ``check_grouplike`` runs, from now on."""
+    seen = []
+    check = hopf.check_grouplike
+    monkeypatch.setattr(hopf, "check_grouplike", lambda x, P: (seen.append(P), check(x, P))[1])
+    return seen
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_d_grouplike_through_the_exterior_algebra(monkeypatch, N):
+    # the exterior-algebra proof is the path taken, and the coproduct of D,
+    # N! N^N terms, is zero-tested only by the oracle below (N <= 4)
+    seen = _spy_grouplike(monkeypatch)
+    P = build("mq", N)
+    assert hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "exterior-algebra"
+    assert seen == []
+    if N <= 4:
+        assert check_grouplike(quantum_determinant(N), P)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_d_with_a_sign_flipped_fails_both_paths(N):
+    # pins the sign convention of the exterior algebra: x_j x_i = -q x_i x_j
+    # gives D with (-q)^inversions, and a D that differs in one sign is
+    # refused by the exterior algebra and is not group-like
+    P = build("mq", N)
+    D = quantum_determinant(N)
+    w = sorted(D.terms)[1]
+    flipped = D - NcPoly.monomial(w, D.coeff(w) + D.coeff(w))
+    assert flipped.coeff(w) == -D.coeff(w)
+    assert hopf._grouplike_by_exterior(P, D)
+    assert not hopf._grouplike_by_exterior(P, flipped)
+    assert not check_grouplike(flipped, P)
+
+
+def test_d_grouplike_needs_the_counit_of_d():
+    # epsilon(u11) = 2: Delta(D) = D (x) D still holds, so the exterior
+    # algebra decides, but epsilon(D) = 2 and D is not group-like
+    P = _mutate(build("mq", 2), epsilon={u(1, 1): Scalar.from_int(2)})
+    assert not hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "exterior-algebra"
+    assert not check_grouplike(quantum_determinant(2), P)
+
+
+def test_exterior_algebra_with_another_sign_is_refused(monkeypatch):
+    # x_j x_i = -q^-1 x_i x_j: delta no longer kills the relations, so the
+    # proof is refused and the coproduct of D decides
+    from qsphere import presentations
+
+    def other_sign(N):
+        L = presentations.build_exterior(N)
+        rules = [Rule(r.lhs, r.rhs.scale(q ** -2)) for r in L.system.rules]
+        return Presentation("exterior", N, RewriteSystem(L.system.order, rules))
+
+    monkeypatch.setattr(hopf, "build_exterior", other_sign)
+    P = build("mq", 3)
+    assert not hopf._grouplike_by_exterior(P, quantum_determinant(3))
+    assert hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "coproduct"
+
+
+def test_d_grouplike_falls_back_where_delta_is_replaced(monkeypatch):
+    # a copy of mq whose coproduct table is not the matrix coproduct: the
+    # FRT lemma does not apply, so the coproduct of D is zero-tested
+    P = build("mq", 2)
+    Q = _delta_u11_grouplike(copy.copy(P))
+    seen = _spy_grouplike(monkeypatch)
+    assert not hopf.det_fact(Q, "grouplike") and hopf.grouplike_by(Q) == "coproduct"
+    assert seen == [Q]
+    assert hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "exterior-algebra"
+    assert seen == [Q]
+
+
 @pytest.mark.parametrize("name", ["suq", "uq"])
 def test_star_lemma_needs_the_transpose_to_keep_the_ideal(monkeypatch, name):
     # u12 = 0 added to the construction: still a Hopf ideal, but the

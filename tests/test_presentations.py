@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from qsphere import presentations
 from qsphere.errors import AlphabetMismatch, IdentityFails
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from qsphere.hopf import antipode, embed_sphere, star_laws, tensor_zero
@@ -417,8 +418,6 @@ def test_clearing_skips_top_level_words_exactly(name, N):
 
 
 def test_matches_construction_is_memoised_and_follows_replaced_parts(monkeypatch):
-    from qsphere import presentations
-
     P = build("uq", 2)
     calls = []
     parts = presentations._standard_parts
@@ -426,14 +425,16 @@ def test_matches_construction_is_memoised_and_follows_replaced_parts(monkeypatch
         presentations, "_standard_parts",
         lambda name, N: (calls.append(name), parts(name, N))[1],
     )
+    # build vouches for the parts it has just made, and for its companion's
     assert as_built(P) and as_built(P)
-    assert calls == ["uq", "mq"]
-    # a table replaced on a copy of P
+    assert calls == []
+    # a table replaced on a copy of P is compared by value, once
     Q = copy.copy(P)
     assert as_built(Q)
     Q.structure = copy.copy(P.structure)
     Q.structure.antipode = {**P.structure.antipode, u(1, 2): NcPoly.gen(u(1, 2))}
     assert matches_construction(Q)["antipode"] is False and not as_built(Q)
+    assert calls == ["uq"]
     assert as_built(P)
     # a table replaced on a copy of the companion, after the first call
     R = copy.copy(P)
@@ -443,6 +444,28 @@ def test_matches_construction_is_memoised_and_follows_replaced_parts(monkeypatch
     R.aux.structure.epsilon = {**P.aux.structure.epsilon, u(1, 2): Scalar.from_int(1)}
     assert matches_construction(R)["companion"] is False and not as_built(R)
     assert as_built(P)
+
+
+@pytest.mark.parametrize("name", ["mq", "suq", "uq"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_build_vouches_only_for_what_a_comparison_confirms(name, N):
+    # the verdict build seeds is the one the comparison by value gives
+    P = build(name, N)
+    assert P.memo(("construction",), lambda: None) == presentations._own_parts_as_built(P)
+    assert all(presentations._own_parts_as_built(P).values())
+
+
+def test_standard_parts_builds_nothing_for_other_names(monkeypatch):
+    built = []
+    for part in ("_mq_rules", "_matrix_delta", "_matrix_epsilon"):
+        make = getattr(presentations, part)
+        monkeypatch.setattr(presentations, part,
+                            lambda N, make=make, part=part: (built.append(part), make(N))[1])
+    assert presentations._standard_parts("sphere", 3) is None
+    assert matches_construction(build("sphere", 3)) == {}
+    P = build("mq", 2)
+    assert matches_construction(Presentation("copy", 2, P.system, structure=P.structure)) == {}
+    assert built == ["_mq_rules", "_matrix_delta", "_matrix_epsilon"]
 
 
 def _det_relations(P):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsphere import hopf, presentations, rmatrix
+from qsphere import hopf, linalg, presentations, rmatrix
 from qsphere.errors import AxiomFails
 from qsphere.freealg import NcPoly, u
 from qsphere.linalg import identity, is_zero_matrix, mat_mul, mat_scale, rank, transpose, zeros
@@ -611,6 +611,36 @@ def test_reality_in_every_degree_needs_the_star_lemma(N):
 
 
 @pytest.mark.parametrize("N", [2, 3])
+def test_reality_by_table_agrees_with_the_cofactor_loop(monkeypatch, N):
+    # under the star lemma check_cqt reads reality off the generator values,
+    # r(a, b) = r(tau b, tau a); the loop over cofactor pairs agrees
+    P = build("suq", N)
+    ways = []
+    check = rmatrix._check_reality
+    monkeypatch.setattr(rmatrix, "_check_reality",
+                        lambda *a: (ways.append(check(*a)), ways[-1])[1])
+    check_cqt(P)
+    assert ways == ["table"]
+    gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    assert check(RFormEvaluator(P), gens, False) == "loop"
+    # out of the star lemma's scope the loop decides
+    check_cqt(_with_changed_relation(build("suq", N)))
+    assert ways == ["table", "loop"]
+
+
+def test_reality_with_a_non_symmetric_table_takes_the_loop_and_fails():
+    # r(u11, u22) doubled, r(u22, u11) kept: the table identity fails, so
+    # the cofactor loop decides, and it fails too
+    P = build("suq", 3)
+    ev = RFormEvaluator(P)
+    ev._table[(u(1, 1), u(2, 2))] = ev._table[(u(1, 1), u(2, 2))] * Scalar.from_int(2)
+    gens = [u(i, j) for i in range(1, 4) for j in range(1, 4)]
+    with pytest.raises(AxiomFails) as exc:
+        rmatrix._check_reality(ev, gens, True)
+    assert exc.value.axiom == "reality"
+
+
+@pytest.mark.parametrize("N", [2, 3])
 def test_reality_holds_beyond_generators(N):
     # what the induction proves, seen on seeded words of length up to 3:
     # r(a, b) = r(b*, a*), with the star antimultiplicative
@@ -630,6 +660,22 @@ def test_reality_holds_beyond_generators(N):
         assert lhs == rhs, (a, b)
         nonzero += bool(lhs)
     assert nonzero == {2: 10, 3: 5}[N]
+
+
+def test_nullspace_ignores_repeated_rows(monkeypatch):
+    # the row space, and so the null space, is that of the distinct rows,
+    # and only those are eliminated
+    eliminated = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda A: (eliminated.append(len(A)), rref(A))[1])
+    rng = random.Random(7)
+    values = [ZERO, ONE, QPARAM, -QPARAM ** 2, QPARAM + ONE]
+    for _ in range(20):
+        rows = [[rng.choice(values) for _ in range(4)] for _ in range(rng.randint(1, 4))]
+        doubled = [rng.choice(rows) for _ in range(6)] + rows
+        assert linalg.nullspace(doubled) == linalg.nullspace(rows)
+        distinct = len(set(map(tuple, rows)))
+        assert eliminated[-2:] == [distinct, distinct]
 
 
 def test_eigenspace_orthogonality():
