@@ -25,7 +25,7 @@ for row in R:
 
 for N in (2, 3, 4):
     p_plus, p_minus = eigenprojections(N)
-    info = mult_kernel(N)
+    info = mult_kernel(build("sphere", N))
     print(f"N={N}: hecke={check_hecke(N)}, "
           f"rank P+ = {rank(p_plus)}, rank P- = {rank(p_minus)}, "
           f"ker mu = im(R - q): {info['equal']} (dim {info['dim_kernel']})")

@@ -78,7 +78,7 @@ def _check_hecke(P, args):
 
 
 def _check_kernel(P, args):
-    info = rmatrix.mult_kernel(P.N)
+    info = rmatrix.mult_kernel(P)
     details = {
         "dim_kernel": info["dim_kernel"],
         "dim_image": info["dim_image"],
@@ -350,12 +350,9 @@ def cmd_morphism(args) -> int:
             [NcPoly.gen(("T", i + 1)) if i == j else NcPoly() for j in range(N)]
             for i in range(N)
         ]
-    elif args.target == "free-fail":
+    else:  # free-fail; the parser admits no other target
         Q = presentations.build_free_matrix(N)
         qmat = [[NcPoly.gen(("a", i + 1, j + 1)) for j in range(N)] for i in range(N)]
-    else:
-        print(f"unknown preset {args.target!r}", file=sys.stderr)
-        return 2
     try:
         psi = hopf.build_u_morphism(Q, qmat)
     except HypothesisFails as exc:

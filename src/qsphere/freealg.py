@@ -148,12 +148,6 @@ class NcPoly(LinearSum):
     def coeff(self, word) -> Scalar:
         return self.terms.get(tuple(word), ZERO)
 
-    def generators(self):
-        seen = set()
-        for w in self.terms:
-            seen.update(w)
-        return seen
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 

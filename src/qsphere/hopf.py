@@ -76,7 +76,6 @@ from .presentations import (
     build_exterior,
     check_central,
     identity_defect,
-    matches_construction,
     matrix_mul,
     quantum_determinant,
 )
@@ -222,8 +221,8 @@ def det_fact(P: Presentation, fact: str) -> bool:
     where these hypotheses hold, checked exactly in this order
     (``_grouplike_by_exterior``):
 
-    1. the relations and the Delta table of mq are as built
-       (``matches_construction``), so Delta is an algebra map of mq by the
+    1. mq is as built (``as_built``), so its relations and Delta table are
+       those of the construction and Delta is an algebra map of mq by the
        FRT lemma of ``verify_hopf``;
     2. L's system is confluent (``check_confluence``), so its normal form is
        canonical and x_1 ... x_N, a normal word, is not 0 in L;
@@ -276,8 +275,7 @@ def _grouplike_by_exterior(mq: Presentation, D: NcPoly) -> bool:
     quantum determinant?  The Lambda leg of delta(x_1 ... x_N) is reduced
     after each factor, so a repeated x_k drops at once and the product has
     N! terms, not N^N."""
-    same = matches_construction(mq)
-    if not (same and same["relations"] and same["delta"]):
+    if not as_built(mq):
         return False
     N = mq.N
     L = build_exterior(N)
@@ -347,13 +345,12 @@ def _generator_law_failure(P: Presentation):
 def _kill_lemmas(P: Presentation, laws_hold: bool):
     """The maps among Delta and S whose relation kills follow from the
     lemmas of ``verify_hopf``, and the hypotheses checked for them."""
-    same = matches_construction(P)
     proved, hypotheses = set(), []
-    if not (same and same["relations"] and same["det"] and same["companion"]):
+    if not as_built(P):
         return proved, hypotheses
     hypotheses.append("relations-as-built")
     has_det = P.det is not None
-    if same["delta"] and (not has_det or det_fact(P, "grouplike")):
+    if not has_det or det_fact(P, "grouplike"):
         proved.add("delta")
         hypotheses.append("delta-is-matrix-coproduct")
         if has_det:
@@ -362,8 +359,6 @@ def _kill_lemmas(P: Presentation, laws_hold: bool):
         "delta" in proved
         and P.structure.antipode is not None
         and laws_hold
-        and same["epsilon"]
-        and same["antipode"]
         and (DINV not in P.generators or det_fact(P, "central"))
     ):
         proved.add("antipode")
@@ -385,11 +380,11 @@ def verify_hopf(P: Presentation) -> dict:
     So the laws on each generator prove them everywhere.
 
     epsilon of a relation is a scalar and is always computed.  On mq, suq
-    and uq as ``build`` makes them (``matches_construction``) the kills of
-    Delta and S are proved instead of computed.  Write F for the free
-    algebra, I for the ideal of the relations, I_mq for that of the FRT
-    relations, u for the generator matrix and U = u_1 u_2, the matrix with
-    entries U_(ij),(kl) = u_ik u_jl.  The FRT relations span the entries of
+    and uq as ``build`` makes them (``as_built``) the kills of Delta and S
+    are proved instead of computed.  Write F for the free algebra, I for
+    the ideal of the relations, I_mq for that of the FRT relations, u for
+    the generator matrix and U = u_1 u_2, the matrix with entries
+    U_(ij),(kl) = u_ik u_jl.  The FRT relations span the entries of
     X = R U - U R, for R the braiding matrix (rmatrix.rhat).
 
     * Delta, given the matrix coproduct table: Delta(U) = U (x). U, the
@@ -412,8 +407,9 @@ def verify_hopf(P: Presentation) -> dict:
       so S(dinv D - 1) = S(D) D - 1, S(D dinv - 1) = D S(D) - 1, and
       S(dinv g - g dinv) = S(g) D - D S(g) vanishes as D is central in mq.
 
-    A map whose hypotheses fail, on a presentation out of that scope, keeps
-    the loop over the relations.  A proved map cannot fail that loop, so
+    A presentation with a part replaced since ``build``, even by an equal
+    one, is out of that scope.  There, and where a hypothesis fails, a map
+    keeps the loop over the relations.  A proved map cannot fail that loop, so
     skipping it leaves the first failing relation, axiom and witness as the
     full loop has them.  The laws on generators are computed first, as S
     needs them, and reported after the kills.  A passing verdict is
@@ -1035,11 +1031,11 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
       zstar_z:  sum_{k,l} X_{kl} S(u^i_k) u^l_j = X_{ij} 1
       z_zstar:  sum_{k,l} X_{kl} u^k_i S(u^j_l) = X_{ij} 1
 
-    On suq and uq as ``build`` makes them (``matches_construction`` holds
-    in full) only the diagonal unknowns are solved for.  Give u^a_b
-    the bidegree (e_a; e_b) in Z^N x Z^N and dinv the bidegree -(1; 1),
-    with 1 = (1, ..., 1).  The argument rests on four facts, each pinned by
-    a test at N = 2, 3, 4 rather than checked at run time:
+    On suq and uq as ``build`` makes them (``as_built``) only the diagonal
+    unknowns are solved for.  Give u^a_b the bidegree (e_a; e_b) in
+    Z^N x Z^N and dinv the bidegree -(1; 1), with 1 = (1, ..., 1).  The
+    argument rests on four facts, each pinned by a test at N = 2, 3, 4
+    rather than checked at run time:
 
     * the mq rules are homogeneous, so the mq normal form and ``reduce``
       (which moves the central dinv letters aside) keep bidegrees;

@@ -31,9 +31,11 @@ class StructureMaps:
 class Presentation:
     """A finitely presented algebra: its rewriting system, star table,
     structure maps and, on suq and uq, the confluent companion mq and the
-    determinant D.  ``copy.copy`` gives a presentation whose parts can be
-    replaced one by one.  Verdicts are memoised against the identity of the
-    parts (``memo``): replace a table rather than edit it in place."""
+    determinant D.  ``copy.copy`` gives a presentation with a memo of its
+    own, whose parts can be replaced one by one.  Verdicts are memoised
+    against the identity of the parts (``memo``), and ``as_built`` holds
+    while they are the objects ``build`` made: replace a table rather than
+    edit it in place."""
 
     def __init__(
         self,
@@ -52,16 +54,25 @@ class Presentation:
         self.structure = structure
         self.aux = aux
         self.det = det
-        self._det_pows = [NcPoly.unit()]  # D^0, D^1, ... in mq, built on demand
         self._memo = {}
+        self._built = None  # the parts as ``build`` made them (``as_built``)
+
+    def __copy__(self):
+        Q = Presentation.__new__(Presentation)
+        Q.__dict__.update(self.__dict__)
+        Q._memo = dict(self._memo)
+        return Q
+
+    def _parts(self):
+        maps = self.structure
+        tables = (None,) * 3 if maps is None else (maps.delta, maps.epsilon, maps.antipode)
+        return (self.system, self.star, maps, self.aux, self.det, *tables)
 
     def memo(self, key, compute):
         """compute(), computed once for this presentation while its parts
         (system, star, structure maps and their tables, companion, D) stay
         the same objects."""
-        maps = self.structure
-        tables = (None,) * 3 if maps is None else (maps.delta, maps.epsilon, maps.antipode)
-        parts = (self.system, self.star, maps, self.aux, self.det, *tables)
+        parts = self._parts()
         entry = self._memo.get(key)
         if entry is None or any(a is not b for a, b in zip(entry[0], parts)):
             entry = (parts, compute())
@@ -154,12 +165,14 @@ class Presentation:
         mq-normal, and every other word is cleared into mq, on uq and suq
         alike: that is the clearing step of ``zero_test_images``."""
         out = NcPoly()
+        pows = None  # looked up at the first word to clear
         for w, c in p.terms.items():
             core, k = self._level(w)
             if k >= m:
                 out._iadd_term(core + (DINV,) * (k - m), c)
             else:
-                for w2, c2 in self.clear_word(w, m).terms.items():
+                pows = pows or self.det_powers()
+                for w2, c2 in self.clear_word(w, m, pows).terms.items():
                     out._iadd_term(w2, c * c2)
         return out
 
@@ -187,11 +200,10 @@ class Presentation:
     # Both are exact on any free polynomial, not only on normal forms.
     # The suq level must not be used on uq, where it sends 1 - D to 0.
 
-    def det_power(self, m: int) -> NcPoly:
-        pows = self._det_pows
-        while len(pows) <= m:
-            pows.append(self.aux.nf(pows[-1] * self.det))
-        return pows[m]
+    def det_powers(self) -> list:
+        """D^0, D^1, ... in mq as far as ``clear_word`` has needed them,
+        kept while D and the other parts stay the same objects (``memo``)."""
+        return self.memo(("det", "powers"), lambda: [NcPoly.unit()])
 
     def _level(self, word):
         """The mq core of a reduced word and its level g."""
@@ -199,11 +211,14 @@ class Presentation:
             return dinv_split(word)
         return word, len(word) // self.N
 
-    def clear_word(self, word, M: int) -> NcPoly:
+    def clear_word(self, word, M: int, pows: list) -> NcPoly:
         """Image core(W) * D^(M - g(W)) of a reduced word W in the companion
-        algebra mq, for M at least its level g(W)."""
+        algebra mq, for M at least its level g(W); pows is ``det_powers``,
+        extended here as far as needed."""
         core, k = self._level(word)
-        return self.aux.nf(NcPoly.monomial(core) * self.det_power(M - k))
+        while len(pows) <= M - k:
+            pows.append(self.aux.nf(pows[-1] * self.det))
+        return self.aux.nf(NcPoly.monomial(core) * pows[M - k])
 
     def zero_test_images(self, polys) -> list:
         """Images of the given polynomials under one linear map that is
@@ -355,9 +370,13 @@ def build(
 ) -> Presentation:
     """Build one of the named presentations: mq, suq, uq, sphere.  On suq
     and uq, ``aux``, if given, is the mq companion instead of a new build,
-    so that presentations sharing it share its memoised verdicts."""
+    so that presentations sharing it share its memoised verdicts; it must
+    be an mq of the same N.  The parts made for mq, suq and uq are recorded
+    on the result (``as_built``)."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if aux is not None and (aux.name, aux.N) != ("mq", N):
+        raise ValueError(f"the companion must be mq({N}), not {aux.name}({aux.N})")
 
     if name == "sphere":
         prec = [z(i) for i in range(1, N + 1)] + [zs(i) for i in range(N, 0, -1)]
@@ -380,18 +399,12 @@ def build(
     P = Presentation(
         name, N, system, star=star, structure=structure, aux=aux, det=det,
     )
-    # these parts are what _standard_parts makes, so P vouches for them
-    # itself; a part replaced later changes the memo's identity key and is
-    # compared by value (``matches_construction``)
-    P.memo(("construction",), lambda: dict.fromkeys(_BUILT_PARTS, True))
+    P._built = P._parts()
     return P
 
 
 def _standard_parts(name, N):
-    """Rules, star table, structure maps and determinant of mq, suq or uq,
-    as ``build`` makes them; None for any other name."""
-    if name not in ("mq", "suq", "uq"):
-        return None
+    """Rules, star table, structure maps and determinant of mq, suq or uq."""
     rules = _mq_rules(N)
     delta = _matrix_delta(N)
     epsilon = _matrix_epsilon(N)
@@ -427,59 +440,18 @@ def _standard_parts(name, N):
     return rules, star, StructureMaps(delta, epsilon, antipode), det
 
 
-def _relation_set(rules):
-    return {NcPoly.monomial(r.lhs) - r.rhs for r in rules}
-
-
-def matches_construction(P: Presentation) -> dict:
-    """Which parts of P are exactly what ``build`` makes for its name and N:
-    the relations (as a set of polynomials), each table, D and the
-    mq companion.  Empty when P has no such construction or no structure
-    maps.  The lemmas of ``hopf`` apply only where this holds.  P's own
-    parts are compared once while they stay the same objects
-    (``Presentation.memo``), and ``build`` seeds that memo for the parts it
-    has just made, so a presentation straight from ``build`` is not
-    compared at all.  The companion's verdict is read through its own memo,
-    so a part replaced on either is seen.
-    """
-    same = P.memo(("construction",), lambda: _own_parts_as_built(P))
-    if not same:
-        return {}
-    if P.det is None:
-        companion = P.aux is None
-    else:
-        companion = P.aux is not None and P.aux.name == "mq" and as_built(P.aux)
-    return {**same, "companion": companion}
-
-
 def as_built(P: Presentation) -> bool:
-    """Does ``matches_construction`` hold in full on P?"""
-    same = matches_construction(P)
-    return bool(same) and all(same.values())
-
-
-# the parts of P that ``matches_construction`` compares with its construction
-_BUILT_PARTS = ("relations", "delta", "epsilon", "antipode", "star", "det")
-
-
-def _own_parts_as_built(P: Presentation) -> dict:
-    if P.structure is None:
-        return {}
-    parts = _standard_parts(P.name, P.N)
-    if parts is None:
-        return {}
-    rules, star, maps, det = parts
-    mine = P.structure
-    same = (
-        len(P.system.rules) == len(rules)
-        and _relation_set(P.system.rules) == _relation_set(rules),
-        mine.delta == maps.delta,
-        mine.epsilon == maps.epsilon,
-        mine.antipode == maps.antipode,
-        P.star == star,
-        P.det == det,
+    """Is each part of P (system, star, structure maps and their tables,
+    companion, D) still the object ``build`` made for it, and on suq and
+    uq the companion as built too?  The lemmas of ``hopf`` apply only
+    where this holds.  False on the sphere and on every presentation that
+    ``build`` did not make for mq, suq or uq."""
+    built = P._built
+    return (
+        built is not None
+        and all(a is b for a, b in zip(built, P._parts()))
+        and (P.aux is None or as_built(P.aux))
     )
-    return dict(zip(_BUILT_PARTS, same))
 
 
 def _matrix_delta(N):

@@ -35,7 +35,7 @@ from .linalg import (
     transpose,
     zeros,
 )
-from .presentations import Presentation, build
+from .presentations import Presentation
 from .scalars import ONE, QPARAM, ZERO, Scalar
 
 
@@ -88,10 +88,10 @@ def eigenprojections(N: int):
     return p_plus, p_minus
 
 
-def mult_kernel(N: int):
+def mult_kernel(sphere: Presentation):
     """Kernel of multiplication V (x) V -> sphere algebra, versus the image
     of (R - q I); returns bases and the verdict of subspace equality."""
-    sphere = build("sphere", N)
+    N = sphere.N
     pairs, idx = _pair_index(N)
     # coefficient matrix of the normal forms of all products z_i z_j
     words = set()

@@ -79,7 +79,7 @@ def test_03_hecke():
 
 def test_04_multiplication_kernel():
     for N in (2, 3, 4):
-        info = mult_kernel(N)
+        info = mult_kernel(build("sphere", N))
         assert info["dim_kernel"] == N * (N - 1) // 2
         assert info["equal"]
     _ok("multiplication-kernel", "ker mu = im(R-q), dim N(N-1)/2, N=2,3,4")

@@ -764,6 +764,16 @@ def test_spectrum_check_fails_without_the_confluence_certificate():
     assert all(b["normal_words"] == b["dim"] for b in details["bidegrees"])
 
 
+def test_kernel_check_uses_the_run_sphere(capsys, monkeypatch):
+    built = []
+    rules = presentations._sphere_rules
+    monkeypatch.setattr(presentations, "_sphere_rules", lambda N: (built.append(N), rules(N))[1])
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
+                       "--checks", "kernel-lemma67")
+    assert (code, out) == (0, "kernel-lemma67: pass\n")
+    assert built == [3]
+
+
 def test_sphere_suite_certifies_confluence_once(capsys, monkeypatch):
     # counted on the sphere's own system: the exterior algebra through
     # which D is proved group-like has its own certificate

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from qsphere import presentations
+from qsphere import hopf
 from qsphere.errors import AlphabetMismatch, IdentityFails
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from qsphere.hopf import antipode, embed_sphere, star_laws, tensor_zero
@@ -23,7 +23,6 @@ from qsphere.presentations import (
     check_central,
     check_matrix_identities,
     dinv_split,
-    matches_construction,
     quantum_determinant,
 )
 from qsphere.scalars import QPARAM, Scalar
@@ -80,6 +79,7 @@ def test_det_column_expansion_oracle():
 def test_det_central_in_mq(N):
     P = build("mq", N)
     assert check_central(quantum_determinant(N), P)
+    assert not check_central(NcPoly.gen(u(1, 2)), P)
 
 
 def test_det_leading_coefficient():
@@ -345,7 +345,7 @@ def _reference_zero_test_images(P, polys):
     for p in images:
         img = NcPoly()
         for w, c in p.terms.items():
-            img = img + P.clear_word(w, M).scale(c)
+            img = img + P.clear_word(w, M, P.det_powers()).scale(c)
         out.append(img)
     return out
 
@@ -411,61 +411,76 @@ def test_clearing_skips_top_level_words_exactly(name, N):
     for p in reduced:
         img = NcPoly()
         for w, c in p.terms.items():
-            img = img + P.clear_word(w, M).scale(c)
+            img = img + P.clear_word(w, M, P.det_powers()).scale(c)
         want.append(img)
     assert P.zero_test_images(cases) == want
     assert any(P._level(w)[1] == M for p in reduced for w in p.terms)
 
 
-def test_matches_construction_is_memoised_and_follows_replaced_parts(monkeypatch):
+def test_matches_construction_is_memoised_and_follows_replaced_parts():
+    # as built means each part is still the object build made
     P = build("uq", 2)
-    calls = []
-    parts = presentations._standard_parts
-    monkeypatch.setattr(
-        presentations, "_standard_parts",
-        lambda name, N: (calls.append(name), parts(name, N))[1],
-    )
-    # build vouches for the parts it has just made, and for its companion's
-    assert as_built(P) and as_built(P)
-    assert calls == []
-    # a table replaced on a copy of P is compared by value, once
+    assert as_built(P) and as_built(P.aux)
     Q = copy.copy(P)
     assert as_built(Q)
+    # a table replaced on a copy of P, or only its holder replaced by an
+    # equal copy: out of scope either way
     Q.structure = copy.copy(P.structure)
+    assert not as_built(Q)
     Q.structure.antipode = {**P.structure.antipode, u(1, 2): NcPoly.gen(u(1, 2))}
-    assert matches_construction(Q)["antipode"] is False and not as_built(Q)
-    assert calls == ["uq"]
+    assert not as_built(Q)
     assert as_built(P)
-    # a table replaced on a copy of the companion, after the first call
-    R = copy.copy(P)
-    R.aux = copy.copy(P.aux)
+    # a table replaced on the companion, after the first call
+    mq = copy.copy(build("mq", 2))
+    R = build("uq", 2, aux=mq)
     assert as_built(R)
-    R.aux.structure = copy.copy(P.aux.structure)
-    R.aux.structure.epsilon = {**P.aux.structure.epsilon, u(1, 2): Scalar.from_int(1)}
-    assert matches_construction(R)["companion"] is False and not as_built(R)
+    mq.structure = copy.copy(mq.structure)
+    mq.structure.epsilon = {**mq.structure.epsilon, u(1, 2): Scalar.from_int(1)}
+    assert not as_built(mq) and not as_built(R)
     assert as_built(P)
 
 
-@pytest.mark.parametrize("name", ["mq", "suq", "uq"])
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_build_vouches_only_for_what_a_comparison_confirms(name, N):
-    # the verdict build seeds is the one the comparison by value gives
-    P = build(name, N)
-    assert P.memo(("construction",), lambda: None) == presentations._own_parts_as_built(P)
-    assert all(presentations._own_parts_as_built(P).values())
+def test_det_powers_follow_a_replaced_determinant(monkeypatch):
+    # the powers of D live in the memo, so a copy with D replaced by 2 D,
+    # or P itself after the same change, clears with 2 D: D - 1 is not 0
+    P = build("suq", 2)
+    D, one = quantum_determinant(2), NcPoly.unit()
+    assert P.is_zero_elem(D - one)
+    Q = copy.copy(P)
+    Q.det = P.det.scale(Scalar.from_int(2))
+    assert not Q.is_zero_elem(D - one)
+    assert Q.det_powers()[1] == P.aux.nf(Q.det)
+    assert P.is_zero_elem(D - one)
+    P.det = Q.det
+    assert not P.is_zero_elem(D - one)
+    # looked up once per clearing step, not once per word
+    lookups = []
+    memo = Presentation.memo
+    monkeypatch.setattr(Presentation, "memo",
+                        lambda self, key, compute: (lookups.append(key), memo(self, key, compute))[1])
+    words = [NcPoly.gen(g) for g in P.generators]
+    assert not P.is_zero_elem(sum(words[1:], D))
+    assert lookups == [("det", "powers")]
 
 
-def test_standard_parts_builds_nothing_for_other_names(monkeypatch):
-    built = []
-    for part in ("_mq_rules", "_matrix_delta", "_matrix_epsilon"):
-        make = getattr(presentations, part)
-        monkeypatch.setattr(presentations, part,
-                            lambda N, make=make, part=part: (built.append(part), make(N))[1])
-    assert presentations._standard_parts("sphere", 3) is None
-    assert matches_construction(build("sphere", 3)) == {}
-    P = build("mq", 2)
-    assert matches_construction(Presentation("copy", 2, P.system, structure=P.structure)) == {}
-    assert built == ["_mq_rules", "_matrix_delta", "_matrix_epsilon"]
+def test_a_copy_has_a_memo_of_its_own(monkeypatch):
+    P = build("suq", 2)
+    Q = copy.copy(P)
+    Q.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
+    calls = []
+    lemma = hopf._star_lemma
+    monkeypatch.setattr(hopf, "_star_lemma", lambda A: (calls.append(A), lemma(A))[1])
+    for _ in range(3):
+        assert hopf.star_lemma(P) is not None
+        assert hopf.star_lemma(Q) is None
+    assert calls == [P, Q]
+
+
+def test_build_rejects_a_wrong_companion():
+    for name, aux in [("suq", build("mq", 2)), ("uq", build("uq", 3)), ("uq", build("sphere", 3))]:
+        with pytest.raises(ValueError):
+            build(name, 3, aux=aux)
+    assert as_built(build("suq", 3, aux=build("mq", 3)))
 
 
 def _det_relations(P):

@@ -41,6 +41,8 @@ def test_alphabet_mismatch():
     order = MonomialOrder([A, B])
     with pytest.raises(AlphabetMismatch):
         RewriteSystem(order, [Rule((C, A), NcPoly.unit())])
+    with pytest.raises(AlphabetMismatch):
+        RewriteSystem(order, [Rule((B, A), NcPoly.gen(C))])
     sys_ = RewriteSystem(order, [])
     with pytest.raises(AlphabetMismatch):
         sys_.normal_form(NcPoly.gen(C))
