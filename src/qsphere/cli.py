@@ -11,7 +11,6 @@ import contextlib
 import json
 import sys
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import hopf, parser, presentations, rmatrix, spectrum
@@ -91,12 +90,14 @@ def _check_kernel(P, args):
 
 def _check_det_central(P, args):
     # decided in mq (on uq in its companion), which implies it in uq; the
-    # facts are shared with the relation-kill lemmas of hopf-axioms
+    # verdict on D group-like is shared with the relation-kill lemmas
+    mq = P.aux if P.aux is not None else P
     det = presentations.quantum_determinant(P.N)
+    grouplike, grouplike_by = hopf.det_grouplike(P)
     details = {
-        "central": hopf.det_fact(P, "central"),
-        "grouplike": hopf.det_fact(P, "grouplike"),
-        "grouplike_by": hopf.grouplike_by(P),
+        "central": presentations.check_central(det, mq),
+        "grouplike": grouplike,
+        "grouplike_by": grouplike_by,
         "counit_one": hopf.counit(det, P).is_one,
         "decided_in": "mq",
     }
@@ -115,11 +116,11 @@ def _check_matrix_identities(P, args):
 
 
 def _check_coaction(P, args):
-    # one mq companion for both coefficient algebras, so the facts about D
-    # memoised on it (``hopf.det_fact``) are computed once.  deltaR is
-    # rho_u pushed along uq -> suq and the embedding is deltaR at a point
-    # of the sphere; each is verified on its own only where that is
-    # refused, in the order of the report, so that a failure is the one
+    # one mq companion for both coefficient algebras, so the verdict on D
+    # group-like memoised on it (``hopf.det_grouplike``) is computed once.
+    # deltaR is rho_u pushed along uq -> suq and the embedding is deltaR at
+    # a point of the sphere; each is verified on its own only where that
+    # is refused, in the order of the report, so that a failure is the one
     # the report's first failing map gives.
     suq = presentations.build("suq", P.N)
     uq = presentations.build("uq", P.N, aux=suq.aux)
@@ -209,17 +210,6 @@ CHECKS = {
 }
 
 
-def _numeric_checks(P, q0):
-    """Extra sanity at a rational parameter value: the braiding eigenspaces
-    are orthogonal there."""
-    ortho = rmatrix.check_eigenspace_orthogonality(P.N, q0)
-    return (
-        "pass" if ortho else "fail",
-        {"q": str(q0), "eigenspace_orthogonality": ortho},
-        None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -228,17 +218,6 @@ def _numeric_checks(P, q0):
 def _open_json(path):
     """The ``--json`` file, opened before any work so a bad path costs none."""
     return open(path, "w") if path else contextlib.nullcontext()
-
-
-def _emit(reports, fh):
-    worst = 0
-    for r in reports:
-        print(f"{r['check']}: {r['status']}")
-        if r["status"] == "fail":
-            worst = 1
-    if fh is not None:
-        json.dump(reports, fh, indent=2)
-    return worst
 
 
 def _check_names(args):
@@ -264,8 +243,8 @@ def _check_names(args):
 
 
 def _run_checks(args, names):
+    """The report of each named check, yielded as soon as it is made."""
     P = presentations.build(args.algebra, args.N)
-    reports = []
     for name in sorted(names):
         fn = CHECKS[name][0]
         t0 = time.monotonic()
@@ -275,24 +254,24 @@ def _run_checks(args, names):
             status, details, cx = "fail", {"error": str(exc)}, None
         ms = int((time.monotonic() - t0) * 1000)
         params = {"max_degree": args.max_degree}
-        reports.append(
-            _report(args.algebra, args.N, name, params, status, details, cx, ms)
-        )
-    if args.q is not None:
-        t0 = time.monotonic()
-        status, details, cx = _numeric_checks(P, args.q)
-        ms = int((time.monotonic() - t0) * 1000)
-        reports.append(
-            _report(args.algebra, args.N, "numeric-evaluation",
-                    {"q": str(args.q)}, status, details, cx, ms)
-        )
-    return reports
+        yield _report(args.algebra, args.N, name, params, status, details, cx, ms)
 
 
 def cmd_verify(args) -> int:
+    """Print each check's line as the check finishes, so a run that ends in
+    an error still shows what passed before it; the ``--json`` file gets
+    the reports of the checks that finished, also then."""
     names = _check_names(args)
+    reports = []
     with _open_json(args.json) as fh:
-        return _emit(_run_checks(args, names), fh)
+        try:
+            for r in _run_checks(args, names):
+                print(f"{r['check']}: {r['status']}", flush=True)
+                reports.append(r)
+        finally:
+            if fh is not None:
+                json.dump(reports, fh, indent=2)
+    return 1 if any(r["status"] == "fail" for r in reports) else 0
 
 
 def cmd_basis(args) -> int:
@@ -389,13 +368,6 @@ def _int_at_least(lo):
     return parse
 
 
-def _nonzero_rational(text):
-    with contextlib.suppress(ValueError, ZeroDivisionError):
-        if Fraction(text):
-            return Fraction(text)
-    raise ValueError(f"expected a nonzero rational, got {text!r}")
-
-
 _REQUIRED = object()
 _N = (_int_at_least(1), _REQUIRED)
 _ALGEBRA_N = {"--algebra": (ALGEBRAS, _REQUIRED), "--N": _N}
@@ -406,8 +378,7 @@ _ALGEBRA_N = {"--algebra": (ALGEBRAS, _REQUIRED), "--N": _N}
 COMMANDS = {
     "verify": ("run named checks on an algebra", {
         **_ALGEBRA_N, "--checks": (str, "all"), "--max-degree": (_int_at_least(0), 3),
-        "--max-eig": (_int_at_least(0), 2), "--json": (str, None),
-        "--q": (_nonzero_rational, None)}),
+        "--max-eig": (_int_at_least(0), 2), "--json": (str, None)}),
     "basis": ("irreducible words by degree",
               {**_ALGEBRA_N, "--max-degree": (_int_at_least(0), _REQUIRED)}),
     "nf": ("normal form of an expression", {**_ALGEBRA_N, "--expr": (str, _REQUIRED)}),

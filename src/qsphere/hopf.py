@@ -74,7 +74,6 @@ from .presentations import (
     as_built,
     build,
     build_exterior,
-    check_central,
     identity_defect,
     matrix_mul,
     quantum_determinant,
@@ -207,13 +206,14 @@ def check_grouplike(x: NcPoly, P: Presentation) -> bool:
     return tensor_equal(dx.terms, TensorPoly.of(x, x).terms, (P, P)) and counit(x, P) == ONE
 
 
-def det_fact(P: Presentation, fact: str) -> bool:
-    """A fact about the quantum determinant D in the mq of P (P itself on mq,
-    its companion on suq and uq): ``"grouplike"`` or ``"central"``
-    (``check_central``).  Each is computed once per mq presentation and its
-    tables, and shared by ``det-central-rem36`` and the relation-kill
-    lemmas.  Both carry over from mq to suq and uq: they are quotients of
-    mq (uq after adjoining the central dinv) by ideals that Delta respects.
+def det_grouplike(P: Presentation):
+    """Is the quantum determinant D group-like in the mq of P (P itself on
+    mq, its companion on suq and uq), and how was it decided: the pair of
+    the verdict and ``"exterior-algebra"`` or ``"coproduct"``.  Computed
+    once per mq and its tables, and shared by ``det-central-rem36`` and the
+    relation-kill lemmas.  The fact carries over from mq to suq and uq:
+    they are quotients of mq (uq after adjoining the central dinv) by
+    ideals that Delta respects.
 
     D group-like, Delta(D) = D (x) D and epsilon(D) = 1, is proved through
     the quantum exterior algebra L (``build_exterior``: x_i x_i = 0 and
@@ -238,40 +238,21 @@ def det_fact(P: Presentation, fact: str) -> bool:
     the right side D (x) D (x) w.  As w is not 0 (2), Delta(D) = D (x) D in
     mq (x) mq.  epsilon(D) = 1 is computed.  Where a hypothesis fails the
     coproduct of D, N! N^N terms, is zero-tested instead
-    (``check_grouplike``), which is also the test oracle; ``grouplike_by``
-    says which way was taken.
+    (``check_grouplike``), which is also the test oracle.
     """
     mq = P.aux if P.aux is not None else P
-    if fact == "grouplike":
-        return _grouplike(mq)[0]
-    if fact == "central":
-        return mq.memo(
-            ("det", fact), lambda: check_central(quantum_determinant(mq.N), mq)
-        )
-    raise ValueError(f"unknown determinant fact {fact!r}")
 
+    def decide():
+        D = quantum_determinant(mq.N)
+        if _grouplike_by_exterior(mq, D):
+            return counit(D, mq) == ONE, "exterior-algebra"
+        return check_grouplike(D, mq), "coproduct"
 
-def grouplike_by(P: Presentation) -> str:
-    """How ``det_fact(P, "grouplike")`` was decided: ``"exterior-algebra"``
-    or ``"coproduct"``."""
-    return _grouplike(P.aux if P.aux is not None else P)[1]
-
-
-def _grouplike(mq: Presentation):
-    """The verdict on D group-like in mq and the way it was decided, once
-    per mq and its tables."""
-    return mq.memo(("det", "grouplike"), lambda: _decide_grouplike(mq))
-
-
-def _decide_grouplike(mq: Presentation):
-    D = quantum_determinant(mq.N)
-    if _grouplike_by_exterior(mq, D):
-        return counit(D, mq) == ONE, "exterior-algebra"
-    return check_grouplike(D, mq), "coproduct"
+    return mq.memo(("det", "grouplike"), decide)
 
 
 def _grouplike_by_exterior(mq: Presentation, D: NcPoly) -> bool:
-    """Do hypotheses 1-5 of ``det_fact`` hold, with D in place of the
+    """Do hypotheses 1-5 of ``det_grouplike`` hold, with D in place of the
     quantum determinant?  The Lambda leg of delta(x_1 ... x_N) is reduced
     after each factor, so a repeated x_k drops at once and the product has
     N! terms, not N^N."""
@@ -350,21 +331,14 @@ def _kill_lemmas(P: Presentation, laws_hold: bool):
         return proved, hypotheses
     hypotheses.append("relations-as-built")
     has_det = P.det is not None
-    if not has_det or det_fact(P, "grouplike"):
+    if not has_det or det_grouplike(P)[0]:
         proved.add("delta")
         hypotheses.append("delta-is-matrix-coproduct")
         if has_det:
             hypotheses.append("det-grouplike-in-mq")
-    if (
-        "delta" in proved
-        and P.structure.antipode is not None
-        and laws_hold
-        and (DINV not in P.generators or det_fact(P, "central"))
-    ):
+    if "delta" in proved and P.structure.antipode is not None and laws_hold:
         proved.add("antipode")
         hypotheses += ["epsilon-antipode-as-built", "antipode-laws-on-generators"]
-        if DINV in P.generators:
-            hypotheses.append("det-central-in-mq")
     return proved, hypotheses
 
 
@@ -390,8 +364,8 @@ def verify_hopf(P: Presentation) -> dict:
     * Delta, given the matrix coproduct table: Delta(U) = U (x). U, the
       matrix product with entries tensored, so Delta(X) = X (x). U +
       U (x). X lies in I (x) F + F (x) I.  D is group-like in mq, that is
-      Delta(D) = D (x) D mod I_mq (x) F + F (x) I_mq (``det_fact``).  Then
-      Delta(D - 1) = (D - 1) (x) D + 1 (x) (D - 1) on suq.  On uq dinv is
+      Delta(D) = D (x) D mod I_mq (x) F + F (x) I_mq (``det_grouplike``).
+      Then Delta(D - 1) = (D - 1) (x) D + 1 (x) (D - 1) on suq.  On uq dinv is
       group-like, so Delta(dinv D - 1) = (dinv D - 1) (x) dinv D +
       1 (x) (dinv D - 1), likewise for D dinv - 1, and Delta(dinv g - g dinv)
       = sum (dinv g1 - g1 dinv) (x) dinv g2 + g1 dinv (x) (dinv g2 - g2 dinv).
@@ -405,7 +379,12 @@ def verify_hopf(P: Presentation) -> dict:
       S(D) D = 1 = D S(D) mod I.  On suq D = 1, so S(D - 1) = S(D) D - 1.
       On uq the law on dinv and dinv D = 1 give S(dinv) = S(dinv) dinv D = D,
       so S(dinv D - 1) = S(D) D - 1, S(D dinv - 1) = D S(D) - 1, and
-      S(dinv g - g dinv) = S(g) D - D S(g) vanishes as D is central in mq.
+      S(dinv g - g dinv) = S(g) D - D S(g).  That lies in I because D is
+      central in uq by uq's own relations: dinv is central and
+      dinv D = D dinv = 1, so D g = D g dinv D = D dinv g D = g D.  What D
+      does in mq is not used.  D central in mq is a standing assumption of
+      the zero test on suq and uq, which ``det-central-rem36`` decides; it
+      is not a step of this proof.
 
     A presentation with a part replaced since ``build``, even by an equal
     one, is out of that scope.  There, and where a hypothesis fails, a map

@@ -66,12 +66,13 @@ class Presentation:
     def _parts(self):
         maps = self.structure
         tables = (None,) * 3 if maps is None else (maps.delta, maps.epsilon, maps.antipode)
-        return (self.system, self.star, maps, self.aux, self.det, *tables)
+        own = (self.system, self.star, maps, self.aux, self.det, *tables)
+        return own if self.aux is None else own + self.aux._parts()
 
     def memo(self, key, compute):
         """compute(), computed once for this presentation while its parts
-        (system, star, structure maps and their tables, companion, D) stay
-        the same objects."""
+        (system, star, structure maps and their tables, companion, D) and
+        the companion's parts stay the same objects."""
         parts = self._parts()
         entry = self._memo.get(key)
         if entry is None or any(a is not b for a, b in zip(entry[0], parts)):
@@ -591,7 +592,7 @@ def build_exterior(N: int) -> Presentation:
     """The quantum exterior algebra on x_1, ..., x_N: x_i x_i = 0 and
     x_j x_i = -q x_i x_j for i < j, oriented towards increasing indices.
     x_i -> sum_k u^i_k (x) x_k makes it an mq-comodule algebra, through
-    which ``hopf.det_fact`` proves D group-like."""
+    which ``hopf.det_grouplike`` proves D group-like."""
     x = [("x", i) for i in range(1, N + 1)]
     rules = [Rule((g, g), NcPoly()) for g in x]
     for i in range(N):

@@ -9,8 +9,6 @@ for i < j, all other entries zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import AxiomFails
 from .freealg import NcPoly, u, z
 from .hopf import (
@@ -459,21 +457,3 @@ def check_cqt(P: Presentation) -> dict:
         "reality": "generators" if star_hypotheses is None else "all-degrees",
         "star_hypotheses": star_hypotheses or [],
     }
-
-
-def check_eigenspace_orthogonality(N: int, q0) -> bool:
-    """Images of (R - q I) and (R + 1/q I) are orthogonal at a numeric q0 > 0."""
-    q0 = Fraction(q0)
-    R = rhat(N)
-    I = identity(N * N)
-    minus = mat_sub(R, mat_scale(I, QPARAM))
-    plus = mat_add(R, mat_scale(I, QPARAM ** (-1)))
-    A = [[x.eval_at(q0) for x in row] for row in minus]
-    B = [[x.eval_at(q0) for x in row] for row in plus]
-    n = N * N
-    for ca in range(n):
-        for cb in range(n):
-            dot = sum(A[r][ca] * B[r][cb] for r in range(n))
-            if dot != 0:
-                return False
-    return True

@@ -80,15 +80,6 @@ def test_verify_inapplicable_check(capsys):
     assert code == 2
 
 
-def test_verify_numeric(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--algebra", "sphere", "--N", "2",
-        "--checks", "confluence", "--q", "1/3",
-    )
-    assert code == 0
-    assert "numeric-evaluation: pass" in out
-
-
 def test_nf_command(capsys):
     code, out, _ = run(
         capsys, "nf", "--algebra", "sphere", "--N", "2", "--expr", "z[2]*z[1]"
@@ -290,6 +281,32 @@ def test_morphism_free_fail(capsys):
     assert "fails at hypothesis (ii)" in out
 
 
+def test_morphism_exits_1_where_a_preset_goes_wrong(capsys, monkeypatch):
+    # a torus with epsilon(T1) = 2 breaks hypothesis (i) of a preset meant
+    # to pass; the free matrix with epsilon(a11) = 2 fails at (i), not at
+    # the (ii) it must fail at; a builder that refuses nothing lets
+    # free-fail through.  Each exits 1.
+    def counit_doubled(build, g):
+        def broken(N):
+            Q = build(N)
+            Q.structure = copy.copy(Q.structure)
+            Q.structure.epsilon = {**Q.structure.epsilon, g: Scalar.from_int(2)}
+            return Q
+        return broken
+
+    monkeypatch.setattr(presentations, "build_torus",
+                        counit_doubled(presentations.build_torus, ("T", 1)))
+    assert run(capsys, "morphism", "--N", "2", "--target", "torus") == (
+        1, "morphism: hypothesis (i) fails: counit of entry (1,1)\n", "")
+    monkeypatch.setattr(presentations, "build_free_matrix",
+                        counit_doubled(presentations.build_free_matrix, ("a", 1, 1)))
+    assert run(capsys, "morphism", "--N", "2", "--target", "free-fail") == (
+        1, "morphism: hypothesis (i) fails: counit of entry (1,1)\n", "")
+    monkeypatch.setattr(hopf, "build_u_morphism", lambda Q, qmat: hopf.Morphism(Q, Q, {}))
+    assert run(capsys, "morphism", "--N", "2", "--target", "free-fail") == (
+        1, "morphism: expected a hypothesis failure but none occurred\n", "")
+
+
 def test_bad_arguments(capsys):
     assert run(capsys, "verify", "--algebra", "nope", "--N", "2")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
@@ -331,15 +348,17 @@ NF_MQ2 = ("nf", "--algebra", "mq", "--N", "2", "--expr")
     (("morphism", "--N", "2", "--target", "nope"),
      "qsphere morphism: error: argument --target: invalid choice: 'nope' "
      "(choose from 'identity', 'torus', 'free-fail')"),
-    (("verify", "--algebra", "mq", "--N", "2", "--q", "1/0"),
-     "qsphere verify: error: argument --q: expected a nonzero rational, got '1/0'"),
+    # the spot check at a numeric q is gone: it recomputed the Hecke
+    # product that hecke-eq11 decides exactly, so it could not fail
+    (("verify", "--algebra", "mq", "--N", "2", "--q", "1/3"),
+     "qsphere: error: unrecognized arguments: --q 1/3"),
     (("verify", "--algebra", "mq", "--N", "2", "--max", "2"),
      "qsphere verify: error: ambiguous option: --max could match --max-degree, --max-eig"),
     (("verify", "--algebra", "mq", "--N", "2", "--max=2"),
      "qsphere verify: error: ambiguous option: --max=2 could match --max-degree, --max-eig"),
 ], ids=["no-command", "unknown-command", "unknown-option", "stray-token", "nf-required",
-        "rform-required", "trailing-option", "N0", "bad-algebra", "bad-target", "q-1/0",
-        "ambiguous-prefix", "ambiguous-prefix-inline"])
+        "rform-required", "trailing-option", "N0", "bad-algebra", "bad-target",
+        "q-unknown", "ambiguous-prefix", "ambiguous-prefix-inline"])
 def test_usage_errors_are_one_stderr_line(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err + "\n")
 
@@ -666,9 +685,9 @@ def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):
     # the suq and uq of the check share one mq companion, and the verdict
     # on D is memoised there
     seen = []
-    decide = hopf._decide_grouplike
-    monkeypatch.setattr(hopf, "_decide_grouplike",
-                        lambda P: (seen.append(P), decide(P))[1])
+    decide = hopf._grouplike_by_exterior
+    monkeypatch.setattr(hopf, "_grouplike_by_exterior",
+                        lambda P, D: (seen.append(P), decide(P, D))[1])
     code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
                        "--checks", "coaction-eq20")
     assert (code, out) == (0, "coaction-eq20: pass\n")
@@ -696,6 +715,62 @@ def test_det_central_report_says_how_d_grouplike_was_decided(
         "central": True, "grouplike": status == "pass", "grouplike_by": by,
         "counit_one": True, "decided_in": "mq",
     }
+
+
+def test_d_central_is_decided_only_by_det_central_rem36(capsys, monkeypatch):
+    # the uq antipode lemma needs no D central in mq (it follows from uq's
+    # own relations), so neither hopf-axioms nor coaction-eq20 decides it
+    seen = []
+    check = presentations.check_central
+
+    def spy(x, P):
+        seen.append(P.name)
+        return check(x, P)
+
+    monkeypatch.setattr(presentations, "check_central", spy)
+    monkeypatch.setattr(hopf, "check_central", spy, raising=False)
+    for N in (2, 3, 4):
+        assert hopf.verify_hopf(presentations.build("uq", N))["relation_kills"] == "lemma"
+    code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
+                       "--checks", "coaction-eq20")
+    assert (code, out, seen) == (0, "coaction-eq20: pass\n", [])
+    code, out, _ = run(capsys, "verify", "--algebra", "uq", "--N", "2",
+                       "--checks", "det-central-rem36")
+    assert (code, out, seen) == (0, "det-central-rem36: pass\n", ["mq"])
+
+
+def test_det_central_fails_on_a_d_that_is_not_central(capsys, tmp_path, monkeypatch):
+    # D + u12 in place of D: group-like is decided on the true D (hopf's
+    # own), and u11 u12 = q u12 u11 keeps D + u12 from being central
+    det = presentations.quantum_determinant
+    monkeypatch.setattr(presentations, "quantum_determinant",
+                        lambda N: det(N) + NcPoly.gen(u(1, 2)))
+    path = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--algebra", "mq", "--N", "2",
+                       "--checks", "det-central-rem36", "--json", path)
+    assert (code, out) == (1, "det-central-rem36: fail\n")
+    (report,) = json.load(open(path))
+    assert report["details"] == {
+        "central": False, "grouplike": True, "grouplike_by": "exterior-algebra",
+        "counit_one": True, "decided_in": "mq",
+    }
+    assert report["counterexample"] == "u[1,2]+u[1,1]*u[2,2]-q*u[1,2]*u[2,1]"
+
+
+def test_verify_prints_each_check_as_it_finishes(capsys, tmp_path, monkeypatch):
+    # the second check (in name order) runs out of memory: the first
+    # check's line and report are already out, then one error line and
+    # exit 2, and the third check does not run
+    def out_of_memory(P, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.CHECKS, "hecke-eq11",
+                        (out_of_memory, *cli.CHECKS["hecke-eq11"][1:]))
+    path = str(tmp_path / "report.json")
+    code, out, err = run(capsys, "verify", "--algebra", "mq", "--N", "2",
+                         "--checks", "confluence,hopf-axioms,hecke-eq11", "--json", path)
+    assert (code, out, err) == (2, "confluence: pass\n", "error: out of memory\n")
+    assert [r["check"] for r in json.load(open(path))] == ["confluence"]
 
 
 def test_invariant_form_check_solves_each_system_once(capsys, monkeypatch):

@@ -408,7 +408,7 @@ def test_det_hypothesis_catches_a_wrong_determinant(monkeypatch):
     monkeypatch.setattr(hopf, "quantum_determinant", doubled)
     P = build("suq", 2)
     assert presentations.as_built(P)
-    assert not hopf.det_fact(P, "grouplike")
+    assert not hopf.det_grouplike(P)[0]
     with pytest.raises(AxiomFails) as exc:
         verify_hopf(P)
     assert exc.value.axiom == "delta-kills-relations"
@@ -428,7 +428,7 @@ def test_d_grouplike_through_the_exterior_algebra(monkeypatch, N):
     # N! N^N terms, is zero-tested only by the oracle below (N <= 4)
     seen = _spy_grouplike(monkeypatch)
     P = build("mq", N)
-    assert hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "exterior-algebra"
+    assert hopf.det_grouplike(P) == (True, "exterior-algebra")
     assert seen == []
     if N <= 4:
         assert check_grouplike(quantum_determinant(N), P)
@@ -460,7 +460,7 @@ def test_d_grouplike_needs_the_counit_of_d(monkeypatch):
                         lambda N: {**epsilon(N), u(1, 1): Scalar.from_int(2)})
     P = build("mq", 2)
     assert presentations.as_built(P)
-    assert not hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "exterior-algebra"
+    assert hopf.det_grouplike(P) == (False, "exterior-algebra")
     assert not check_grouplike(quantum_determinant(2), P)
 
 
@@ -477,7 +477,7 @@ def test_exterior_algebra_with_another_sign_is_refused(monkeypatch):
     monkeypatch.setattr(hopf, "build_exterior", other_sign)
     P = build("mq", 3)
     assert not hopf._grouplike_by_exterior(P, quantum_determinant(3))
-    assert hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "coproduct"
+    assert hopf.det_grouplike(P) == (True, "coproduct")
 
 
 def test_d_grouplike_falls_back_where_delta_is_replaced(monkeypatch):
@@ -486,9 +486,9 @@ def test_d_grouplike_falls_back_where_delta_is_replaced(monkeypatch):
     P = build("mq", 2)
     Q = _delta_u11_grouplike(copy.copy(P))
     seen = _spy_grouplike(monkeypatch)
-    assert not hopf.det_fact(Q, "grouplike") and hopf.grouplike_by(Q) == "coproduct"
+    assert hopf.det_grouplike(Q) == (False, "coproduct")
     assert seen == [Q]
-    assert hopf.det_fact(P, "grouplike") and hopf.grouplike_by(P) == "exterior-algebra"
+    assert hopf.det_grouplike(P) == (True, "exterior-algebra")
     assert seen == [Q]
 
 
@@ -514,6 +514,19 @@ def test_verify_hopf_on_suq4_never_builds_det_squared():
     assert report["relation_kills"] == "lemma"
     assert "det-grouplike-in-mq" in report["hypotheses"]
     assert len(P.det_powers()) <= 2
+
+
+def test_verify_hopf_memo_follows_the_companion_parts():
+    # a Delta table of the shared mq companion replaced after a verdict:
+    # P is no longer as built, and the memoised lemma verdict must not
+    # survive it
+    from qsphere import presentations
+
+    P = build("suq", 2)
+    assert verify_hopf(P)["relation_kills"] == "lemma"
+    _delta_u11_grouplike(P.aux)
+    assert not presentations.as_built(P)
+    assert verify_hopf(P)["relation_kills"] == hopf._verify_hopf(P)["relation_kills"] == "loop"
 
 
 def test_verify_hopf_memo_follows_replaced_tables():
@@ -738,6 +751,43 @@ def test_intertwine_identity():
     qmat = [[NcPoly.gen(u(i + 1, j + 1)) for j in range(2)] for i in range(2)]
     psi = build_u_morphism(Q, qmat)
     assert check_intertwine(psi, rho_u, rho)
+
+
+def _torus_coaction():
+    """The coaction z_i -> z_i (x) T_i of the torus on the 2-sphere."""
+    T = build_torus(2)
+    images = {}
+    for i in (1, 2):
+        images[z(i)] = TensorPoly.monomial((z(i),), (("T", i),))
+        images[zs(i)] = TensorPoly.monomial((zs(i),), (("Ts", i),))
+    rho = Coaction(build("sphere", 2), T, images)
+    rho.verify()
+    return rho
+
+
+def test_intertwine_fails_for_the_morphism_of_another_matrix():
+    # psi from diag(T2, T1) is a star morphism uq -> torus too, but the
+    # coaction's matrix is diag(T1, T2): (id (x) psi) rho_u differs at z1
+    rho_u, rho_t = build_coaction("rho_u", 2), _torus_coaction()
+    T = rho_t.coeff
+
+    def diag(a, b):
+        return [[NcPoly.gen(("T", a)), NcPoly()], [NcPoly(), NcPoly.gen(("T", b))]]
+
+    assert check_intertwine(build_u_morphism(T, diag(1, 2)), rho_u, rho_t)
+    assert not check_intertwine(build_u_morphism(T, diag(2, 1)), rho_u, rho_t)
+
+
+def test_coaction_counit_law_can_fail():
+    # a uq copy with epsilon(u11) = 2: the relations and Delta are those of
+    # uq, so the kills and coassociativity pass, and the counit law breaks
+    # at z1, whose image sum_j z_j (x) u^j_1 goes to 2 z1 under id (x) epsilon
+    H = _mutate(copy.copy(build("uq", 2)), epsilon={u(1, 1): Scalar.from_int(2)})
+    rho = Coaction(build("sphere", 2), H, hopf._coaction_images(2, H))
+    assert rho._laws_by_hopf() is None
+    with pytest.raises(AxiomFails) as exc:
+        rho.verify()
+    assert (exc.value.axiom, exc.value.witness) == ("coaction-counit", "z[1]")
 
 
 @pytest.mark.parametrize("N", [2, 3])
