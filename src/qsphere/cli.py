@@ -15,10 +15,8 @@ from types import SimpleNamespace
 
 from . import hopf, parser, presentations, rmatrix, spectrum
 from .errors import (
-    AxiomFails,
     ExprSyntaxError,
     HypothesisFails,
-    IdentityFails,
     IndexOutOfRange,
     InvalidTopRow,
     QsphereError,
@@ -250,7 +248,7 @@ def _run_checks(args, names):
         t0 = time.monotonic()
         try:
             status, details, cx = fn(P, args)
-        except (AxiomFails, HypothesisFails, IdentityFails, QsphereError) as exc:
+        except QsphereError as exc:
             status, details, cx = "fail", {"error": str(exc)}, None
         ms = int((time.monotonic() - t0) * 1000)
         params = {"max_degree": args.max_degree}

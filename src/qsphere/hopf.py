@@ -386,13 +386,13 @@ def verify_hopf(P: Presentation) -> dict:
       the zero test on suq and uq, which ``det-central-rem36`` decides; it
       is not a step of this proof.
 
-    A presentation with a part replaced since ``build``, even by an equal
-    one, is out of that scope.  There, and where a hypothesis fails, a map
-    keeps the loop over the relations.  A proved map cannot fail that loop, so
-    skipping it leaves the first failing relation, axiom and witness as the
-    full loop has them.  The laws on generators are computed first, as S
-    needs them, and reported after the kills.  A passing verdict is
-    memoised on P (``Presentation.memo``).
+    A presentation that ``build`` did not make, even one with parts equal
+    to the construction's, is out of that scope.  There, and where a
+    hypothesis fails, a map keeps the loop over the relations.  A proved
+    map cannot fail that loop, so skipping it leaves the first failing
+    relation, axiom and witness as the full loop has them.  The laws on
+    generators are computed first, as S needs them, and reported after the
+    kills.  A passing verdict is memoised on P (``Presentation.memo``).
     """
     return dict(P.memo("hopf", lambda: _verify_hopf(P)))
 

@@ -19,23 +19,43 @@ from .rewrite import MonomialOrder, Rule, RewriteSystem
 from .scalars import ONE, QPARAM, ZERO, qnum
 
 
-class StructureMaps:
-    """Coproduct, counit and antipode tables on the generators."""
+class _Fixed:
+    """Attributes named in ``_fixed`` are set in ``__init__`` and never
+    again, so everything computed from them stays true of the object."""
+
+    _fixed = ()
+
+    def __setattr__(self, attr, value):
+        if attr in self._fixed:
+            kind = type(self).__name__
+            raise AttributeError(f"the {attr} of a {kind} is fixed when it is made: "
+                                 f"construct a new {kind}")
+        super().__setattr__(attr, value)
+
+
+class StructureMaps(_Fixed):
+    """Coproduct, counit and antipode tables on the generators, fixed when
+    the maps are made."""
+
+    _fixed = ("delta", "epsilon", "antipode")
 
     def __init__(self, delta: dict, epsilon: dict, antipode: dict | None):
-        self.delta = delta  # generator -> TensorPoly
-        self.epsilon = epsilon  # generator -> Scalar
-        self.antipode = antipode  # generator -> NcPoly; None for plain bialgebras
+        vars(self).update(
+            delta=delta,  # generator -> TensorPoly
+            epsilon=epsilon,  # generator -> Scalar
+            antipode=antipode,  # generator -> NcPoly; None for plain bialgebras
+        )
 
 
-class Presentation:
+class Presentation(_Fixed):
     """A finitely presented algebra: its rewriting system, star table,
     structure maps and, on suq and uq, the confluent companion mq and the
-    determinant D.  ``copy.copy`` gives a presentation with a memo of its
-    own, whose parts can be replaced one by one.  Verdicts are memoised
-    against the identity of the parts (``memo``), and ``as_built`` holds
-    while they are the objects ``build`` made: replace a table rather than
-    edit it in place."""
+    determinant D.  The parts and the name and N are fixed when the
+    presentation is made, so a verdict on it is computed once (``memo``);
+    a presentation with other parts is a new ``Presentation``, which
+    ``build`` did not make (``as_built``).  Edit no table in place."""
+
+    _fixed = ("name", "N", "system", "star", "structure", "aux", "det")
 
     def __init__(
         self,
@@ -47,38 +67,17 @@ class Presentation:
         aux: "Presentation | None" = None,  # confluent companion (mq)
         det: NcPoly | None = None,  # the central determinant element
     ):
-        self.name = name
-        self.N = N
-        self.system = system
-        self.star = star
-        self.structure = structure
-        self.aux = aux
-        self.det = det
+        vars(self).update(
+            name=name, N=N, system=system, star=star, structure=structure, aux=aux, det=det,
+        )
         self._memo = {}
-        self._built = None  # the parts as ``build`` made them (``as_built``)
-
-    def __copy__(self):
-        Q = Presentation.__new__(Presentation)
-        Q.__dict__.update(self.__dict__)
-        Q._memo = dict(self._memo)
-        return Q
-
-    def _parts(self):
-        maps = self.structure
-        tables = (None,) * 3 if maps is None else (maps.delta, maps.epsilon, maps.antipode)
-        own = (self.system, self.star, maps, self.aux, self.det, *tables)
-        return own if self.aux is None else own + self.aux._parts()
+        self._built = False  # set by ``build`` (``as_built``)
 
     def memo(self, key, compute):
-        """compute(), computed once for this presentation while its parts
-        (system, star, structure maps and their tables, companion, D) and
-        the companion's parts stay the same objects."""
-        parts = self._parts()
-        entry = self._memo.get(key)
-        if entry is None or any(a is not b for a, b in zip(entry[0], parts)):
-            entry = (parts, compute())
-            self._memo[key] = entry
-        return entry[1]
+        """compute(), computed once for this presentation."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def generators(self):
@@ -203,7 +202,7 @@ class Presentation:
 
     def det_powers(self) -> list:
         """D^0, D^1, ... in mq as far as ``clear_word`` has needed them,
-        kept while D and the other parts stay the same objects (``memo``)."""
+        kept in the memo of this presentation (``memo``)."""
         return self.memo(("det", "powers"), lambda: [NcPoly.unit()])
 
     def _level(self, word):
@@ -372,8 +371,8 @@ def build(
     """Build one of the named presentations: mq, suq, uq, sphere.  On suq
     and uq, ``aux``, if given, is the mq companion instead of a new build,
     so that presentations sharing it share its memoised verdicts; it must
-    be an mq of the same N.  The parts made for mq, suq and uq are recorded
-    on the result (``as_built``)."""
+    be an mq of the same N.  A result on mq, suq or uq is marked as made
+    here (``as_built``)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if aux is not None and (aux.name, aux.N) != ("mq", N):
@@ -391,7 +390,7 @@ def build(
 
     if name not in ("mq", "suq", "uq"):
         raise ValueError(f"unknown presentation {name!r}")
-    rules, star, structure, det = _standard_parts(name, N)
+    rules, star, structure, det = _standard_construction(name, N)
     prec = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     if name == "uq":
         prec.append(DINV)
@@ -400,11 +399,11 @@ def build(
     P = Presentation(
         name, N, system, star=star, structure=structure, aux=aux, det=det,
     )
-    P._built = P._parts()
+    P._built = True
     return P
 
 
-def _standard_parts(name, N):
+def _standard_construction(name, N):
     """Rules, star table, structure maps and determinant of mq, suq or uq."""
     rules = _mq_rules(N)
     delta = _matrix_delta(N)
@@ -442,17 +441,12 @@ def _standard_parts(name, N):
 
 
 def as_built(P: Presentation) -> bool:
-    """Is each part of P (system, star, structure maps and their tables,
-    companion, D) still the object ``build`` made for it, and on suq and
-    uq the companion as built too?  The lemmas of ``hopf`` apply only
-    where this holds.  False on the sphere and on every presentation that
-    ``build`` did not make for mq, suq or uq."""
-    built = P._built
-    return (
-        built is not None
-        and all(a is b for a, b in zip(built, P._parts()))
-        and (P.aux is None or as_built(P.aux))
-    )
+    """Did ``build`` make P for mq, suq or uq, and on suq and uq also its
+    companion?  Its parts are then those of the construction, as parts are
+    fixed when a presentation is made.  The lemmas of ``hopf`` apply only
+    where this holds; a presentation constructed any other way, and the
+    sphere, takes the loops."""
+    return P._built and (P.aux is None or as_built(P.aux))
 
 
 def _matrix_delta(N):

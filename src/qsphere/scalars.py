@@ -266,7 +266,11 @@ class Scalar:
     # -- evaluation and substitution
 
     def eval_at(self, v0) -> Fraction:
-        """Exact value at v = v0; raises PoleAtPoint when den(v0) = 0."""
+        """Exact value at v = v0; raises PoleAtPoint when den(v0) = 0.
+
+        No command calls it: it is the tests' evaluation oracle, a ring map
+        at points against which the arithmetic and the braiding are checked
+        numerically."""
         v0 = Fraction(v0)
         d = _peval(self.dn, v0)
         if d == 0 or (self.val < 0 and v0 == 0):

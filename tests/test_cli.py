@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: output contracts and exit codes."""
 
-import copy
 import json
 import os
 import subprocess
@@ -16,6 +15,7 @@ from qsphere.freealg import NcPoly, TensorPoly, u
 from qsphere.parser import _int_text
 from qsphere.rewrite import Ambiguity, AmbiguityReport, RewriteSystem
 from qsphere.scalars import Scalar
+from variants import variant, with_tables
 
 
 def run(capsys, *argv):
@@ -287,12 +287,7 @@ def test_morphism_exits_1_where_a_preset_goes_wrong(capsys, monkeypatch):
     # the (ii) it must fail at; a builder that refuses nothing lets
     # free-fail through.  Each exits 1.
     def counit_doubled(build, g):
-        def broken(N):
-            Q = build(N)
-            Q.structure = copy.copy(Q.structure)
-            Q.structure.epsilon = {**Q.structure.epsilon, g: Scalar.from_int(2)}
-            return Q
-        return broken
+        return lambda N: with_tables(build(N), epsilon={g: Scalar.from_int(2)})
 
     monkeypatch.setattr(presentations, "build_torus",
                         counit_doubled(presentations.build_torus, ("T", 1)))
@@ -433,15 +428,32 @@ def test_benchmark_argument_shapes_parse(capsys, tmp_path):
     assert (code, out, err) == (0, "251*q^-1*z[1]*z[2]*zs[1]\n", "")
 
 
-def test_cli_import_leaves_argparse_out():
-    # the command line is read from cli.COMMANDS; argparse and the gettext
-    # it loads would add their import time to every run
-    code = ("import sys, qsphere.cli; "
-            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+# the standard-library modules that qsphere imports by name
+STDLIB_IMPORTS = ["__future__", "contextlib", "fractions", "itertools", "json", "math",
+                  "operator", "sys", "time", "types"]
+
+
+def _modules_added_by(code):
+    """The modules that running code adds in a fresh interpreter started
+    with -S, so that site and what it loads do not count."""
     src = str(Path(cli.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    probe = f"import sys; before = set(sys.modules); {code}; print(*set(sys.modules) - before)"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout == "[]\n"
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_only_the_standard_modules_it_names():
+    # every run, and every benchmark job's setup_s, pays for the import of
+    # qsphere.cli: it may load the modules qsphere names and what they pull
+    # in (fractions: decimal, numbers; json and fractions: re, enum,
+    # collections), and nothing else; argparse and the gettext it loads, or
+    # a helper such as dataclasses or typing, would fail here
+    allowed = _modules_added_by("; ".join(f"import {m}" for m in STDLIB_IMPORTS))
+    added = _modules_added_by("import qsphere.cli")
+    assert "qsphere.cli" in added
+    assert {m for m in added if m.split(".")[0] != "qsphere"} - allowed == set()
+    assert not {"argparse", "gettext"} & allowed
 
 
 def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
@@ -570,6 +582,15 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_recursion_error_is_one_error_line(capsys, monkeypatch):
+    def too_deep(args):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "cmd_verify", too_deep)
+    code, out, err = run(capsys, "verify", "--algebra", "mq", "--N", "2")
+    assert (code, out, err) == (2, "", "error: input too deep for the recursion limit\n")
+
+
 def test_system_error_is_one_error_line(capsys, monkeypatch):
     # CPython can report exhausted memory as a SystemError
     def exhausted(args):
@@ -634,12 +655,8 @@ def test_coaction_check_reaches_sphere_n4(capsys, tmp_path):
 
 def _tamper(P, part):
     if part == "delta":
-        P.structure = copy.copy(P.structure)
-        P.structure.delta = {**P.structure.delta,
-                             u(1, 1): TensorPoly.monomial((u(1, 1),), (u(1, 1),))}
-    else:
-        P.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
-    return P
+        return with_tables(P, delta={u(1, 1): TensorPoly.monomial((u(1, 1),), (u(1, 1),))})
+    return variant(P, star={**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))})
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Hopf axioms, coactions, the morphism builder and the invariant form."""
 
-import copy
-
 import pytest
 
 from qsphere import hopf
@@ -44,6 +42,7 @@ from qsphere.presentations import (
 )
 from qsphere.rewrite import Rule, RewriteSystem
 from qsphere.scalars import ONE, QPARAM, ZERO, Scalar
+from variants import variant, with_tables
 
 q = QPARAM
 
@@ -185,47 +184,36 @@ def test_verify_hopf_matches_basis_word_oracle(make, degree_bound):
 # -- axioms that fail -------------------------------------------------------
 
 
-def _mutate(P, delta=None, epsilon=None, antipode=None):
-    """P with some generator values of its structure maps replaced."""
-    maps = copy.copy(P.structure)
-    maps.delta = {**maps.delta, **(delta or {})}
-    maps.epsilon = {**maps.epsilon, **(epsilon or {})}
-    if maps.antipode is not None:
-        maps.antipode = {**maps.antipode, **(antipode or {})}
-    P.structure = maps
-    return P
-
-
 def _entries(P):
     return [g for g in P.generators if g != DINV]
 
 
 def _eps_u12_one(P):
-    return _mutate(P, epsilon={u(1, 2): ONE})
+    return with_tables(P, epsilon={u(1, 2): ONE})
 
 
 def _delta_u11_grouplike(P):
-    return _mutate(P, delta={u(1, 1): TensorPoly.monomial((u(1, 1),), (u(1, 1),))})
+    return with_tables(P, delta={u(1, 1): TensorPoly.monomial((u(1, 1),), (u(1, 1),))})
 
 
 def _antipode_u12_doubled(P):
     S = P.structure.antipode
-    return _mutate(P, antipode={u(1, 2): S[u(1, 2)].scale(Scalar.from_int(2))})
+    return with_tables(P, antipode={u(1, 2): S[u(1, 2)].scale(Scalar.from_int(2))})
 
 
 def _antipode_dinv_doubled(P):
     # S(dinv) = 2 D: a dinv image other than D is multiplied out, not
     # applied as a level shift
-    return _mutate(P, antipode={DINV: P.det.scale(Scalar.from_int(2))})
+    return with_tables(P, antipode={DINV: P.det.scale(Scalar.from_int(2))})
 
 
 def _delta_doubled_left(P):
     two = Scalar.from_int(2)
-    return _mutate(P, delta={g: TensorPoly.monomial((g,), (), two) for g in _entries(P)})
+    return with_tables(P, delta={g: TensorPoly.monomial((g,), (), two) for g in _entries(P)})
 
 
 def _eps_zero(P):
-    return _mutate(P, epsilon={g: ZERO for g in P.generators})
+    return with_tables(P, epsilon={g: ZERO for g in P.generators})
 
 
 def _antipode_conjugated(P):
@@ -233,7 +221,7 @@ def _antipode_conjugated(P):
     # it kills every relation and breaks only the antipode law
     S = P.structure.antipode
     two = Scalar.from_int(2)
-    return _mutate(P, antipode={g: S[g].scale(two ** (g[1] - g[2])) for g in _entries(P)})
+    return with_tables(P, antipode={g: S[g].scale(two ** (g[1] - g[2])) for g in _entries(P)})
 
 
 BROKEN_TABLES = [
@@ -296,14 +284,13 @@ def _spy_on_maps(monkeypatch):
 
 
 def _with_changed_relation(P):
-    """A copy of P whose first rule u21 u11 -> q^-1 u11 u21 also subtracts
-    the relation of u12 u11: another polynomial, the same ideal."""
+    """A variant of P whose first rule u21 u11 -> q^-1 u11 u21 also
+    subtracts the relation of u12 u11: another polynomial, the same ideal."""
     first, *rest = P.system.rules
     assert first.lhs == (u(2, 1), u(1, 1))
     other = NcPoly.monomial((u(1, 2), u(1, 1))) - NcPoly.monomial((u(1, 1), u(1, 2)), q ** (-1))
-    P2 = copy.copy(P)
-    P2.system = RewriteSystem(P.system.order, [Rule(first.lhs, first.rhs + other)] + rest)
-    return P2
+    rules = [Rule(first.lhs, first.rhs + other)] + rest
+    return variant(P, system=RewriteSystem(P.system.order, rules))
 
 
 @pytest.mark.parametrize("name", ["mq", "suq", "uq"])
@@ -480,11 +467,99 @@ def test_exterior_algebra_with_another_sign_is_refused(monkeypatch):
     assert hopf.det_grouplike(P) == (True, "coproduct")
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_non_confluent_exterior_algebra_is_refused(monkeypatch, N):
+    # x_2 x_1 x_1 = x_1 x_2 added: its overlap with x_2 x_1 -> -q x_1 x_2
+    # does not resolve, so x_1 ... x_N may be 0 in L and the proof is
+    # refused at hypothesis 2; the coproduct of D decides, as the oracle
+    from qsphere import presentations
+
+    def with_overlap(N):
+        L = presentations.build_exterior(N)
+        x = L.generators
+        extra = Rule((x[1], x[0], x[0]), NcPoly.monomial((x[0], x[1])))
+        return Presentation("exterior", N, RewriteSystem(L.system.order, [*L.system.rules, extra]))
+
+    assert not with_overlap(N).system.check_confluence().confluent
+    monkeypatch.setattr(hopf, "build_exterior", with_overlap)
+    P = build("mq", N)
+    assert not hopf._grouplike_by_exterior(P, quantum_determinant(N))
+    assert hopf.det_grouplike(P) == (check_grouplike(quantum_determinant(N), P), "coproduct")
+    assert hopf.det_grouplike(P)[0]
+
+
+def test_coproduct_broken_at_its_source_is_refused_by_the_lemmas(monkeypatch):
+    # Delta(u12) doubled in the construction: suq is as built, but delta on
+    # L is not coassociative against this Delta (hypothesis 4 of
+    # det_grouplike), and tau no longer flips Delta (star_lemma); the
+    # coproduct of D, the loops and the free star decide as the oracles do
+    from qsphere import presentations
+
+    matrix_delta = presentations._matrix_delta
+
+    def doubled(N):
+        delta = matrix_delta(N)
+        return {**delta, u(1, 2): delta[u(1, 2)].scale(Scalar.from_int(2))}
+
+    monkeypatch.setattr(presentations, "_matrix_delta", doubled)
+    P = build("suq", 2)
+    assert presentations.as_built(P)
+    D = quantum_determinant(2)
+    assert not hopf._grouplike_by_exterior(P.aux, D)
+    assert hopf.det_grouplike(P) == (check_grouplike(D, P.aux), "coproduct")
+    with pytest.raises(AxiomFails) as fast:
+        verify_hopf(P)
+    with monkeypatch.context() as m:
+        _loops_only(m)
+        with pytest.raises(AxiomFails) as slow:
+            verify_hopf(build("suq", 2))
+    assert (fast.value.axiom, fast.value.witness) == (slow.value.axiom, slow.value.witness)
+    assert hopf.star_lemma(P) is None
+    laws = star_laws(P)
+    assert laws["relation_kills"] == "loop"
+    assert (laws["closure"], laws["involution"]) == _star_laws_by_free_expansion(P)
+    assert laws["closure"] and laws["involution"]
+
+
+def _star_laws_by_free_expansion(P):
+    """Closure and involution of the star decided on its free expansion
+    (``NcPoly.star``): the oracle of the loops of ``star_laws``."""
+    closure = all(P.is_zero_elem(r.star(P.star)) for r in P.relations)
+    involution = all(P.equals(NcPoly.gen(g).star(P.star).star(P.star), NcPoly.gen(g))
+                     for g in P.generators)
+    return closure, involution
+
+
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_star_broken_at_its_source_is_refused_by_the_star_lemma(monkeypatch, name):
+    # star(u12) doubled in the construction: P is as built and a Hopf
+    # algebra, but star is not S o tau on the tables, so the loops decide
+    from qsphere import presentations
+
+    construction = presentations._standard_construction
+
+    def star_doubled(name, N):
+        rules, star, structure, det = construction(name, N)
+        if star is not None:  # the mq companion has none
+            star[u(1, 2)] = star[u(1, 2)].scale(Scalar.from_int(2))
+        return rules, star, structure, det
+
+    monkeypatch.setattr(presentations, "_standard_construction", star_doubled)
+    P = build(name, 2)
+    assert presentations.as_built(P)
+    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert hopf.star_lemma(P) is None
+    laws = star_laws(P)
+    assert laws["relation_kills"] == "loop"
+    assert (laws["closure"], laws["involution"]) == _star_laws_by_free_expansion(P)
+    assert not laws["closure"] and not laws["involution"]
+
+
 def test_d_grouplike_falls_back_where_delta_is_replaced(monkeypatch):
-    # a copy of mq whose coproduct table is not the matrix coproduct: the
-    # FRT lemma does not apply, so the coproduct of D is zero-tested
+    # a variant of mq whose coproduct table is not the matrix coproduct:
+    # the FRT lemma does not apply, so the coproduct of D is zero-tested
     P = build("mq", 2)
-    Q = _delta_u11_grouplike(copy.copy(P))
+    Q = _delta_u11_grouplike(P)
     seen = _spy_grouplike(monkeypatch)
     assert hopf.det_grouplike(Q) == (False, "coproduct")
     assert seen == [Q]
@@ -517,25 +592,26 @@ def test_verify_hopf_on_suq4_never_builds_det_squared():
 
 
 def test_verify_hopf_memo_follows_the_companion_parts():
-    # a Delta table of the shared mq companion replaced after a verdict:
-    # P is no longer as built, and the memoised lemma verdict must not
-    # survive it
+    # a suq variant whose mq companion has another Delta table, after a
+    # verdict on suq: the variant is not as built, and the lemma verdict
+    # memoised on suq is neither its verdict nor changed by it
     from qsphere import presentations
 
     P = build("suq", 2)
     assert verify_hopf(P)["relation_kills"] == "lemma"
-    _delta_u11_grouplike(P.aux)
-    assert not presentations.as_built(P)
-    assert verify_hopf(P)["relation_kills"] == hopf._verify_hopf(P)["relation_kills"] == "loop"
+    Q = variant(P, aux=_delta_u11_grouplike(P.aux))
+    assert not presentations.as_built(Q)
+    assert verify_hopf(Q)["relation_kills"] == hopf._verify_hopf(Q)["relation_kills"] == "loop"
+    assert verify_hopf(P)["relation_kills"] == "lemma"
 
 
 def test_verify_hopf_memo_follows_replaced_tables():
     P = build("suq", 2)
     assert verify_hopf(P)["relation_kills"] == "lemma"
-    _antipode_u12_doubled(P)
     with pytest.raises(AxiomFails) as exc:
-        verify_hopf(P)
+        verify_hopf(_antipode_u12_doubled(P))
     assert exc.value.axiom == "antipode-kills-relations"
+    assert verify_hopf(P)["relation_kills"] == "lemma"
 
 
 # -- the exact zero test on tensors -----------------------------------------
@@ -689,8 +765,8 @@ def test_morphism_fails_at_the_comatrix_condition():
 
 def test_morphism_fails_at_unitarity():
     # a torus whose star fixes each T_i: (i) and (ii) hold, q q* = diag(T_i^2)
-    Q = build_torus(2)
-    Q.star = {g: NcPoly.gen(g) for g in Q.generators}
+    T = build_torus(2)
+    Q = variant(T, star={g: NcPoly.gen(g) for g in T.generators})
     with pytest.raises(HypothesisFails) as exc:
         build_u_morphism(Q, _torus_diagonal())
     assert (exc.value.which, exc.value.witness) == ("iii", "(q q*)_11")
@@ -708,8 +784,7 @@ def test_quotient_map_kills_without_the_zero_test(monkeypatch, N):
     # free polynomials.  The target's star is dropped so that the star step
     # makes no zero test either.
     uq = build("uq", N)
-    suq = build("suq", N, aux=uq.aux)
-    suq.star = None
+    suq = variant(build("suq", N, aux=uq.aux), star=None)
     calls = []
     zero_test = Presentation.is_zero_elem
     monkeypatch.setattr(Presentation, "is_zero_elem",
@@ -739,7 +814,7 @@ def test_quotient_map_star_step_tests_only_dinv(monkeypatch):
     assert len(calls) == 1
     # a wrong star table on the target: the free images differ at u^1_2,
     # and the zero test refuses it
-    suq.star = {**suq.star, u(1, 2): suq.star[u(1, 2)].scale(Scalar.from_int(2))}
+    suq = variant(suq, star={**suq.star, u(1, 2): suq.star[u(1, 2)].scale(Scalar.from_int(2))})
     with pytest.raises(StarViolation, match=r"u\[1,2\]"):
         _quotient_map(uq, suq, NcPoly.unit()).verify()
 
@@ -779,10 +854,10 @@ def test_intertwine_fails_for_the_morphism_of_another_matrix():
 
 
 def test_coaction_counit_law_can_fail():
-    # a uq copy with epsilon(u11) = 2: the relations and Delta are those of
-    # uq, so the kills and coassociativity pass, and the counit law breaks
+    # a uq variant with epsilon(u11) = 2: the relations and Delta are those
+    # of uq, so the kills and coassociativity pass, and the counit law breaks
     # at z1, whose image sum_j z_j (x) u^j_1 goes to 2 z1 under id (x) epsilon
-    H = _mutate(copy.copy(build("uq", 2)), epsilon={u(1, 1): Scalar.from_int(2)})
+    H = with_tables(build("uq", 2), epsilon={u(1, 1): Scalar.from_int(2)})
     rho = Coaction(build("sphere", 2), H, hopf._coaction_images(2, H))
     assert rho._laws_by_hopf() is None
     with pytest.raises(AxiomFails) as exc:
@@ -811,15 +886,14 @@ def test_star_step_needs_both_hypotheses():
     doubled = lambda t: free_star(t).scale(Scalar.from_int(2))  # noqa: E731
     assert step(B, rho.images, rho._free_apply, doubled, (H,)) is None
     # a coefficient star that is not an involution
-    H_bad = copy.copy(H)
-    H_bad.star = {**H.star, u(1, 1): H.star[u(1, 1)].scale(Scalar.from_int(2))}
+    H_bad = variant(H, star={**H.star, u(1, 1): H.star[u(1, 1)].scale(Scalar.from_int(2))})
     assert step(B, rho.images, rho._free_apply, free_star, (H_bad,)) is None
 
 
 @pytest.mark.parametrize("name", ["deltaR", "rho_u"])
 def test_coaction_star_step_falls_back_on_a_broken_star(name):
     H = build({"deltaR": "suq", "rho_u": "uq"}[name], 2)
-    H.star = {**H.star, u(1, 2): H.star[u(1, 2)].scale(Scalar.from_int(2))}
+    H = variant(H, star={**H.star, u(1, 2): H.star[u(1, 2)].scale(Scalar.from_int(2))})
     with pytest.raises(StarViolation):
         build_coaction(name, 2, coeff=H)
 
@@ -921,9 +995,7 @@ def _sphere_with_summed_relation(N):
     k = next(i for i, r in enumerate(rules) if r.lhs == (zs(1), z(1)))
     extra = NcPoly.monomial((zs(2), z(1))) - NcPoly.monomial((z(1), zs(2)), q ** (-1))
     rules[k] = Rule(rules[k].lhs, rules[k].rhs + extra)
-    P2 = copy.copy(P)
-    P2.system = RewriteSystem(P.system.order, rules)
-    return P2
+    return variant(P, system=RewriteSystem(P.system.order, rules))
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -982,8 +1054,7 @@ def test_coaction_laws_need_the_hopf_axioms_of_the_coefficients(monkeypatch, nam
 
 
 def _suq_star_u12_doubled(P):
-    P.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
-    return P
+    return variant(P, star={**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))})
 
 
 @pytest.mark.parametrize("tamper", [_delta_u11_grouplike, _suq_star_u12_doubled])
@@ -1021,12 +1092,10 @@ def test_embedding_push_forward_checks_its_hypotheses():
     # the point off the sphere: z_2 z*_2 = 2 - z_1 z*_1
     rules = [Rule(r.lhs, r.rhs + NcPoly.unit()) if r.lhs == (z(2), zs(2)) else r
              for r in B.system.rules]
-    off = copy.copy(B)
-    off.system = RewriteSystem(B.system.order, rules)
+    off = variant(B, system=RewriteSystem(B.system.order, rules))
     assert hopf.embedding_from_deltaR(verified(off)) is None
     # a star that does not fix the value of the point: star z_1 = 2 z*_1
-    doubled = copy.copy(B)
-    doubled.star = {**B.star, z(1): B.star[z(1)].scale(Scalar.from_int(2))}
+    doubled = variant(B, star={**B.star, z(1): B.star[z(1)].scale(Scalar.from_int(2))})
     assert hopf.embedding_from_deltaR(verified(doubled)) is None
     # images that are not deltaR's
     images = {g: t.scale(Scalar.from_int(2)) for g, t in delta_r.images.items()}
@@ -1097,7 +1166,7 @@ def test_invariance_solve_off_construction_is_full(monkeypatch):
     # S(u^1_1) scaled by q^2 keeps every bidegree, so both solves still
     # see the system as it is: it has only the zero solution
     P = build("uq", 3)
-    _mutate(P, antipode={u(1, 1): P.structure.antipode[u(1, 1)].scale(q ** 2)})
+    P = with_tables(P, antipode={u(1, 1): P.structure.antipode[u(1, 1)].scale(q ** 2)})
     for variant in ("z_zstar", "zstar_z"):
         for graded in (True, False):
             with pytest.raises(Inconsistent):

@@ -1,6 +1,5 @@
 """Presentations: rule counts, determinant, antipode tables, zero testing."""
 
-import copy
 import random
 from functools import cache
 from itertools import product
@@ -26,6 +25,7 @@ from qsphere.presentations import (
     quantum_determinant,
 )
 from qsphere.scalars import QPARAM, Scalar
+from variants import variant, with_tables
 
 q = QPARAM
 
@@ -418,55 +418,51 @@ def test_clearing_skips_top_level_words_exactly(name, N):
 
 
 def test_matches_construction_is_memoised_and_follows_replaced_parts():
-    # as built means each part is still the object build made
+    # as built means made by build; a presentation constructed otherwise
+    # is not, even with the very parts build made
     P = build("uq", 2)
     assert as_built(P) and as_built(P.aux)
-    Q = copy.copy(P)
-    assert as_built(Q)
-    # a table replaced on a copy of P, or only its holder replaced by an
-    # equal copy: out of scope either way
-    Q.structure = copy.copy(P.structure)
-    assert not as_built(Q)
-    Q.structure.antipode = {**P.structure.antipode, u(1, 2): NcPoly.gen(u(1, 2))}
-    assert not as_built(Q)
+    assert not as_built(variant(P))
+    # equal structure maps on a variant of P, or a table replaced there:
+    # out of scope either way
+    maps = P.structure
+    equal = StructureMaps(maps.delta, maps.epsilon, maps.antipode)
+    assert not as_built(variant(P, structure=equal))
+    assert not as_built(with_tables(P, antipode={u(1, 2): NcPoly.gen(u(1, 2))}))
     assert as_built(P)
-    # a table replaced on the companion, after the first call
-    mq = copy.copy(build("mq", 2))
+    # a uq built on an mq variant, with the parts of mq or a table replaced
+    assert not as_built(build("uq", 2, aux=variant(build("mq", 2))))
+    mq = with_tables(build("mq", 2), epsilon={u(1, 2): Scalar.from_int(1)})
     R = build("uq", 2, aux=mq)
-    assert as_built(R)
-    mq.structure = copy.copy(mq.structure)
-    mq.structure.epsilon = {**mq.structure.epsilon, u(1, 2): Scalar.from_int(1)}
     assert not as_built(mq) and not as_built(R)
     assert as_built(P)
 
 
 def test_det_powers_follow_a_replaced_determinant(monkeypatch):
-    # the powers of D live in the memo, so a copy with D replaced by 2 D,
-    # or P itself after the same change, clears with 2 D: D - 1 is not 0
+    # the powers of D live in the memo, and a variant with D replaced by
+    # 2 D, made after P has its powers, clears with 2 D: D - 1 is not 0
     P = build("suq", 2)
     D, one = quantum_determinant(2), NcPoly.unit()
     assert P.is_zero_elem(D - one)
-    Q = copy.copy(P)
-    Q.det = P.det.scale(Scalar.from_int(2))
+    Q = variant(P, det=P.det.scale(Scalar.from_int(2)))
     assert not Q.is_zero_elem(D - one)
     assert Q.det_powers()[1] == P.aux.nf(Q.det)
     assert P.is_zero_elem(D - one)
-    P.det = Q.det
-    assert not P.is_zero_elem(D - one)
+    assert not variant(P, det=Q.det).is_zero_elem(D - one)
     # looked up once per clearing step, not once per word
     lookups = []
     memo = Presentation.memo
     monkeypatch.setattr(Presentation, "memo",
                         lambda self, key, compute: (lookups.append(key), memo(self, key, compute))[1])
     words = [NcPoly.gen(g) for g in P.generators]
-    assert not P.is_zero_elem(sum(words[1:], D))
+    assert not Q.is_zero_elem(sum(words[1:], D))
     assert lookups == [("det", "powers")]
 
 
 def test_a_copy_has_a_memo_of_its_own(monkeypatch):
+    # a variant with another star, after which P and it are asked in turn
     P = build("suq", 2)
-    Q = copy.copy(P)
-    Q.star = {**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))}
+    Q = variant(P, star={**P.star, u(1, 2): P.star[u(1, 2)].scale(Scalar.from_int(2))})
     calls = []
     lemma = hopf._star_lemma
     monkeypatch.setattr(hopf, "_star_lemma", lambda A: (calls.append(A), lemma(A))[1])
@@ -474,6 +470,34 @@ def test_a_copy_has_a_memo_of_its_own(monkeypatch):
         assert hopf.star_lemma(P) is not None
         assert hopf.star_lemma(Q) is None
     assert calls == [P, Q]
+
+
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_parts_are_fixed_when_a_presentation_is_made(monkeypatch, name):
+    P = build(name, 2)
+    for part in ("name", "N", "system", "star", "structure", "aux", "det"):
+        with pytest.raises(AttributeError, match="construct a new Presentation"):
+            setattr(P, part, getattr(P, part))
+    for table in ("delta", "epsilon", "antipode"):
+        with pytest.raises(AttributeError, match="construct a new StructureMaps"):
+            setattr(P.structure, table, getattr(P.structure, table))
+    assert as_built(P)
+    report, lemma = hopf.verify_hopf(P), hopf.star_lemma(P)
+    assert report["relation_kills"] == "lemma" and lemma is not None
+    # a variant with every part equal, here the same objects: not as built,
+    # and its verdicts are its own, computed afresh
+    calls = []
+    for fn in ("_verify_hopf", "_star_lemma"):
+        real = getattr(hopf, fn)
+        monkeypatch.setattr(hopf, fn, lambda A, real=real: (calls.append(A), real(A))[1])
+    Q = variant(P)
+    assert not as_built(Q)
+    assert hopf.verify_hopf(Q)["relation_kills"] == "loop"
+    assert hopf.star_lemma(Q) is None
+    assert len(calls) == 2 and all(A is Q for A in calls)
+    # P's verdicts are still those memoised on it
+    assert (hopf.verify_hopf(P), hopf.star_lemma(P)) == (report, lemma)
+    assert len(calls) == 2
 
 
 def test_build_rejects_a_wrong_companion():
@@ -561,9 +585,7 @@ def _star_dinv_doubled(P):
 )
 def test_star_checks_catch_a_broken_table(name, N, mutate):
     P = build(name, N)
-    P_bad = copy.copy(P)
-    P_bad.star = mutate(P)
-    laws = star_laws(P_bad)
+    laws = star_laws(variant(P, star=mutate(P)))
     assert not laws["closure"] and not laws["involution"]
 
 
@@ -637,9 +659,7 @@ def test_matrix_identities(monkeypatch, name, N):
 
 def test_matrix_identities_fail_on_a_scaled_antipode_entry():
     P = build("suq", 2)
-    maps = P.structure
-    table = {**maps.antipode, u(1, 1): maps.antipode[u(1, 1)].scale(Scalar.from_int(2))}
-    P.structure = StructureMaps(maps.delta, maps.epsilon, table)
+    P = with_tables(P, antipode={u(1, 1): P.structure.antipode[u(1, 1)].scale(Scalar.from_int(2))})
     with pytest.raises(IdentityFails) as exc:
         check_matrix_identities(P)
     assert exc.value.entry == ("S(u)*u", (1, 1))
@@ -649,7 +669,7 @@ def test_matrix_identities_compute_the_star_products_where_u_star_is_not_s_u(mon
     # the antipode products hold; u* differs from S(u) at (1, 1), so the
     # star products are formed and u u* fails there
     P = build("suq", 2)
-    P.star = {**P.star, u(1, 1): P.star[u(1, 1)].scale(Scalar.from_int(2))}
+    P = variant(P, star={**P.star, u(1, 1): P.star[u(1, 1)].scale(Scalar.from_int(2))})
     calls = _count_zero_tests(monkeypatch)
     with pytest.raises(IdentityFails) as exc:
         check_matrix_identities(P)
