@@ -19,6 +19,7 @@ from .hopf import (
     check_form_preservation,
     check_grouplike,
     check_intertwine,
+    check_matrix_identities,
     coproduct,
     counit,
     embed_sphere,
@@ -36,7 +37,6 @@ from .presentations import (
     build_free_matrix,
     build_torus,
     check_central,
-    check_matrix_identities,
     invariant_form_matrix,
     quantum_determinant,
 )

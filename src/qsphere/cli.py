@@ -88,14 +88,16 @@ def _check_kernel(P, args):
 
 def _check_det_central(P, args):
     # decided in mq (on uq in its companion), which implies it in uq; the
-    # verdict on D group-like is shared with the relation-kill lemmas
-    mq = P.aux if P.aux is not None else P
+    # verdict on D group-like is shared with the relation-kill lemmas, and
+    # D central reads the cofactor expansions the other checks read
     det = presentations.quantum_determinant(P.N)
+    central, central_by = hopf.det_central(P, det)
     grouplike, grouplike_by = hopf.det_grouplike(P)
     details = {
-        "central": presentations.check_central(det, mq),
+        "central": central,
         "grouplike": grouplike,
         "grouplike_by": grouplike_by,
+        "central_by": central_by,
         "counit_one": hopf.counit(det, P).is_one,
         "decided_in": "mq",
     }
@@ -109,7 +111,7 @@ def _check_hopf(P, args):
 
 
 def _check_matrix_identities(P, args):
-    report = presentations.check_matrix_identities(P)
+    report = hopf.check_matrix_identities(P)
     return ("pass", report, None)
 
 

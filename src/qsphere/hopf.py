@@ -4,7 +4,10 @@ invariant form.
 The coproduct, counit and antipode of a presentation are stored on the
 generators and extended (anti)multiplicatively here.  The Hopf axioms are
 verified by relation kills plus the laws on each generator, which proves
-them in every degree (see ``verify_hopf``).  On the standard presentations
+them in every degree (see ``verify_hopf``).  The quantum exterior algebra
+proves D group-like (``det_grouplike``) and the quantum Laplace expansions
+(``cofactor_expansions``), which D central, the antipode laws, the matrix
+identities and the invariant-form systems read.  On the standard presentations
 the kills of the coproduct, the antipode and the star are proved from
 generator-level lemmas; elsewhere each relation is mapped and tested.
 There too the torus bigrading leaves only the diagonal block of the
@@ -59,6 +62,7 @@ from __future__ import annotations
 from .errors import (
     AxiomFails,
     HypothesisFails,
+    IdentityFails,
     Inconsistent,
     MissingStructureMaps,
     RelationViolation,
@@ -71,14 +75,18 @@ from .linalg import nullspace
 from .presentations import (
     Presentation,
     StructureMaps,
+    antipode_matrix,
     as_built,
     build,
     build_exterior,
+    check_central,
+    generator_matrix,
     identity_defect,
+    invariant_form_matrix,
     matrix_mul,
     quantum_determinant,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, QPARAM, ZERO, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +226,7 @@ def det_grouplike(P: Presentation):
     D group-like, Delta(D) = D (x) D and epsilon(D) = 1, is proved through
     the quantum exterior algebra L (``build_exterior``: x_i x_i = 0 and
     x_j x_i = -q x_i x_j for i < j) with delta(x_i) = sum_k u^i_k (x) x_k,
-    where these hypotheses hold, checked exactly in this order
-    (``_grouplike_by_exterior``):
+    where these hypotheses hold, each checked exactly:
 
     1. mq is as built (``as_built``), so its relations and Delta table are
        those of the construction and Delta is an algebra map of mq by the
@@ -233,9 +240,11 @@ def det_grouplike(P: Presentation):
     5. delta(x_1 ... x_N) = D (x) x_1 ... x_N, with D compared as a free
        polynomial with ``quantum_determinant``.
 
-    Both sides of 4 are algebra maps L -> mq (x) mq (x) L, so they agree on
-    all of L.  On w = x_1 ... x_N, by 5, the left side is Delta(D) (x) w and
-    the right side D (x) D (x) w.  As w is not 0 (2), Delta(D) = D (x) D in
+    Hypotheses 1-3 and the image of x_1 ... x_N are computed once per mq
+    (``_exterior``) and shared with ``cofactor_expansions``.  Both sides of
+    4 are algebra maps L -> mq (x) mq (x) L, so they agree on all of L.  On
+    w = x_1 ... x_N, by 5, the left side is Delta(D) (x) w and the right
+    side D (x) D (x) w.  As w is not 0 (2), Delta(D) = D (x) D in
     mq (x) mq.  epsilon(D) = 1 is computed.  Where a hypothesis fails the
     coproduct of D, N! N^N terms, is zero-tested instead
     (``check_grouplike``), which is also the test oracle.
@@ -253,49 +262,222 @@ def det_grouplike(P: Presentation):
 
 def _grouplike_by_exterior(mq: Presentation, D: NcPoly) -> bool:
     """Do hypotheses 1-5 of ``det_grouplike`` hold, with D in place of the
-    quantum determinant?  The Lambda leg of delta(x_1 ... x_N) is reduced
-    after each factor, so a repeated x_k drops at once and the product has
-    N! terms, not N^N."""
-    if not as_built(mq):
+    quantum determinant?"""
+    ext = _exterior(mq)
+    if ext is None:
         return False
-    N = mq.N
-    L = build_exterior(N)
-    if not L.system.check_confluence().confluent:
-        return False
-    x = L.generators
-    delta = {
-        x[i - 1]: TensorPoly({((u(i, k),), (x[k - 1],)): ONE for k in range(1, N + 1)})
-        for i in range(1, N + 1)
-    }
-    if not all(tensor_zero(TensorPoly.extend(r, delta).terms, (mq, L)) for r in L.relations):
-        return False
-    for g in x:
+    for g in ext.L.generators:
         left, right = {}, {}
-        for (a, (h,)), c in delta[g].terms.items():
+        for (a, (h,)), c in ext.row[g].terms.items():
             for (a1, a2), c1 in mq.structure.delta[a[0]].terms.items():
                 _triple_add(left, (a1, a2, (h,)), c * c1)
-            for (b, xk), c2 in delta[h].terms.items():
+            for (b, xk), c2 in ext.row[h].terms.items():
                 _triple_add(right, (a, b, xk), c * c2)
         if left != right:
             return False
-    image = {((), ()): ONE}
-    for g in x:
-        step = {}
-        for (a, w), c in image.items():
-            for (b, (h,)), c1 in delta[g].terms.items():
-                for w2, c2 in L.nf(NcPoly.monomial(w + (h,))).terms.items():
-                    _triple_add(step, (a + b, w2), c * c1 * c2)
-        image = step
-    top = tuple(x)
-    return (
-        L.nf(NcPoly.monomial(top)) == NcPoly.monomial(top)
-        and image == TensorPoly.of(D, NcPoly.monomial(top)).terms
-    )
+    return ext.top_image == TensorPoly.of(D, NcPoly.monomial(ext.top)).terms
 
 
-def _generator_law_failure(P: Presentation):
+class _Exterior:
+    """The quantum exterior algebra L of mq's N (``build_exterior``), its
+    row coaction delta(x_i) = sum_k u^i_k (x) x_k, and the image
+    delta(x_1 ... x_N) once ``_exterior`` has checked hypotheses 1-3 of
+    ``det_grouplike``."""
+
+    def __init__(self, L: Presentation):
+        self.L = L
+        self.top = tuple(L.generators)
+        self.row = self.coaction(column=False)
+        self._products = {}  # (normal word w, generator h) -> terms of nf(w h)
+        self.top_image = None  # set by ``_exterior``
+
+    def coaction(self, column: bool) -> dict:
+        """x_i -> sum_k u^i_k (x) x_k, or with ``column`` the column
+        coaction x_i -> sum_k u^k_i (x) x_k."""
+        N, x = self.L.N, self.L.generators
+        return {
+            x[i - 1]: TensorPoly({
+                ((u(k, i) if column else u(i, k),), (x[k - 1],)): ONE
+                for k in range(1, N + 1)
+            })
+            for i in range(1, N + 1)
+        }
+
+    def kills_relations(self, delta: dict, mq: Presentation) -> bool:
+        """Does delta kill every relation of L modulo I_mq (x) L?"""
+        return all(
+            tensor_zero(TensorPoly.extend(r, delta).terms, (mq, self.L)) for r in self.L.relations
+        )
+
+    def image(self, delta: dict, word) -> dict:
+        """delta(word) for a word of L, as a dict (mq word, L word) ->
+        scalar: the mq leg free, the L leg reduced after each factor, so a
+        repeated x_k drops at once and x_1 ... x_N has N! terms, not N^N."""
+        products = self._products
+        image = {((), ()): ONE}
+        for g in word:
+            step = {}
+            for (a, w), c in image.items():
+                for (b, (h,)), c1 in delta[g].terms.items():
+                    nf = products.get((w, h))
+                    if nf is None:
+                        nf = products[w, h] = self.L.nf(NcPoly.monomial(w + (h,))).terms
+                    for w2, c2 in nf.items():
+                        _triple_add(step, (a + b, w2), c * c1 * c2)
+            image = step
+        return image
+
+
+def _exterior(mq: Presentation):
+    """The ``_Exterior`` of mq where hypotheses 1-3 of ``det_grouplike``
+    hold and x_1 ... x_N is a normal word of L, else None; memoised on
+    mq."""
+
+    def build():
+        if not as_built(mq):
+            return None
+        ext = _Exterior(build_exterior(mq.N))
+        L, top = ext.L, NcPoly.monomial(ext.top)
+        if not L.system.check_confluence().confluent or L.nf(top) != top:
+            return None
+        if not ext.kills_relations(ext.row, mq):
+            return None
+        ext.top_image = ext.image(ext.row, ext.top)
+        return ext
+
+    return mq.memo(("exterior",), build)
+
+
+def cofactor_expansions(P: Presentation):
+    """The quantum Laplace expansions in the mq of P, proved through the
+    exterior algebra: the cofactor matrix A = ``antipode_matrix(N, "sl")``
+    (A_ij is S(u^i_j) on suq) where they are proved, else None.  Computed
+    once per mq and shared by D central (``det_central``), the antipode
+    laws on generators (``verify_hopf``), ``check_matrix_identities`` and
+    both invariant-form systems (``_invariance_solution``).  The four
+    identities, for all i, j, with D the quantum determinant:
+
+      (R)   sum_k u_ik A_kj = delta_ij D
+      (Rq)  sum_k q^(-2k) A_ki u_jk = delta_ij q^(-2i) D
+      (C)   sum_k A_ik u_kj = delta_ij D
+      (Cq)  sum_k q^(2k) u_ki A_jk = delta_ij q^(2j) D
+
+    In L write y_j = x_1 ... (x_j left out) ... x_N and top = x_1 ... x_N.
+    Hypotheses, each checked exactly: those of ``_exterior`` and
+    delta(top) = D (x) top, shared with ``det_grouplike``;
+    x_i y_j = delta_ij (-q)^(j-1) top and y_j x_i = delta_ij (-q)^(N-j) top
+    in L; delta(y_j) = sum_l (-q)^(j-l) A_lj (x) y_l as free tensors; the
+    column coaction delta'(x_i) = sum_k u_ki (x) x_k kills L's relations
+    (``tensor_zero``); in mq, by the zero test, the coefficient of y_l in
+    delta'(y_j) is (-q)^(l-j) A_jl and delta'(top) = D' (x) top with
+    D' = D.
+
+    Both coactions are algebra maps L -> mq (x) L, and top is a basis word
+    of L.  Applying delta to x_i y_j gives sum_k u_ik (-q)^(j-k) A_kj
+    (-q)^(k-1) = delta_ij (-q)^(j-1) D, which is (R), and to y_j x_i, (Rq)
+    after the swap of i and j.  Applying delta' to y_j x_i gives (C) and to
+    x_i y_j, (Cq).  Where a hypothesis fails every consumer keeps its own
+    loop, which is also its test oracle.
+    """
+    mq = P.aux if P.aux is not None else P
+    return mq.memo(("exterior", "cofactors"), lambda: _cofactors_by_exterior(mq))
+
+
+def _cofactors_by_exterior(mq: Presentation):
+    ext = _exterior(mq)
+    if ext is None:
+        return None
+    N, L = mq.N, ext.L
+    x, top = L.generators, NcPoly.monomial(ext.top)
+    D = quantum_determinant(N)
+    if ext.top_image != TensorPoly.of(D, top).terms:
+        return None
+    sign = [(-QPARAM) ** e for e in range(-N, N + 1)]  # sign[N + e] = (-q)^e
+    y = [tuple(g for g in x if g != xj) for xj in x]
+    for i in range(N):
+        for j in range(N):
+            xy = top.scale(sign[N + j]) if i == j else NcPoly()
+            yx = top.scale(sign[2 * N - 1 - j]) if i == j else NcPoly()
+            if L.nf(NcPoly.monomial((x[i],) + y[j])) != xy:
+                return None
+            if L.nf(NcPoly.monomial(y[j] + (x[i],))) != yx:
+                return None
+    A = antipode_matrix(N, "sl")
+    for j in range(N):
+        want = {
+            (w, y[l]): c * sign[N + j - l]
+            for l in range(N) for w, c in A[l][j].terms.items()
+        }
+        if ext.image(ext.row, y[j]) != want:
+            return None
+    column = ext.coaction(column=True)
+    if not ext.kills_relations(column, mq):
+        return None
+    differences = []
+    for j in range(N):
+        minors = {yl: NcPoly() for yl in y}
+        for (a, w), c in ext.image(column, y[j]).items():
+            if w not in minors:
+                return None
+            minors[w]._iadd_term(a, c)
+        differences += [minors[y[l]] - A[j][l].scale(sign[N + l - j]) for l in range(N)]
+    d_column = NcPoly()
+    for (a, w), c in ext.image(column, ext.top).items():
+        if w != ext.top:
+            return None
+        d_column._iadd_term(a, c)
+    differences.append(d_column - D)
+    if not all(p.is_zero for p in mq.zero_test_images(differences)):
+        return None
+    return A
+
+
+def _cofactor_scope(P: Presentation):
+    """The cofactor matrix A of ``cofactor_expansions`` where P is suq or uq
+    as built (so D = 1 on suq, and dinv is central with dinv D = D dinv = 1
+    on uq), with the determinant D and the antipode table S(u^i_j) = A_ij
+    on suq, dinv A_ij on uq, as free polynomials, and the expansions hold
+    in its mq; else None.  Memoised on P."""
+
+    def scope():
+        if P.aux is None or not as_built(P) or P.det != quantum_determinant(P.N):
+            return None
+        A = cofactor_expansions(P)
+        if A is None:
+            return None
+        factor = NcPoly.gen(DINV) if P.name == "uq" else NcPoly.unit()
+        S = P.structure.antipode
+        N = P.N
+        if any(S[u(i + 1, j + 1)] != factor * A[i][j] for i in range(N) for j in range(N)):
+            return None
+        return A
+
+    return P.memo(("exterior", "scope"), scope)
+
+
+def det_central(P: Presentation, x: NcPoly):
+    """Is x central in the mq of P, and how was it decided: the pair of the
+    verdict and ``"exterior-algebra"`` or ``"commutators"``.  Where x is
+    the quantum determinant D, as a free polynomial, and
+    ``cofactor_expansions`` holds, (R) and (C) say u A = A u = D I, so
+    D u = (u A) u = u (A u) = u D entrywise, matrix multiplication being
+    associative over any ring; D commutes with every generator.  Elsewhere
+    x g - g x is zero-tested for each generator g (``check_central``),
+    which is also the test oracle."""
+    mq = P.aux if P.aux is not None else P
+    if x == quantum_determinant(mq.N) and cofactor_expansions(mq) is not None:
+        return True, "exterior-algebra"
+    return check_central(x, mq), "commutators"
+
+
+def _generator_law_failure(P: Presentation, by_cofactors: bool):
     """The first (axiom, witness) at which coassociativity, the counit law or
-    the antipode law (both sides) fails on a generator, or None."""
+    the antipode law (both sides) fails on a generator, or None.  With
+    ``by_cofactors`` (``_cofactor_scope`` holds) the antipode law on each
+    u^i_j is not computed: m(S (x) id) Delta(u^i_j) = (S(u) u)_ij and
+    m(id (x) S) Delta(u^i_j) = (u S(u))_ij, which are delta_ij by (C) and
+    (R) of ``cofactor_expansions`` (times dinv on uq, central with
+    dinv D = 1; D = 1 on suq), and epsilon(u^i_j) = delta_ij as built."""
     maps = P.structure
     for w in [(g,) for g in P.generators]:
         dw = delta_word(w, P)
@@ -311,7 +493,7 @@ def _generator_law_failure(P: Presentation):
             ce_right = ce_right + NcPoly.monomial(w1, c * counit(NcPoly.monomial(w2), P))
         if not P.equals(ce_left, wp) or not P.equals(ce_right, wp):
             return "counit-law", word_name(w)
-        if maps.antipode is not None:
+        if maps.antipode is not None and not (by_cofactors and w[0][0] == "u"):
             target = NcPoly.unit(counit(wp, P))
             m_s_id = NcPoly()
             m_id_s = NcPoly()
@@ -392,15 +574,22 @@ def verify_hopf(P: Presentation) -> dict:
     map cannot fail that loop, so skipping it leaves the first failing
     relation, axiom and witness as the full loop has them.  The laws on
     generators are computed first, as S needs them, and reported after the
-    kills.  A passing verdict is memoised on P (``Presentation.memo``).
+    kills.  The antipode law on each u^i_j is not computed where
+    ``_cofactor_scope`` holds: it is (C) and (R) of
+    ``cofactor_expansions``, and the report's hypotheses then end with
+    ``"cofactor-expansions-by-exterior-algebra"``.  A passing verdict is
+    memoised on P (``Presentation.memo``).
     """
     return dict(P.memo("hopf", lambda: _verify_hopf(P)))
 
 
 def _verify_hopf(P: Presentation) -> dict:
     maps = _require_structure(P)
-    law_failure = _generator_law_failure(P)
+    by_cofactors = maps.antipode is not None and _cofactor_scope(P) is not None
+    law_failure = _generator_law_failure(P, by_cofactors)
     proved, hypotheses = _kill_lemmas(P, law_failure is None)
+    if by_cofactors:
+        hypotheses.append("cofactor-expansions-by-exterior-algebra")
 
     for r in P.relations:
         if "delta" not in proved and not tensor_zero(_free_coproduct(r, P).terms, (P, P)):
@@ -512,6 +701,73 @@ def star_laws(P: Presentation) -> dict:
         "relation_kills": "loop",
         "hypotheses": [],
     }
+
+
+# ---------------------------------------------------------------------------
+# matrix identities
+# ---------------------------------------------------------------------------
+
+
+def check_matrix_identities(P: Presentation) -> dict:
+    """Entrywise identities certifying the antipode and star tables, with
+    ``decided_by``: ``"exterior-algebra"`` or ``"products"``.
+
+    For suq and uq: S(u) u = u S(u) = I and u u* = u* u = I.  For uq also the
+    scaled-conjugate identity E ubar E^-1 u^t = u^t E ubar E^-1 = I with
+    E = diag(1, q^2, ..., q^(2(N-1))) / (q^(N-1) [N]_q).
+
+    They follow from ``cofactor_expansions`` where ``_cofactor_scope``
+    holds, u* equals S(u) entry for entry as free polynomials (the star is
+    S o tau on the tables) and, on uq, E_i / E_k = q^(2(i-k)) on
+    ``invariant_form_matrix``: S(u) u and u S(u) are (C) and (R) (times the
+    central dinv on uq), the star products are the same products, and
+    entry (i, j) of the E-relations is sum_k q^(2(i-k)) S(u^k_i) u^j_k, which
+    is (Rq), and sum_k q^(2(k-j)) u^k_i S(u^j_k), which is (Cq).
+
+    Elsewhere each distinct matrix product is formed and zero-tested once;
+    where u* equals S(u) the ``u*ustar`` and ``ustar*u`` entries report the
+    verdicts of ``u*S(u)`` and ``S(u)*u``, and where the two matrices
+    differ the star products are computed.  These loops are also the test
+    oracle.
+    """
+    if P.name not in ("suq", "uq"):
+        raise ValueError("matrix identities apply to suq and uq only")
+    N = P.N
+    U = generator_matrix(P)
+    S = [[P.structure.antipode[u(i, j)] for j in range(1, N + 1)] for i in range(1, N + 1)]
+    # u* = conjugate transpose: entry (i,j) is (u^j_i)*
+    Ustar = [[P.star[u(j, i)] for j in range(1, N + 1)] for i in range(1, N + 1)]
+    if Ustar == S:
+        Ustar = S  # one matrix, so each of its products is decided once
+    products = [
+        ("S(u)*u", S, U),
+        ("u*S(u)", U, S),
+        ("u*ustar", U, Ustar),
+        ("ustar*u", Ustar, U),
+    ]
+    ratios_hold = True
+    if P.name == "uq":
+        E = invariant_form_matrix(N)
+        # (E ubar E^-1)_{ik} = (E_i / E_k) (u^i_k)*; normalization cancels
+        ratio = [[E[i][i] / E[k][k] for k in range(N)] for i in range(N)]
+        ratios_hold = all(ratio[i][k] == QPARAM ** (2 * (i - k))
+                          for i in range(N) for k in range(N))
+        scaled = [[P.star[u(i + 1, k + 1)].scale(ratio[i][k]) for k in range(N)]
+                  for i in range(N)]
+        ut = [[NcPoly.gen(u(j + 1, i + 1)) for j in range(N)] for i in range(N)]
+        products += [("E-relation-left", scaled, ut), ("E-relation-right", ut, scaled)]
+    by_cofactors = Ustar is S and ratios_hold and _cofactor_scope(P) is not None
+    report = {}
+    decided = set()
+    for label, A, B in products:
+        if not by_cofactors and (id(A), id(B)) not in decided:
+            bad = identity_defect(matrix_mul(A, B, P), P)
+            if bad is not None:
+                raise IdentityFails((label, bad[0]), bad[1])
+            decided.add((id(A), id(B)))
+        report[label] = True
+    report["decided_by"] = "exterior-algebra" if by_cofactors else "products"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1043,8 +1299,44 @@ def _invariance_solution(N: int, P: Presentation, variant: str):
     reduced system takes N^3 products instead of N^4 (64 and 256 at
     N = 4).  Elsewhere the full system is solved; it is also the test
     oracle.
+
+    Before either, where ``_cofactor_scope`` holds, the solution is read
+    off ``cofactor_expansions`` and no system is formed
+    (``_invariance_by_cofactors``).
     """
+    if N == P.N and _cofactor_scope(P) is not None and _generators_independent(P):
+        return _invariance_by_cofactors(N, variant)
     return _solve_invariance(N, P, variant, as_built(P))
+
+
+def _generators_independent(P: Presentation) -> bool:
+    """Are the u^a_b linearly independent in P?  They are where the exact
+    zero test sends each of them to itself, as one injective linear map."""
+    gens = [NcPoly.gen(g) for g in P.generators if g[0] == "u"]
+    return P.zero_test_images(gens) == gens
+
+
+def _invariance_by_cofactors(N: int, variant: str):
+    """The solution of one invariance system where ``_cofactor_scope`` holds
+    and the u^a_b are independent in P, in the normalization of
+    ``nullspace`` (1 at X_NN, the last unknown in the support), with the
+    system report of ``_solve_invariance`` (no products, no rows).
+
+    By (C) and (R) of ``cofactor_expansions``, S(u) is a two-sided inverse
+    of u in P.  So zstar_z, S(u) X u = X, says X u = u X.  Comparing the
+    coefficients of the independent u^a_b in sum_l X_il u^l_j =
+    sum_k u^i_k X_kj gives X_ia = 0 for a != i and X_ii = X_jj: X = c I.
+    With E = diag(q^2, ..., q^(2N)), (Cq) and (Rq) say that
+    V = E S(u)^t E^-1 is a two-sided inverse of u^t.  So z_zstar,
+    u^t X S(u)^t = X, says u^t Y = Y u^t for Y = X E^-1, hence Y = c I and
+    X = c E.  Both solution spaces are one-dimensional.
+    """
+    if variant == "zstar_z":
+        diagonal = [ONE] * N
+    else:
+        diagonal = [QPARAM ** (2 * (k - N)) for k in range(1, N + 1)]
+    X = [[diagonal[k] if k == l else ZERO for l in range(N)] for k in range(N)]
+    return X, {"solve": "exterior-algebra", "unknowns": N * N, "products": 0, "rows": 0}
 
 
 def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):
@@ -1105,8 +1397,9 @@ def solve_invariant_forms(N: int, P: Presentation | None = None) -> dict:
     """The matrices of the Haar-induced inner products on the span of the
     generators, as the unique normalized solutions F and H of the two
     invariance systems, each solved once, with the way they were solved:
-    ``solve`` is ``"graded"`` or ``"full"`` (``_invariance_solution``) and
-    ``systems`` gives each system's unknowns, products and equation rows.
+    ``solve`` is ``"exterior-algebra"``, ``"graded"`` or ``"full"``
+    (``_invariance_solution``) and ``systems`` gives each system's unknowns,
+    products and equation rows.
 
     F, with F_{ij} ~ h(z_i z*_j), is normalized to trace 1 (the unit
     relation of the sphere).  H, with H_{ij} ~ h(z*_i z_j), is normalized

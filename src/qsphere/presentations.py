@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import IdentityFails
 from .freealg import DINV, NcPoly, TensorPoly, u, z, zs
 from .rewrite import MonomialOrder, Rule, RewriteSystem
 from .scalars import ONE, QPARAM, ZERO, qnum
@@ -519,61 +518,6 @@ def invariant_form_matrix(N: int):
         ]
         for i in range(N)
     ]
-
-
-def check_matrix_identities(P: Presentation) -> dict:
-    """Entrywise identities certifying the antipode and star tables.
-
-    For suq and uq: S(u) u = u S(u) = I and u u* = u* u = I.  For uq also the
-    scaled-conjugate identity E ubar E^-1 u^t = u^t E ubar E^-1 = I with
-    E = diag(1, q^2, ..., q^(2(N-1))) / (q^(N-1) [N]_q).
-
-    Each distinct matrix product is formed and zero-tested once.  On the
-    tables ``build`` makes, u* equals S(u) entry for entry (the star of
-    u^j_i and the antipode of u^i_j are the same cofactor), so there the
-    ``u*ustar`` and ``ustar*u`` entries report the verdicts of ``u*S(u)``
-    and ``S(u)*u``; on tables where the two matrices differ the star
-    products are computed.  The antipode products are also formed by the
-    antipode law of ``hopf.verify_hopf``; they are kept here so that this
-    check alone does not pay for the Hopf axioms.
-    """
-    if P.name not in ("suq", "uq"):
-        raise ValueError("matrix identities apply to suq and uq only")
-    N = P.N
-    U = generator_matrix(P)
-    S = [[P.structure.antipode[u(i, j)] for j in range(1, N + 1)] for i in range(1, N + 1)]
-    # u* = conjugate transpose: entry (i,j) is (u^j_i)*
-    Ustar = [[P.star[u(j, i)] for j in range(1, N + 1)] for i in range(1, N + 1)]
-    if Ustar == S:
-        Ustar = S  # one matrix, so each of its products is decided once
-    products = [
-        ("S(u)*u", S, U),
-        ("u*S(u)", U, S),
-        ("u*ustar", U, Ustar),
-        ("ustar*u", Ustar, U),
-    ]
-    if P.name == "uq":
-        E = invariant_form_matrix(N)
-        # (E ubar E^-1)_{ik} = (E_i / E_k) (u^i_k)*; normalization cancels
-        scaled = [
-            [
-                P.star[u(i + 1, k + 1)].scale(E[i][i] / E[k][k])
-                for k in range(N)
-            ]
-            for i in range(N)
-        ]
-        ut = [[NcPoly.gen(u(j + 1, i + 1)) for j in range(N)] for i in range(N)]
-        products += [("E-relation-left", scaled, ut), ("E-relation-right", ut, scaled)]
-    report = {}
-    decided = set()
-    for label, A, B in products:
-        if (id(A), id(B)) not in decided:
-            bad = identity_defect(matrix_mul(A, B, P), P)
-            if bad is not None:
-                raise IdentityFails((label, bad[0]), bad[1])
-            decided.add((id(A), id(B)))
-        report[label] = True
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -327,27 +327,44 @@ class RewriteSystem:
 
     def _ambiguities(self):
         """Every overlap and inclusion ambiguity of two rules, in rule-pair
-        order, as (kind, rule indices, word, its two one-step reducts)."""
-        for ia, ra in enumerate(self.rules):
-            for ib, rb in enumerate(self.rules):
-                # overlap: proper suffix of lhs_a equals proper prefix of lhs_b
-                for k in range(1, min(len(ra.lhs), len(rb.lhs))):
-                    if ra.lhs[-k:] == rb.lhs[:k]:
-                        yield (
-                            "overlap", ia, ib, ra.lhs + rb.lhs[k:],
-                            ra.rhs * NcPoly.monomial(rb.lhs[k:]),
-                            NcPoly.monomial(ra.lhs[:-k]) * rb.rhs,
-                        )
-                # inclusion: lhs_b a proper subword of lhs_a
-                if ia != ib and len(rb.lhs) < len(ra.lhs):
-                    for pos in range(len(ra.lhs) - len(rb.lhs) + 1):
-                        if ra.lhs[pos : pos + len(rb.lhs)] == rb.lhs:
-                            pre = ra.lhs[:pos]
-                            suf = ra.lhs[pos + len(rb.lhs) :]
-                            yield (
-                                "inclusion", ia, ib, ra.lhs, ra.rhs,
-                                NcPoly.monomial(pre) * rb.rhs * NcPoly.monomial(suf),
-                            )
+        order, as (kind, rule indices, word, its two one-step reducts).
+
+        The rules b that meet rule a are looked up, not searched for: those
+        whose left side begins with a proper suffix of lhs_a (overlaps, in a
+        table of proper prefixes) and those whose left side is a shorter
+        subword of lhs_a (inclusions, in ``_lhs_index``).  Sorting by
+        (b, overlaps before inclusions, k or position) gives the order of
+        the double loop over rule pairs."""
+        rules = self.rules
+        prefixes = {}  # proper prefix -> the rules whose lhs begins with it
+        for ib, rb in enumerate(rules):
+            for k in range(1, len(rb.lhs)):
+                prefixes.setdefault(rb.lhs[:k], []).append(ib)
+        for ia, ra in enumerate(rules):
+            a = ra.lhs
+            found = []
+            for k in range(1, len(a)):
+                found += [(ib, 0, k) for ib in prefixes.get(a[-k:], ())]
+            for L in self._lhs_lengths:
+                if L >= len(a):
+                    break
+                for pos in range(len(a) - L + 1):
+                    ib = self._lhs_index.get(a[pos : pos + L])
+                    if ib is not None:
+                        found.append((ib, 1, pos))
+            for ib, inclusion, k in sorted(found):
+                b = rules[ib].lhs
+                if not inclusion:  # a proper suffix of lhs_a is a proper prefix of lhs_b
+                    yield (
+                        "overlap", ia, ib, a + b[k:],
+                        ra.rhs * NcPoly.monomial(b[k:]),
+                        NcPoly.monomial(a[:-k]) * rules[ib].rhs,
+                    )
+                else:  # lhs_b is a proper subword of lhs_a, at position k
+                    yield (
+                        "inclusion", ia, ib, a, ra.rhs,
+                        NcPoly.monomial(a[:k]) * rules[ib].rhs * NcPoly.monomial(a[k + len(b) :]),
+                    )
 
     def check_confluence(self) -> AmbiguityReport:
         """Enumerate and resolve all overlap and inclusion ambiguities: each

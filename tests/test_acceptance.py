@@ -16,6 +16,7 @@ from qsphere.hopf import (
     build_u_morphism,
     check_grouplike,
     check_intertwine,
+    check_matrix_identities,
     counit,
     embed_sphere,
     invariant_forms,
@@ -28,7 +29,6 @@ from qsphere.presentations import (
     build_free_matrix,
     build_torus,
     check_central,
-    check_matrix_identities,
     quantum_determinant,
 )
 from qsphere.rmatrix import check_cqt, check_hecke, mult_kernel, rhat, RFormEvaluator

@@ -472,12 +472,14 @@ def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
             "hypotheses": [
                 "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",
                 "epsilon-antipode-as-built", "antipode-laws-on-generators",
+                "cofactor-expansions-by-exterior-algebra",
             ],
         },
         "reality": "all-degrees",
         "star_hypotheses": [
             "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",
-            "epsilon-antipode-as-built", "antipode-laws-on-generators", "hopf-axioms",
+            "epsilon-antipode-as-built", "antipode-laws-on-generators",
+            "cofactor-expansions-by-exterior-algebra", "hopf-axioms",
             "star-is-antipode-of-transpose", "transpose-kills-relations",
             "transpose-flips-coproduct",
         ],
@@ -719,6 +721,8 @@ def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):
 def test_det_central_report_says_how_d_grouplike_was_decided(
     capsys, tmp_path, monkeypatch, algebra, tamper, by, status
 ):
+    # the tampered mq is not as built, so D central takes its loop too
+    central_by = "commutators" if tamper else "exterior-algebra"
     if tamper:
         build = presentations.build
         monkeypatch.setattr(presentations, "build",
@@ -730,30 +734,45 @@ def test_det_central_report_says_how_d_grouplike_was_decided(
     assert report["status"] == status
     assert report["details"] == {
         "central": True, "grouplike": status == "pass", "grouplike_by": by,
-        "counit_one": True, "decided_in": "mq",
+        "central_by": central_by, "counit_one": True, "decided_in": "mq",
     }
 
 
+def _refuse_cofactors(monkeypatch):
+    """Every cofactor certificate made from now on is refused, so each of
+    its consumers takes its own loop."""
+    monkeypatch.setattr(hopf, "_cofactors_by_exterior", lambda mq: None)
+
+
 def test_d_central_is_decided_only_by_det_central_rem36(capsys, monkeypatch):
+    _d_central_deciders(capsys, monkeypatch, refused=False)
+
+
+def test_d_central_takes_the_commutators_where_the_certificate_is_refused(capsys, monkeypatch):
+    _refuse_cofactors(monkeypatch)
+    _d_central_deciders(capsys, monkeypatch, refused=True)
+
+
+def _d_central_deciders(capsys, monkeypatch, refused):
     # the uq antipode lemma needs no D central in mq (it follows from uq's
-    # own relations), so neither hopf-axioms nor coaction-eq20 decides it
-    seen = []
-    check = presentations.check_central
-
-    def spy(x, P):
-        seen.append(P.name)
-        return check(x, P)
-
-    monkeypatch.setattr(presentations, "check_central", spy)
-    monkeypatch.setattr(hopf, "check_central", spy, raising=False)
+    # own relations), so neither hopf-axioms nor coaction-eq20 decides it;
+    # det-central-rem36 reads the cofactor certificate, and zero-tests the
+    # commutators of D once, on the mq, only where it is refused
+    decided, commutators = [], []
+    det_central, check = hopf.det_central, presentations.check_central
+    monkeypatch.setattr(hopf, "det_central",
+                        lambda P, x: (decided.append(P.name), det_central(P, x))[1])
+    monkeypatch.setattr(hopf, "check_central",
+                        lambda x, P: (commutators.append(P.name), check(x, P))[1])
     for N in (2, 3, 4):
         assert hopf.verify_hopf(presentations.build("uq", N))["relation_kills"] == "lemma"
     code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
                        "--checks", "coaction-eq20")
-    assert (code, out, seen) == (0, "coaction-eq20: pass\n", [])
+    assert (code, out, decided, commutators) == (0, "coaction-eq20: pass\n", [], [])
     code, out, _ = run(capsys, "verify", "--algebra", "uq", "--N", "2",
                        "--checks", "det-central-rem36")
-    assert (code, out, seen) == (0, "det-central-rem36: pass\n", ["mq"])
+    assert (code, out, decided) == (0, "det-central-rem36: pass\n", ["uq"])
+    assert commutators == (["mq"] if refused else [])
 
 
 def test_det_central_fails_on_a_d_that_is_not_central(capsys, tmp_path, monkeypatch):
@@ -769,9 +788,49 @@ def test_det_central_fails_on_a_d_that_is_not_central(capsys, tmp_path, monkeypa
     (report,) = json.load(open(path))
     assert report["details"] == {
         "central": False, "grouplike": True, "grouplike_by": "exterior-algebra",
-        "counit_one": True, "decided_in": "mq",
+        "central_by": "commutators", "counit_one": True, "decided_in": "mq",
     }
     assert report["counterexample"] == "u[1,2]+u[1,1]*u[2,2]-q*u[1,2]*u[2,1]"
+
+
+_DECIDED_BY = {"central_by": "commutators", "decided_by": "products", "solve": "graded"}
+_CERTIFICATE = "cofactor-expansions-by-exterior-algebra"
+
+
+def _without_decided_by(report, refused):
+    """The report with the fields that say how the cofactor identities were
+    decided taken out, after checking that they name the path taken."""
+    details = dict(report["details"])
+    for key, fallback in _DECIDED_BY.items():
+        if key in details:
+            assert details.pop(key) == (fallback if refused else "exterior-algebra")
+    details.pop("systems", None)
+    for key in ("hypotheses", "star_hypotheses"):
+        if key in details:
+            if refused:
+                assert _CERTIFICATE not in details[key]
+            details[key] = [h for h in details[key] if h != _CERTIFICATE]
+    if "hopf_hypotheses" in details:
+        details["hopf_hypotheses"] = _without_decided_by(
+            {"details": details["hopf_hypotheses"]}, refused)["details"]
+    return {**report, "details": details, "timing_ms": None}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("algebra", ["mq", "suq", "uq"])
+def test_verify_with_the_cofactor_certificate_refused_gives_the_same_reports(
+    capsys, tmp_path, monkeypatch, algebra, N
+):
+    # every check that reads the certificate decides as its loop does; only
+    # the fields that say how differ
+    path = str(tmp_path / "report.json")
+    argv = ("verify", "--algebra", algebra, "--N", str(N), "--json", path)
+    fast = run(capsys, *argv), json.load(open(path))
+    _refuse_cofactors(monkeypatch)
+    slow = run(capsys, *argv), json.load(open(path))
+    assert fast[0] == slow[0]
+    assert [_without_decided_by(r, False) for r in fast[1]] == [
+        _without_decided_by(r, True) for r in slow[1]]
 
 
 def test_verify_prints_each_check_as_it_finishes(capsys, tmp_path, monkeypatch):
@@ -888,15 +947,31 @@ def test_spectrum_check_reaches_n6_at_max_eig_20(capsys, tmp_path):
 
 
 def test_invariant_form_report_records_the_solve(capsys, tmp_path):
+    _invariant_form_solve_report(capsys, tmp_path, refused=False)
+
+
+def test_invariant_form_report_records_the_graded_solve_where_refused(
+    capsys, tmp_path, monkeypatch
+):
+    _refuse_cofactors(monkeypatch)
+    _invariant_form_solve_report(capsys, tmp_path, refused=True)
+
+
+def _invariant_form_solve_report(capsys, tmp_path, refused):
     path = str(tmp_path / "report.json")
     code, _, _ = run(capsys, "verify", "--algebra", "uq", "--N", "4",
                      "--checks", "invariant-form-rem68", "--json", path)
     assert code == 0
     (report,) = json.load(open(path))
     details = report["details"]
-    assert details["solve"] == "graded"
-    # the full solve: 16 unknowns, 256 products, 1,728 rows
-    system = {"unknowns": 4, "products": 64, "rows": 224}
+    if refused:
+        # the graded solve; the full one has 16 unknowns, 256 products and
+        # 1,728 rows
+        solve, system = "graded", {"unknowns": 4, "products": 64, "rows": 224}
+    else:
+        # read off the cofactor expansions: no system is formed
+        solve, system = "exterior-algebra", {"unknowns": 16, "products": 0, "rows": 0}
+    assert details["solve"] == solve
     assert details["systems"] == {"z_zstar": system, "zstar_z": system}
 
 

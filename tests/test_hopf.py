@@ -6,6 +6,7 @@ from qsphere import hopf
 from qsphere.errors import (
     AxiomFails,
     HypothesisFails,
+    IdentityFails,
     Inconsistent,
     MissingStructureMaps,
     RelationViolation,
@@ -327,6 +328,9 @@ def test_broken_tables_fail_alike_with_and_without_lemmas(monkeypatch, name, N, 
 
 @pytest.mark.parametrize("name", ["suq", "uq"])
 def test_standard_presentations_map_no_relation(monkeypatch, name):
+    # the cofactor certificate refused, so the antipode laws on generators
+    # are computed and the spy sees S at work, on generators only
+    monkeypatch.setattr(hopf, "_cofactors_by_exterior", lambda mq: None)
     P = build(name, 3)
     relations = set(P.relations)
     seen = _spy_on_maps(monkeypatch)
@@ -1190,3 +1194,183 @@ def test_form_preserved_by_coaction():
            for i in range(2)]
     assert not check_form_preservation(rho, bad)
 
+
+
+# -- the cofactor expansions through the exterior algebra --------------------
+
+
+def _refuse_cofactors(monkeypatch):
+    """Every cofactor certificate made from now on is refused."""
+    monkeypatch.setattr(hopf, "_cofactors_by_exterior", lambda mq: None)
+
+
+def _full_solves(monkeypatch):
+    """Both invariance systems solved in full, as the oracle."""
+    monkeypatch.setattr(hopf, "_invariance_solution",
+                        lambda N, P, v: hopf._solve_invariance(N, P, v, False))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_cofactor_consumers_agree_with_their_loops(monkeypatch, name, N):
+    # every reader of the certificate decides as its loop does, and the
+    # invariant forms F and H equal those of the full solves
+    from qsphere import presentations
+
+    P = build(name, N)
+    assert hopf._cofactor_scope(P) == presentations.antipode_matrix(N, "sl")
+    D = quantum_determinant(N)
+    assert hopf.det_central(P, D) == (True, "exterior-algebra")
+    assert presentations.check_central(D, P.aux)
+    assert hopf._generator_law_failure(P, True) is hopf._generator_law_failure(P, False) is None
+    assert "cofactor-expansions-by-exterior-algebra" in verify_hopf(P)["hypotheses"]
+    fast = hopf.check_matrix_identities(P)
+    forms = hopf.solve_invariant_forms(N, P)
+    assert forms["solve"] == "exterior-algebra"
+    with monkeypatch.context() as m:
+        _refuse_cofactors(m)
+        Q = build(name, N)
+        assert hopf.det_central(Q, D) == (True, "commutators")
+        assert "cofactor-expansions-by-exterior-algebra" not in verify_hopf(Q)["hypotheses"]
+        slow = hopf.check_matrix_identities(Q)
+        _full_solves(m)
+        full = hopf.solve_invariant_forms(N, Q)
+    assert (fast.pop("decided_by"), slow.pop("decided_by")) == ("exterior-algebra", "products")
+    assert fast == slow
+    assert full["solve"] == "full"
+    assert (forms["F"], forms["H"]) == (full["F"], full["H"])
+
+
+def _with_table_entry(monkeypatch, factor):
+    """antipode_matrix, for both variants, with entry (1, 2) scaled."""
+    from qsphere import presentations
+
+    cofactors = presentations.antipode_matrix
+
+    def changed(N, variant):
+        table = cofactors(N, variant)
+        table[0][1] = table[0][1].scale(factor)
+        return table
+
+    monkeypatch.setattr(presentations, "antipode_matrix", changed)
+    monkeypatch.setattr(hopf, "antipode_matrix", changed)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("name", ["suq", "uq"])
+def test_a_sign_flipped_in_the_antipode_table_breaks_the_row_match(monkeypatch, name, N):
+    # S(u12) with its sign flipped, in P and in the certificate's A alike:
+    # P is as built, the row coaction refuses A, and the loops decide and
+    # fail as they do with the certificate refused
+    _with_table_entry(monkeypatch, -ONE)
+    P = build(name, N)
+    assert hopf.cofactor_expansions(P) is None and hopf._cofactor_scope(P) is None
+    with pytest.raises(AxiomFails) as fast:
+        verify_hopf(P)
+    with pytest.raises(IdentityFails) as fast_ids:
+        hopf.check_matrix_identities(P)
+    with monkeypatch.context() as m:
+        _refuse_cofactors(m)
+        _loops_only(m)
+        Q = build(name, N)
+        with pytest.raises(AxiomFails) as slow:
+            verify_hopf(Q)
+        with pytest.raises(IdentityFails) as slow_ids:
+            hopf.check_matrix_identities(Q)
+    assert (fast.value.axiom, fast.value.witness) == (slow.value.axiom, slow.value.witness)
+    assert fast_ids.value.entry == slow_ids.value.entry
+
+
+def test_a_table_other_than_the_cofactors_is_out_of_scope(monkeypatch):
+    # uq's S(u12) sign flipped in the construction alone: the certificate
+    # holds in mq, but uq's table is not dinv A, so the loops decide and fail
+    from qsphere import presentations
+
+    construction = presentations._standard_construction
+
+    def flipped(name, N):
+        rules, star, maps, det = construction(name, N)
+        if name == "uq":
+            antipode = {**maps.antipode, u(1, 2): -maps.antipode[u(1, 2)]}
+            maps = presentations.StructureMaps(maps.delta, maps.epsilon, antipode)
+        return rules, star, maps, det
+
+    monkeypatch.setattr(presentations, "_standard_construction", flipped)
+    P = build("uq", 2)
+    assert presentations.as_built(P)
+    assert hopf.cofactor_expansions(P) is not None
+    assert hopf._cofactor_scope(P) is None
+    with pytest.raises(AxiomFails):
+        verify_hopf(P)
+    with pytest.raises(IdentityFails):
+        hopf.check_matrix_identities(P)
+
+
+def test_exterior_algebra_with_the_sign_plus_q_is_refused(monkeypatch):
+    # x_j x_i = +q x_i x_j: the certificate is refused with the rest of the
+    # exterior-algebra proofs, and every consumer takes its loop and passes
+    from qsphere import presentations
+
+    def plus_q(N):
+        L = presentations.build_exterior(N)
+        rules = [Rule(r.lhs, -r.rhs) for r in L.system.rules]
+        return Presentation("exterior", N, RewriteSystem(L.system.order, rules))
+
+    monkeypatch.setattr(hopf, "build_exterior", plus_q)
+    P = build("uq", 3)
+    assert hopf.cofactor_expansions(P) is None
+    assert hopf.det_central(P, quantum_determinant(3)) == (True, "commutators")
+    assert "cofactor-expansions-by-exterior-algebra" not in verify_hopf(P)["hypotheses"]
+    assert hopf.check_matrix_identities(P)["decided_by"] == "products"
+    assert hopf.solve_invariant_forms(3, P)["solve"] == "graded"
+
+
+@pytest.mark.parametrize("scales, broken", [((2, 1, 1), "minor"), ((-1, -1, -1), "determinant")])
+def test_column_side_broken_at_its_source_is_refused(monkeypatch, scales, broken):
+    # the column coaction followed by x_k -> c_k x_k, an automorphism of L:
+    # it still kills L's relations, but the coefficient of y_l in
+    # delta'(y_j) gains prod_(k != l) c_k and D' gains prod_k c_k.  With
+    # c = (2, 1, 1) the minors at l = 2, 3 are off; with c = -1 at N = 3 every
+    # minor is unchanged and D' = -D, so only the determinant is off
+    coaction = hopf._Exterior.coaction
+
+    def scaled(self, column):
+        delta = coaction(self, column)
+        if not column:
+            return delta
+        c = [Scalar.from_int(s) for s in scales]
+        return {g: TensorPoly({(a, (h,)): v * c[h[1] - 1] for (a, (h,)), v in t.terms.items()})
+                for g, t in delta.items()}
+
+    P = build("suq", 3)
+    ext = hopf._exterior(P.aux)
+    good, bad = coaction(ext, True), scaled(ext, True)
+    assert ext.kills_relations(bad, P.aux)
+    y = [tuple(g for g in ext.top if g != x) for x in ext.top]
+    same_minors = all(ext.image(bad, yj) == ext.image(good, yj) for yj in y)
+    assert same_minors == (broken == "determinant")
+    assert ext.image(bad, ext.top) != ext.image(good, ext.top)
+    monkeypatch.setattr(hopf._Exterior, "coaction", scaled)
+    P = build("suq", 3)
+    assert hopf.cofactor_expansions(P) is None
+    assert hopf.det_central(P.aux, quantum_determinant(3)) == (True, "commutators")
+    assert hopf.check_matrix_identities(P)["decided_by"] == "products"
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_an_e_ratio_off_fails_matrix_identities_through_the_scalar_check(monkeypatch, N):
+    # E_1 doubled: the certificate still holds, the scalar check refuses it
+    # for the E-relations, and their products fail
+    E = hopf.invariant_form_matrix
+
+    def doubled(N):
+        out = E(N)
+        out[0][0] = out[0][0] + out[0][0]
+        return out
+
+    monkeypatch.setattr(hopf, "invariant_form_matrix", doubled)
+    P = build("uq", N)
+    assert hopf._cofactor_scope(P) is not None
+    with pytest.raises(IdentityFails) as exc:
+        hopf.check_matrix_identities(P)
+    assert exc.value.entry[0] == "E-relation-left"

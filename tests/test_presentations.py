@@ -10,7 +10,13 @@ import pytest
 from qsphere import hopf
 from qsphere.errors import AlphabetMismatch, IdentityFails
 from qsphere.freealg import DINV, NcPoly, TensorPoly, u, z, zs
-from qsphere.hopf import antipode, embed_sphere, star_laws, tensor_zero
+from qsphere.hopf import (
+    antipode,
+    check_matrix_identities,
+    embed_sphere,
+    star_laws,
+    tensor_zero,
+)
 from qsphere.presentations import (
     Presentation,
     StructureMaps,
@@ -20,7 +26,6 @@ from qsphere.presentations import (
     build_free_matrix,
     build_torus,
     check_central,
-    check_matrix_identities,
     dinv_split,
     quantum_determinant,
 )
@@ -646,15 +651,27 @@ def _count_zero_tests(monkeypatch):
 
 @pytest.mark.parametrize("name,N", [("suq", 2), ("uq", 2)])
 def test_matrix_identities(monkeypatch, name, N):
+    _matrix_identities_and_zero_tests(monkeypatch, name, N, refused=False)
+
+
+@pytest.mark.parametrize("name,N", [("suq", 2), ("uq", 2)])
+def test_matrix_identities_by_products_where_the_certificate_is_refused(monkeypatch, name, N):
+    monkeypatch.setattr(hopf, "_cofactors_by_exterior", lambda mq: None)
+    _matrix_identities_and_zero_tests(monkeypatch, name, N, refused=True)
+
+
+def _matrix_identities_and_zero_tests(monkeypatch, name, N, refused):
     calls = _count_zero_tests(monkeypatch)
     report = check_matrix_identities(build(name, N))
     assert list(report) == ["S(u)*u", "u*S(u)", "u*ustar", "ustar*u"] + (
         ["E-relation-left", "E-relation-right"] if name == "uq" else []
-    )
+    ) + ["decided_by"]
+    assert report.pop("decided_by") == ("products" if refused else "exterior-algebra")
     assert all(report.values())
-    # u* = S(u) as built: the star products are the antipode products,
-    # zero-tested once, N^2 entries per distinct product
-    assert len(calls) == N * N * (4 if name == "uq" else 2)
+    # the certificate decides every product with no zero test of its own;
+    # refused, u* = S(u) as built: the star products are the antipode
+    # products, zero-tested once, N^2 entries per distinct product
+    assert len(calls) == (N * N * (4 if name == "uq" else 2) if refused else 0)
 
 
 def test_matrix_identities_fail_on_a_scaled_antipode_entry():

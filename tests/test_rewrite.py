@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsphere.errors import AlphabetMismatch, DuplicateRule, NonTerminatingRule
 from qsphere.freealg import NcPoly, z, zs
-from qsphere.presentations import build, build_free_matrix
+from qsphere.presentations import build, build_exterior, build_free_matrix, build_torus
 from qsphere.rewrite import MonomialOrder, RewriteSystem, Rule, _add_scaled
 from qsphere.scalars import ONE, QPARAM, Scalar
 
@@ -133,6 +133,58 @@ def test_inclusion_ambiguities_counted():
     rep = P.system.check_confluence()
     assert rep.confluent
     assert rep.total > 0
+
+
+def _pairwise_ambiguities(system):
+    """Reference ambiguity search: every rule against every rule, in
+    rule-pair order, overlaps by k before inclusions by position."""
+    for ia, ra in enumerate(system.rules):
+        for ib, rb in enumerate(system.rules):
+            for k in range(1, min(len(ra.lhs), len(rb.lhs))):
+                if ra.lhs[-k:] == rb.lhs[:k]:
+                    yield (
+                        "overlap", ia, ib, ra.lhs + rb.lhs[k:],
+                        ra.rhs * NcPoly.monomial(rb.lhs[k:]),
+                        NcPoly.monomial(ra.lhs[:-k]) * rb.rhs,
+                    )
+            if ia != ib and len(rb.lhs) < len(ra.lhs):
+                for pos in range(len(ra.lhs) - len(rb.lhs) + 1):
+                    if ra.lhs[pos : pos + len(rb.lhs)] == rb.lhs:
+                        pre = ra.lhs[:pos]
+                        suf = ra.lhs[pos + len(rb.lhs) :]
+                        yield (
+                            "inclusion", ia, ib, ra.lhs, ra.rhs,
+                            NcPoly.monomial(pre) * rb.rhs * NcPoly.monomial(suf),
+                        )
+
+
+def _ambiguity_systems():
+    """Built systems in their own and in reversed rule order, the exterior
+    algebra, the torus, and a small system with left sides of one to three
+    letters that overlap themselves and hold one another."""
+    for algebra in ("mq", "suq", "uq", "sphere"):
+        for N in (1, 2, 3):
+            system = build(algebra, N).system
+            yield f"{algebra}{N}", system
+            yield f"{algebra}{N}-reversed", RewriteSystem(system.order, system.rules[::-1])
+    yield "exterior3", build_exterior(3).system
+    yield "torus2", build_torus(2).system
+    small = [
+        Rule((A, A, A), NcPoly.monomial((A,))),
+        Rule((B, A), NcPoly.monomial((A, B), QPARAM)),
+        Rule((C,), NcPoly.monomial((A,))),
+        Rule((B, B, A), NcPoly.monomial((A, A))),
+        Rule((A, C), NcPoly()),
+    ]
+    yield "small", RewriteSystem(MonomialOrder([A, B, C]), small)
+
+
+@pytest.mark.parametrize("name,system", list(_ambiguity_systems()),
+                         ids=[n for n, _ in _ambiguity_systems()])
+def test_indexed_ambiguities_match_the_pairwise_search(name, system):
+    # the lookup of overlaps and inclusions yields what the double loop
+    # over rule pairs yields, in its order, so the confluence JSON is the same
+    assert list(system._ambiguities()) == list(_pairwise_ambiguities(system))
 
 
 def _linear_scan_redex(system, word):
