@@ -24,5 +24,5 @@ for name in ("suq", "uq"):
     print(f"{name}(2): axioms hold in every degree ({stats['relations_checked']} "
           f"relations killed, laws on {stats['generators_checked']} generators)")
     report = check_matrix_identities(P)
-    labels = sorted(k for k in report if k != "decided_by")
-    print(f"  matrix identities: {labels}, decided by {report['decided_by']}")
+    labels = sorted(k for k in report if k != "decided")
+    print(f"  matrix identities: {labels}, decided by {report['decided'][-1]['by']}")

@@ -24,9 +24,8 @@ from qsphere.parser import render, render_scalar
 from qsphere.presentations import build, build_free_matrix, build_torus
 
 
-def decided(report):
-    parts = ("relation_kills", "laws", "star_step")
-    return ", ".join(f"{p} by {report[p]}" for p in parts if p in report)
+def decided(records):
+    return ", ".join(f"{r['fact']} by {r['by']}" for r in records)
 
 
 phi = embed_sphere(2)

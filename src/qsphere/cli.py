@@ -1,8 +1,10 @@
 """Command-line front end: named verification suites and machine reports.
 
 Every check emits one line ``check-name: status`` and, with ``--json``, a
-report object with stable field order.  Exit code 0 means every requested
-check passed, 1 means at least one failed, 2 means a usage or parse error.
+report object with stable field order, whose ``details`` end with the
+records of how each fact was decided (``decided``, see ``hopf.record``).
+Exit code 0 means every requested check passed, 1 means at least one
+failed, 2 means a usage or parse error.
 """
 
 from __future__ import annotations
@@ -55,23 +57,20 @@ def _certificate(P):
 
 def _check_confluence(P, args):
     rep = _certificate(P)
-    return ("pass" if rep.confluent else "fail", rep.to_dict(), None)
+    details = {**rep.to_dict(), "decided": [hopf.record("confluence")]}
+    return ("pass" if rep.confluent else "fail", details, None)
 
 
 def _check_star_laws(P, args):
     laws = hopf.star_laws(P)
     ok = laws["closure"] and laws["involution"]
-    details = {
-        "closure_and_involution": ok,
-        "relation_kills": laws["relation_kills"],
-        "hypotheses": laws["hypotheses"],
-    }
+    details = {"closure_and_involution": ok, "decided": laws["decided"]}
     return ("pass" if ok else "fail", details, None)
 
 
 def _check_hecke(P, args):
     ok = rmatrix.check_hecke(P.N)
-    return ("pass" if ok else "fail", {"N": P.N}, None)
+    return ("pass" if ok else "fail", {"N": P.N, "decided": [hopf.record("hecke-eq11")]}, None)
 
 
 def _check_kernel(P, args):
@@ -81,6 +80,7 @@ def _check_kernel(P, args):
         "dim_image": info["dim_image"],
         "expected_dim": P.N * (P.N - 1) // 2,
         "equal": info["equal"],
+        "decided": [hopf.record("kernel-lemma67")],
     }
     ok = info["equal"] and info["dim_kernel"] == details["expected_dim"]
     return ("pass" if ok else "fail", details, None)
@@ -91,15 +91,14 @@ def _check_det_central(P, args):
     # verdict on D group-like is shared with the relation-kill lemmas, and
     # D central reads the cofactor expansions the other checks read
     det = presentations.quantum_determinant(P.N)
-    central, central_by = hopf.det_central(P, det)
-    grouplike, grouplike_by = hopf.det_grouplike(P)
+    central, central_decided = hopf.det_central(P, det)
+    grouplike, grouplike_decided = hopf.det_grouplike(P)
     details = {
         "central": central,
         "grouplike": grouplike,
-        "grouplike_by": grouplike_by,
-        "central_by": central_by,
         "counit_one": hopf.counit(det, P).is_one,
         "decided_in": "mq",
+        "decided": grouplike_decided + central_decided,
     }
     ok = details["central"] and details["grouplike"] and details["counit_one"]
     cx = None if ok else parser.render(det)
@@ -135,11 +134,10 @@ def _check_coaction(P, args):
     delta_r = delta_r or hopf.build_coaction("deltaR", P.N, sphere=P, coeff=suq)
     if rho_u_failure is not None:
         raise rho_u_failure
-    maps = {"embedding": embedding, "deltaR": delta_r, "rho_u": rho_u}
     details = {
         "embedding": True,
         "coactions": ["deltaR", "rho_u"],
-        "maps": {name: m.report for name, m in maps.items()},
+        "decided": [r for m in (rho_u, delta_r, embedding) for r in m.report],
     }
     return ("pass", details, None)
 
@@ -164,8 +162,8 @@ def _check_invariant_form(P, args):
         "z_zstar_matches_diagonal_form": ok_f,
         "zstar_z_scalar_matrix": ok_h,
         "scalar": parser.render_scalar(c),
-        "solve": out["solve"],
         "systems": out["systems"],
+        "decided": out["decided"],
     }
     return ("pass" if ok_f and ok_h else "fail", details, None)
 
@@ -190,6 +188,8 @@ def _check_spectrum(P, args):
         "max_eig": args.max_eig,
         "confluent": confluent,
         "bidegrees": bidegrees,
+        "decided": [hopf.record("confluence"),
+                    hopf.record("gt-spectrum-thm76", "normal-word-count", ["confluence"])],
     }
     return (out["status"] if ok else "fail", details, None)
 

@@ -10,8 +10,9 @@ proves D group-like (``det_grouplike``) and the quantum Laplace expansions
 identities and the invariant-form systems read.  On the standard presentations
 the kills of the coproduct, the antipode and the star are proved from
 generator-level lemmas; elsewhere each relation is mapped and tested.
-There too the torus bigrading leaves only the diagonal block of the
-invariant-form systems to solve (``_invariance_solution``).
+Each decision is kept as a ``record`` of the fact, the lemma or
+certificate that proved it (or the loop) and the exact checks of its
+hypotheses; a report lists the records it rests on, each fact once.
 
 The three maps of ``coaction-eq20`` (the sphere embedding into suq, deltaR
 into sphere (x) suq and rho_u into sphere (x) uq) are decided by four
@@ -203,6 +204,31 @@ def tensor_equal(d1: dict, d2: dict, legs) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# records of how each fact was decided
+# ---------------------------------------------------------------------------
+
+
+def record(fact: str, by: str = "loop", hypotheses=None) -> dict:
+    """How ``fact`` was decided: ``by`` the lemma or certificate named,
+    whose hypotheses are the exact checks listed (a fact named there, or
+    in ``by``, has its own record before this one), or, where
+    ``hypotheses`` is None, by the loop."""
+    if hypotheses is None:
+        return {"fact": fact, "by": "loop", "hypotheses": []}
+    return {"fact": fact, "by": by, "hypotheses": list(hypotheses)}
+
+
+def _by_cofactors(fact: str, hypotheses) -> list:
+    """The records of a fact read off ``cofactor_expansions`` under the
+    given hypotheses, the certificate's first; or the fact's loop where
+    ``hypotheses`` is None."""
+    if hypotheses is None:
+        return [record(fact)]
+    return [record("cofactor-expansions", "exterior-algebra", _COFACTORS),
+            record(fact, "cofactor-expansions", hypotheses)]
+
+
+# ---------------------------------------------------------------------------
 # Hopf axiom verification
 # ---------------------------------------------------------------------------
 
@@ -214,31 +240,40 @@ def check_grouplike(x: NcPoly, P: Presentation) -> bool:
     return tensor_equal(dx.terms, TensorPoly.of(x, x).terms, (P, P)) and counit(x, P) == ONE
 
 
+_EXTERIOR = ["mq-as-built", "exterior-algebra-confluent", "coaction-kills-exterior-relations"]
+_COFACTORS = [*_EXTERIOR, "top-image-is-det", "exterior-products", "row-coaction-on-minors",
+              "column-coaction-kills-exterior-relations", "column-coaction-on-minors",
+              "column-top-image-is-det"]
+
+
 def det_grouplike(P: Presentation):
     """Is the quantum determinant D group-like in the mq of P (P itself on
     mq, its companion on suq and uq), and how was it decided: the pair of
-    the verdict and ``"exterior-algebra"`` or ``"coproduct"``.  Computed
-    once per mq and its tables, and shared by ``det-central-rem36`` and the
-    relation-kill lemmas.  The fact carries over from mq to suq and uq:
-    they are quotients of mq (uq after adjoining the central dinv) by
-    ideals that Delta respects.
+    the verdict and the list of its one ``record``, by
+    ``"exterior-algebra"`` with hypotheses 1-5 below or by the loop.
+    Computed once per mq and its tables, and shared by
+    ``det-central-rem36`` and the relation-kill lemmas.  The fact carries
+    over from mq to suq and uq: they are quotients of mq (uq after
+    adjoining the central dinv) by ideals that Delta respects.
 
     D group-like, Delta(D) = D (x) D and epsilon(D) = 1, is proved through
     the quantum exterior algebra L (``build_exterior``: x_i x_i = 0 and
     x_j x_i = -q x_i x_j for i < j) with delta(x_i) = sum_k u^i_k (x) x_k,
     where these hypotheses hold, each checked exactly:
 
-    1. mq is as built (``as_built``), so its relations and Delta table are
-       those of the construction and Delta is an algebra map of mq by the
-       FRT lemma of ``verify_hopf``;
-    2. L's system is confluent (``check_confluence``), so its normal form is
-       canonical and x_1 ... x_N, a normal word, is not 0 in L;
-    3. delta kills every relation of L modulo I_mq (x) L (``tensor_zero``
-       with legs mq and L), so it is an algebra map L -> mq (x) L;
-    4. (Delta (x) id) delta = (id (x) delta) delta on each x_i, as free
-       tensors;
-    5. delta(x_1 ... x_N) = D (x) x_1 ... x_N, with D compared as a free
-       polynomial with ``quantum_determinant``.
+    1. ``mq-as-built``: mq is as built (``as_built``), so its relations and
+       Delta table are those of the construction and Delta is an algebra
+       map of mq by the FRT lemma of ``verify_hopf``;
+    2. ``exterior-algebra-confluent``: L's system is confluent
+       (``check_confluence``), so its normal form is canonical and
+       x_1 ... x_N, a normal word, is not 0 in L;
+    3. ``coaction-kills-exterior-relations``: delta kills every relation of
+       L modulo I_mq (x) L (``tensor_zero`` with legs mq and L), so it is
+       an algebra map L -> mq (x) L;
+    4. ``coaction-coassociative``: (Delta (x) id) delta = (id (x) delta)
+       delta on each x_i, as free tensors;
+    5. ``top-image-is-det``: delta(x_1 ... x_N) = D (x) x_1 ... x_N, with D
+       compared as a free polynomial with ``quantum_determinant``.
 
     Hypotheses 1-3 and the image of x_1 ... x_N are computed once per mq
     (``_exterior``) and shared with ``cofactor_expansions``.  Both sides of
@@ -253,14 +288,15 @@ def det_grouplike(P: Presentation):
 
     def decide():
         D = quantum_determinant(mq.N)
-        if _grouplike_by_exterior(mq, D):
-            return counit(D, mq) == ONE, "exterior-algebra"
-        return check_grouplike(D, mq), "coproduct"
+        if _exterior_proves_grouplike(mq, D):
+            hypotheses = [*_EXTERIOR, "coaction-coassociative", "top-image-is-det"]
+            return counit(D, mq) == ONE, [record("det-grouplike", "exterior-algebra", hypotheses)]
+        return check_grouplike(D, mq), [record("det-grouplike")]
 
-    return mq.memo(("det", "grouplike"), decide)
+    return mq.memo("det-grouplike", decide)
 
 
-def _grouplike_by_exterior(mq: Presentation, D: NcPoly) -> bool:
+def _exterior_proves_grouplike(mq: Presentation, D: NcPoly) -> bool:
     """Do hypotheses 1-5 of ``det_grouplike`` hold, with D in place of the
     quantum determinant?"""
     ext = _exterior(mq)
@@ -345,7 +381,7 @@ def _exterior(mq: Presentation):
         ext.top_image = ext.image(ext.row, ext.top)
         return ext
 
-    return mq.memo(("exterior",), build)
+    return mq.memo("exterior-algebra", build)
 
 
 def cofactor_expansions(P: Presentation):
@@ -363,24 +399,28 @@ def cofactor_expansions(P: Presentation):
       (Cq)  sum_k q^(2k) u_ki A_jk = delta_ij q^(2j) D
 
     In L write y_j = x_1 ... (x_j left out) ... x_N and top = x_1 ... x_N.
-    Hypotheses, each checked exactly: those of ``_exterior`` and
-    delta(top) = D (x) top, shared with ``det_grouplike``;
-    x_i y_j = delta_ij (-q)^(j-1) top and y_j x_i = delta_ij (-q)^(N-j) top
-    in L; delta(y_j) = sum_l (-q)^(j-l) A_lj (x) y_l as free tensors; the
-    column coaction delta'(x_i) = sum_k u_ki (x) x_k kills L's relations
-    (``tensor_zero``); in mq, by the zero test, the coefficient of y_l in
-    delta'(y_j) is (-q)^(l-j) A_jl and delta'(top) = D' (x) top with
-    D' = D.
+    Hypotheses, each checked exactly and named as in its record: those of
+    ``_exterior`` and delta(top) = D (x) top, shared with
+    ``det_grouplike``; x_i y_j = delta_ij (-q)^(j-1) top and
+    y_j x_i = delta_ij (-q)^(N-j) top in L (``exterior-products``);
+    delta(y_j) = sum_l (-q)^(j-l) A_lj (x) y_l as free tensors
+    (``row-coaction-on-minors``); the column coaction
+    delta'(x_i) = sum_k u_ki (x) x_k kills L's relations by ``tensor_zero``
+    (``column-coaction-kills-exterior-relations``); in mq, by the zero
+    test, the coefficient of y_l in delta'(y_j) is (-q)^(l-j) A_jl
+    (``column-coaction-on-minors``) and delta'(top) = D' (x) top with
+    D' = D (``column-top-image-is-det``).
 
     Both coactions are algebra maps L -> mq (x) L, and top is a basis word
     of L.  Applying delta to x_i y_j gives sum_k u_ik (-q)^(j-k) A_kj
     (-q)^(k-1) = delta_ij (-q)^(j-1) D, which is (R), and to y_j x_i, (Rq)
     after the swap of i and j.  Applying delta' to y_j x_i gives (C) and to
     x_i y_j, (Cq).  Where a hypothesis fails every consumer keeps its own
-    loop, which is also its test oracle.
+    loop, which is also its test oracle.  A consumer's records
+    (``_by_cofactors``) list the certificate's, by ``"exterior-algebra"``.
     """
     mq = P.aux if P.aux is not None else P
-    return mq.memo(("exterior", "cofactors"), lambda: _cofactors_by_exterior(mq))
+    return mq.memo("cofactor-expansions", lambda: _cofactors_by_exterior(mq))
 
 
 def _cofactors_by_exterior(mq: Presentation):
@@ -452,22 +492,22 @@ def _cofactor_scope(P: Presentation):
             return None
         return A
 
-    return P.memo(("exterior", "scope"), scope)
+    return P.memo("cofactor-scope", scope)
 
 
 def det_central(P: Presentation, x: NcPoly):
     """Is x central in the mq of P, and how was it decided: the pair of the
-    verdict and ``"exterior-algebra"`` or ``"commutators"``.  Where x is
-    the quantum determinant D, as a free polynomial, and
-    ``cofactor_expansions`` holds, (R) and (C) say u A = A u = D I, so
-    D u = (u A) u = u (A u) = u D entrywise, matrix multiplication being
-    associative over any ring; D commutes with every generator.  Elsewhere
-    x g - g x is zero-tested for each generator g (``check_central``),
-    which is also the test oracle."""
+    verdict and its records.  Where x is the quantum determinant D, as a
+    free polynomial, and ``cofactor_expansions`` holds, (R) and (C) say
+    u A = A u = D I, so D u = (u A) u = u (A u) = u D entrywise, matrix
+    multiplication being associative over any ring; D commutes with every
+    generator.  Elsewhere x g - g x is zero-tested for each generator g
+    (``check_central``), which is also the test oracle.  Not memoised, as
+    the verdict depends on x."""
     mq = P.aux if P.aux is not None else P
     if x == quantum_determinant(mq.N) and cofactor_expansions(mq) is not None:
-        return True, "exterior-algebra"
-    return check_central(x, mq), "commutators"
+        return True, _by_cofactors("det-central", ["x-is-quantum-determinant"])
+    return check_central(x, mq), _by_cofactors("det-central", None)
 
 
 def _generator_law_failure(P: Presentation, by_cofactors: bool):
@@ -505,23 +545,12 @@ def _generator_law_failure(P: Presentation, by_cofactors: bool):
     return None
 
 
-def _kill_lemmas(P: Presentation, laws_hold: bool):
+def _kill_lemmas(P: Presentation, laws_hold: bool) -> set:
     """The maps among Delta and S whose relation kills follow from the
-    lemmas of ``verify_hopf``, and the hypotheses checked for them."""
-    proved, hypotheses = set(), []
-    if not as_built(P):
-        return proved, hypotheses
-    hypotheses.append("relations-as-built")
-    has_det = P.det is not None
-    if not has_det or det_grouplike(P)[0]:
-        proved.add("delta")
-        hypotheses.append("delta-is-matrix-coproduct")
-        if has_det:
-            hypotheses.append("det-grouplike-in-mq")
-    if "delta" in proved and P.structure.antipode is not None and laws_hold:
-        proved.add("antipode")
-        hypotheses += ["epsilon-antipode-as-built", "antipode-laws-on-generators"]
-    return proved, hypotheses
+    lemmas of ``verify_hopf``."""
+    if not as_built(P) or (P.det is not None and not det_grouplike(P)[0]):
+        return set()
+    return {"delta", "antipode"} if P.structure.antipode is not None and laws_hold else {"delta"}
 
 
 def verify_hopf(P: Presentation) -> dict:
@@ -576,20 +605,22 @@ def verify_hopf(P: Presentation) -> dict:
     generators are computed first, as S needs them, and reported after the
     kills.  The antipode law on each u^i_j is not computed where
     ``_cofactor_scope`` holds: it is (C) and (R) of
-    ``cofactor_expansions``, and the report's hypotheses then end with
-    ``"cofactor-expansions-by-exterior-algebra"``.  A passing verdict is
-    memoised on P (``Presentation.memo``).
+    ``cofactor_expansions``.
+
+    The report's ``decided`` ends with the record of ``hopf-axioms``, by
+    ``"frt-lemma"`` where the kills are proved, else by the loop; before it
+    come the records it names (``det-grouplike``) and, where there is an
+    antipode, that of ``antipode-laws-on-generators``.  A passing verdict
+    is memoised on P (``Presentation.memo``).
     """
-    return dict(P.memo("hopf", lambda: _verify_hopf(P)))
+    return dict(P.memo("hopf-axioms", lambda: _verify_hopf(P)))
 
 
 def _verify_hopf(P: Presentation) -> dict:
     maps = _require_structure(P)
     by_cofactors = maps.antipode is not None and _cofactor_scope(P) is not None
     law_failure = _generator_law_failure(P, by_cofactors)
-    proved, hypotheses = _kill_lemmas(P, law_failure is None)
-    if by_cofactors:
-        hypotheses.append("cofactor-expansions-by-exterior-algebra")
+    proved = _kill_lemmas(P, law_failure is None)
 
     for r in P.relations:
         if "delta" not in proved and not tensor_zero(_free_coproduct(r, P).terms, (P, P)):
@@ -605,14 +636,22 @@ def _verify_hopf(P: Presentation) -> dict:
     if law_failure is not None:
         raise AxiomFails(*law_failure)
 
-    needed = {"delta"} if maps.antipode is None else {"delta", "antipode"}
+    decided, hypotheses = [], None
+    if maps.antipode is not None:
+        decided = _by_cofactors("antipode-laws-on-generators",
+                                ["cofactor-scope"] if by_cofactors else None)
+    if proved == ({"delta"} if maps.antipode is None else {"delta", "antipode"}):
+        hypotheses = ["relations-as-built", "delta-is-matrix-coproduct"]
+        if P.det is not None:
+            hypotheses.append("det-grouplike")
+            decided = det_grouplike(P)[1] + decided
+        if maps.antipode is not None:
+            hypotheses += ["epsilon-antipode-as-built", "antipode-laws-on-generators"]
     return {
         "generators_checked": len(P.generators),
         "relations_checked": len(P.relations),
         "antipode_checked": maps.antipode is not None,
-        "relation_kills": "lemma" if needed <= proved else "loop",
-        "proved_by_lemma": sorted(proved),
-        "hypotheses": hypotheses,
+        "decided": [*decided, record("hopf-axioms", "frt-lemma", hypotheses)],
     }
 
 
@@ -627,8 +666,9 @@ def _transposed(a: NcPoly) -> NcPoly:
 
 
 def star_lemma(P: Presentation):
-    """The hypotheses under which the star kills every relation of P and is
-    an involution, or None when P is out of scope or one of them fails.
+    """The records under which the star kills every relation of P and is an
+    involution, those of ``verify_hopf`` and then ``star-laws`` by
+    ``"star-lemma"``, or None when P is out of scope or a hypothesis fails.
 
     Let tau be the transpose u^i_j -> u^j_i, with dinv -> dinv, extended
     multiplicatively.  Checked: the Hopf axioms (``verify_hopf``); star =
@@ -642,7 +682,7 @@ def star_lemma(P: Presentation):
     (Kassel, Quantum Groups, III.3), and star star = S tau S tau = id.
     The answer is memoised on P.
     """
-    return P.memo("star", lambda: _star_lemma(P))
+    return P.memo("star-laws", lambda: _star_lemma(P))
 
 
 def _star_lemma(P: Presentation):
@@ -667,12 +707,9 @@ def _star_lemma(P: Presentation):
         report = verify_hopf(P)
     except AxiomFails:
         return None
-    return report["hypotheses"] + [
-        "hopf-axioms",
-        "star-is-antipode-of-transpose",
-        "transpose-kills-relations",
-        "transpose-flips-coproduct",
-    ]
+    hypotheses = ["hopf-axioms", "star-is-antipode-of-transpose", "transpose-kills-relations",
+                  "transpose-flips-coproduct"]
+    return [*report["decided"], record("star-laws", "star-lemma", hypotheses)]
 
 
 def _star_involution(P: Presentation) -> bool:
@@ -688,18 +725,16 @@ def _star_involution(P: Presentation) -> bool:
 def star_laws(P: Presentation) -> dict:
     """Closure (the star of every relation is zero) and involution of the
     star, both proved by ``star_lemma`` where its hypotheses hold, else
-    decided by the zero test on each relation and generator; says whether
-    the relation kills came from the lemma or the loops."""
-    hyps = star_lemma(P)
-    if hyps is not None:
-        return {"closure": True, "involution": True,
-                "relation_kills": "lemma", "hypotheses": hyps}
+    decided by the zero test on each relation and generator, with the
+    records of how."""
+    decided = star_lemma(P)
+    if decided is not None:
+        return {"closure": True, "involution": True, "decided": decided}
     return {
         "closure": P.star is None
         or all(P.is_zero_elem(P.anti_extend(r, P.star)) for r in P.relations),
         "involution": P.star is None or _star_involution(P),
-        "relation_kills": "loop",
-        "hypotheses": [],
+        "decided": [record("star-laws")],
     }
 
 
@@ -710,7 +745,7 @@ def star_laws(P: Presentation) -> dict:
 
 def check_matrix_identities(P: Presentation) -> dict:
     """Entrywise identities certifying the antipode and star tables, with
-    ``decided_by``: ``"exterior-algebra"`` or ``"products"``.
+    the records of how they were decided (``decided``).
 
     For suq and uq: S(u) u = u S(u) = I and u u* = u* u = I.  For uq also the
     scaled-conjugate identity E ubar E^-1 u^t = u^t E ubar E^-1 = I with
@@ -728,7 +763,8 @@ def check_matrix_identities(P: Presentation) -> dict:
     where u* equals S(u) the ``u*ustar`` and ``ustar*u`` entries report the
     verdicts of ``u*S(u)`` and ``S(u)*u``, and where the two matrices
     differ the star products are computed.  These loops are also the test
-    oracle.
+    oracle.  The hypotheses of the first way are named ``cofactor-scope``,
+    ``star-is-antipode-table`` and, on uq, ``form-ratios``.
     """
     if P.name not in ("suq", "uq"):
         raise ValueError("matrix identities apply to suq and uq only")
@@ -745,7 +781,7 @@ def check_matrix_identities(P: Presentation) -> dict:
         ("u*ustar", U, Ustar),
         ("ustar*u", Ustar, U),
     ]
-    ratios_hold = True
+    ratios_hold, hypotheses = True, ["cofactor-scope", "star-is-antipode-table"]
     if P.name == "uq":
         E = invariant_form_matrix(N)
         # (E ubar E^-1)_{ik} = (E_i / E_k) (u^i_k)*; normalization cancels
@@ -756,6 +792,7 @@ def check_matrix_identities(P: Presentation) -> dict:
                   for i in range(N)]
         ut = [[NcPoly.gen(u(j + 1, i + 1)) for j in range(N)] for i in range(N)]
         products += [("E-relation-left", scaled, ut), ("E-relation-right", ut, scaled)]
+        hypotheses.append("form-ratios")
     by_cofactors = Ustar is S and ratios_hold and _cofactor_scope(P) is not None
     report = {}
     decided = set()
@@ -766,7 +803,7 @@ def check_matrix_identities(P: Presentation) -> dict:
                 raise IdentityFails((label, bad[0]), bad[1])
             decided.add((id(A), id(B)))
         report[label] = True
-    report["decided_by"] = "exterior-algebra" if by_cofactors else "products"
+    report["decided"] = _by_cofactors("matrix-identities", hypotheses if by_cofactors else None)
     return report
 
 
@@ -836,7 +873,7 @@ def _star_orbit_firsts(P: Presentation):
                 firsts.append(r)
         return firsts
 
-    return P.memo(("star-orbit-firsts",), compute)
+    return P.memo("source-star-permutes-relations", compute)
 
 
 def _relations_to_test(source: Presentation, star_hyps, targets):
@@ -857,19 +894,20 @@ def _relations_to_test(source: Presentation, star_hyps, targets):
     return source.relations, []
 
 
-def _map_report(kill_hyps, star_hyps, stars, laws=None, law_hyps=()):
-    """How each part of a map's verification was decided, with the
-    hypotheses checked for the parts not decided by a loop."""
-    report = {"relation_kills": "orbits" if kill_hyps else "loop"}
-    if laws is not None:
-        report["laws"] = laws
-    report["star_step"] = None if not stars else "loop" if star_hyps is None else "lemma"
-    report["hypotheses"] = [*(star_hyps or []), *kill_hyps, *law_hyps]
-    return report
+def _map_report(name, stars, star_hyps, kill_hyps):
+    """The records of a map's star step, where both algebras have a star,
+    and of its relation kills, which rest on the star step where only the
+    first relation of each star orbit is tested."""
+    step, kills = f"{name}-star-step", f"{name}-relation-kills"
+    decided = [record(step, "construction", star_hyps)] if stars else []
+    return decided + [record(kills, "star-orbits", [step, *kill_hyps] if kill_hyps else None)]
 
 
 class Morphism:
-    """An algebra map from ``source`` to ``target``, given on generators."""
+    """An algebra map from ``source`` to ``target``, given on generators;
+    ``name`` begins the facts of its records."""
+
+    name = "morphism"
 
     def __init__(self, source: Presentation, target: Presentation, images: dict):
         self.source = source
@@ -883,14 +921,14 @@ class Morphism:
     def apply(self, a: NcPoly) -> NcPoly:
         return self.target.reduce(self._free_apply(a))
 
-    def verify(self) -> dict:
+    def verify(self) -> list:
         """Check relations map to zero, and star-compatibility when defined.
-        Returns, and keeps as ``report``, how each was decided, with the
-        hypotheses checked: the relation kills on star orbits (lemma 1 of
-        the module, ``"orbits"``) or by the loop, the star step by
-        construction (``"lemma"``, ``_star_step_by_construction``) or by
-        the loop.  The star step's hypotheses are checked first, as the
-        orbits need them; failures come in the loop's order.
+        Returns, and keeps as ``report``, the records of how each was
+        decided: the star step by ``"construction"``
+        (``_star_step_by_construction``) or by the loop, the relation kills
+        on ``"star-orbits"`` (lemma 1 of the module) or by the loop.  The
+        star step's hypotheses are checked first, as the orbits need them;
+        failures come in the loop's order.
 
         A relation whose free image is 0, or is itself a relation of the
         target as a free polynomial, is killed without the zero test; the
@@ -922,7 +960,7 @@ class Morphism:
                 rhs = B.anti_extend(self.images[g], B.star)
                 if not B.equals(lhs, rhs):
                     raise StarViolation(f"star breaks at {word_name((g,))}")
-        self.report = _map_report(kill_hyps, star_hyps, stars)
+        self.report = _map_report(self.name, stars, star_hyps, kill_hyps)
         return self.report
 
 
@@ -950,7 +988,10 @@ def _coaction_images(N: int, H: Presentation) -> dict:
 
 
 class Coaction:
-    """A coaction of ``coeff`` (H) on ``source`` (B), given on generators."""
+    """A coaction of ``coeff`` (H) on ``source`` (B), given on generators;
+    ``name`` begins the facts of its records."""
+
+    name = "coaction"
 
     def __init__(self, source: Presentation, coeff: Presentation, images: dict):
         self.source = source  # B
@@ -1014,15 +1055,13 @@ class Coaction:
             if not B.equals(back, NcPoly.gen(g)):
                 raise AxiomFails("coaction-counit", word_name((g,)))
 
-    def verify(self) -> dict:
+    def verify(self) -> list:
         """Relation kills, coassociativity and counit on generators, and
         star-compatibility when both stars are defined.  Returns, and keeps
-        as ``report``, how each was decided, with the hypotheses checked:
-        the relation kills on star orbits (lemma 1 of the module,
-        ``"orbits"``) or by the loop, the laws from the Hopf axioms of H
-        (lemma 2, ``"lemma"``) or by the loop, the star step by
-        construction (``"lemma"``) or by the loop.  Failures come in the
-        loops' order: kills, laws, star step."""
+        as ``report``, the records of how each was decided: those of
+        ``Morphism.verify``, then the laws from the Hopf axioms of H
+        (lemma 2 of the module, ``"hopf-algebra-laws"``) or by the loop.
+        Failures come in the loops' order: kills, laws, star step."""
         B, H = self.source, self.coeff
         stars = B.star is not None and H.star is not None
         star_hyps = None
@@ -1047,10 +1086,8 @@ class Coaction:
                 )
                 if not tensor_equal(lhs.terms, rhs.terms, (B, H)):
                     raise StarViolation(f"coaction star breaks at {word_name((g,))}")
-        self.report = _map_report(
-            kill_hyps, star_hyps, stars,
-            "loop" if law_hyps is None else "lemma", law_hyps or (),
-        )
+        laws = record(f"{self.name}-coaction-laws", "hopf-algebra-laws", law_hyps)
+        self.report = _map_report(self.name, stars, star_hyps, kill_hyps) + [laws]
         return self.report
 
 
@@ -1067,6 +1104,7 @@ def embed_sphere(
     sphere = sphere or build("sphere", N)
     target = target or build("suq", N)
     phi = Morphism(sphere, target, _embedding_images(N, target))
+    phi.name = "embedding"
     phi.verify()
     return phi
 
@@ -1100,6 +1138,7 @@ def build_coaction(
     sphere = sphere or build("sphere", N)
     H = coeff or build(algebras[name], N)
     rho = Coaction(sphere, H, _coaction_images(N, H))
+    rho.name = name
     rho.verify()
     return rho
 
@@ -1125,10 +1164,11 @@ def _respects_coalgebra(pi: Morphism):
 
 def deltaR_from_rho_u(rho_u: Coaction, suq: Presentation) -> Coaction | None:
     """deltaR as (id (x) pi) rho_u for pi: uq -> suq, u^i_j -> u^i_j,
-    dinv -> 1, with its report, or None when a hypothesis fails (then
-    verify deltaR on its own, ``build_coaction``).  ``rho_u`` must be
-    verified.  Checked (lemma 3 of the module): pi is a well-defined star
-    map (``Morphism.verify``); it respects Delta and epsilon on generators
+    dinv -> 1, with its report (one record, by ``"push-forward"``, naming
+    the facts of rho_u's), or None when a hypothesis fails (then verify
+    deltaR on its own, ``build_coaction``).  ``rho_u`` must be verified.
+    Checked (lemma 3 of the module): pi is a well-defined star map
+    (``Morphism.verify``); it respects Delta and epsilon on generators
     (``_respects_coalgebra``); the images of deltaR are those of rho_u
     with pi applied to the coefficient leg, as free tensors.
     """
@@ -1148,19 +1188,16 @@ def deltaR_from_rho_u(rho_u: Coaction, suq: Presentation) -> Coaction | None:
     pushed = {g: t.map_legs(lambda a: a, pi._free_apply) for g, t in rho_u.images.items()}
     if pushed != delta_r.images:
         return None
-    delta_r.report = {
-        "relation_kills": "pushed-forward",
-        "laws": "pushed-forward",
-        "star_step": "pushed-forward",
-        "hypotheses": ["rho_u-verified", "quotient-map-star-morphism",
-                       "quotient-map-hopf-on-generators", "images-pushed-forward"],
-    }
+    delta_r.report = [record("deltaR", "push-forward", [
+        *(r["fact"] for r in rho_u.report), "quotient-map-star-morphism",
+        "quotient-map-hopf-on-generators", "images-pushed-forward"])]
     return delta_r
 
 
 def embedding_from_deltaR(delta_r: Coaction) -> Morphism | None:
     """The sphere embedding as (chi (x) id) deltaR, for chi the point
-    z = (1, 0, ..., 0) of the sphere, with its report, or None when a
+    z = (1, 0, ..., 0) of the sphere, with its report (one record, by
+    ``"point-evaluation"``, naming the facts of deltaR's), or None when a
     hypothesis fails (then verify the embedding on its own,
     ``embed_sphere``).  ``delta_r`` must be verified.  Checked (lemma 4 of
     the module): chi kills every relation of the sphere; chi(star g) =
@@ -1183,12 +1220,9 @@ def embedding_from_deltaR(delta_r: Coaction) -> Morphism | None:
             pushed[g]._iadd_term(wh, c * _evaluate(NcPoly.monomial(wb), point))
     if pushed != phi.images:
         return None
-    phi.report = {
-        "relation_kills": "pushed-forward",
-        "star_step": "pushed-forward",
-        "hypotheses": ["deltaR-verified", "point-is-star-character",
-                       "images-pushed-forward"],
-    }
+    phi.report = [record("embedding", "point-evaluation", [
+        *(r["fact"] for r in delta_r.report), "point-is-star-character",
+        "images-pushed-forward"])]
     return phi
 
 
@@ -1259,54 +1293,22 @@ def check_intertwine(psi: Morphism, rho_u: Coaction, rho: Coaction) -> bool:
 
 def _invariance_solution(N: int, P: Presentation, variant: str):
     """Solve one invariance linear system over the scalar field; returns
-    the solution matrix X and the size of the system solved.
+    the solution matrix X, the size of the system solved and the records
+    of how, for the fact ``invariance-<variant>``.
 
     Unknowns X_{kl}; equations, per (i,j), compared word by word after
     ``P.zero_test_images``:
       zstar_z:  sum_{k,l} X_{kl} S(u^i_k) u^l_j = X_{ij} 1
       z_zstar:  sum_{k,l} X_{kl} u^k_i S(u^j_l) = X_{ij} 1
 
-    On suq and uq as ``build`` makes them (``as_built``) only the diagonal
-    unknowns are solved for.  Give u^a_b the bidegree (e_a; e_b) in
-    Z^N x Z^N and dinv the bidegree -(1; 1), with 1 = (1, ..., 1).  The
-    argument rests on four facts, each pinned by a test at N = 2, 3, 4
-    rather than checked at run time:
-
-    * the mq rules are homogeneous, so the mq normal form and ``reduce``
-      (which moves the central dinv letters aside) keep bidegrees;
-    * D is homogeneous of bidegree (1; 1), so the clearing step of the
-      zero test, core dinv^k -> core D^(M - k), shifts every word of one
-      call by the same M (1; 1) on uq.  On suq D = 1 and the shift
-      (M - len // N) (1; 1) varies, so there bidegrees count modulo (1; 1);
-    * the antipode entry S(u^i_k) has bidegree (-e_k; -e_i) (modulo (1; 1)
-      on suq, whose cofactors carry no dinv);
-    * 1 is not zero in P: its image under the exact zero test is D^M, a
-      nonzero mq normal form.
-
-    So the images of parts of different bidegree share no words, and an
-    equation holds exactly when it holds in each bidegree.  In equation
-    (i, j) of zstar_z the term in X_kl has bidegree (e_l - e_k; e_j - e_i)
-    and the unit term bidegree 0; in z_zstar, u^k_i S(u^j_l) has bidegree
-    (e_k - e_l; e_i - e_j).  Neither is 0, even modulo (1; 1), unless
-    k = l and i = j.  For i != j the unit term is alone in bidegree 0, so
-    X_ij = 0.  With the off-diagonal unknowns zero the system is
-    sum_k x_k S(u^i_k) u^k_j = delta_ij x_i for all (i, j) (likewise for
-    z_zstar), which is the full system restricted to diagonal matrices.
-    The two have isomorphic solution spaces, so ``Inconsistent`` and
-    ``SolutionNotUnique`` are raised in the same cases.  ``nullspace``
-    scales the solution to 1 at the last unknown in its support, the same
-    diagonal unknown in both column orders, so it is the same matrix.  The
-    reduced system takes N^3 products instead of N^4 (64 and 256 at
-    N = 4).  Elsewhere the full system is solved; it is also the test
-    oracle.
-
-    Before either, where ``_cofactor_scope`` holds, the solution is read
-    off ``cofactor_expansions`` and no system is formed
-    (``_invariance_by_cofactors``).
+    Where ``_cofactor_scope`` holds and the u^a_b are independent, the
+    solution is read off ``cofactor_expansions`` and no system is formed
+    (``_invariance_by_cofactors``).  Elsewhere the full system is solved;
+    it is also the test oracle.
     """
-    if N == P.N and _cofactor_scope(P) is not None and _generators_independent(P):
+    if _cofactor_scope(P) is not None and _generators_independent(P):
         return _invariance_by_cofactors(N, variant)
-    return _solve_invariance(N, P, variant, as_built(P))
+    return _solve_invariance(N, P, variant)
 
 
 def _generators_independent(P: Presentation) -> bool:
@@ -1336,16 +1338,15 @@ def _invariance_by_cofactors(N: int, variant: str):
     else:
         diagonal = [QPARAM ** (2 * (k - N)) for k in range(1, N + 1)]
     X = [[diagonal[k] if k == l else ZERO for l in range(N)] for k in range(N)]
-    return X, {"solve": "exterior-algebra", "unknowns": N * N, "products": 0, "rows": 0}
+    system = {"unknowns": N * N, "products": 0, "rows": 0}
+    hypotheses = ["cofactor-scope", "generators-independent"]
+    return X, system, _by_cofactors(f"invariance-{variant}", hypotheses)
 
 
-def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):
+def _solve_invariance(N: int, P: Presentation, variant: str):
     S = _antipode_table(P)
     idx = range(1, N + 1)
-    if graded:
-        unknowns = [(k, k) for k in idx]
-    else:
-        unknowns = [(k, l) for k in idx for l in idx]
+    unknowns = [(k, l) for k in idx for l in idx]
     col = {kl: c for c, kl in enumerate(unknowns)}
     rows = []
     for i in idx:
@@ -1354,12 +1355,8 @@ def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):
                 polys = [S[u(i, k)] * NcPoly.gen(u(l, j)) for k, l in unknowns]
             else:
                 polys = [NcPoly.gen(u(k, i)) * S[u(j, l)] for k, l in unknowns]
-            # the unit term X_ij 1, absent where X_ij is known to be 0
-            target = col.get((i, j))
-            if target is not None:
-                polys.append(NcPoly.unit())
-            images = P.zero_test_images(polys)
-            unit_side = images.pop() if target is not None else NcPoly()
+            target = col[(i, j)]
+            *images, unit_side = P.zero_test_images(polys + [NcPoly.unit()])
             words = set(unit_side.terms)
             for p in images:
                 words.update(p.terms)
@@ -1383,23 +1380,18 @@ def _solve_invariance(N: int, P: Presentation, variant: str, graded: bool):
     if len(basis) > 1:
         raise SolutionNotUnique(f"solution space has dimension {len(basis)}")
     v = basis[0]
-    X = [[v[col[(k, l)]] if (k, l) in col else ZERO for l in idx] for k in idx]
-    system = {
-        "solve": "graded" if graded else "full",
-        "unknowns": len(unknowns),
-        "products": N * N * len(unknowns),
-        "rows": len(rows),
-    }
-    return X, system
+    X = [[v[col[(k, l)]] for l in idx] for k in idx]
+    system = {"unknowns": len(unknowns), "products": N * N * len(unknowns), "rows": len(rows)}
+    return X, system, [record(f"invariance-{variant}")]
 
 
 def solve_invariant_forms(N: int, P: Presentation | None = None) -> dict:
     """The matrices of the Haar-induced inner products on the span of the
     generators, as the unique normalized solutions F and H of the two
-    invariance systems, each solved once, with the way they were solved:
-    ``solve`` is ``"exterior-algebra"``, ``"graded"`` or ``"full"``
-    (``_invariance_solution``) and ``systems`` gives each system's unknowns,
-    products and equation rows.
+    invariance systems, each solved once (``_invariance_solution``), with
+    each system's unknowns, products and equation rows (``systems``) and
+    the records of how each was solved (``decided``).  P, by default
+    uq(N), must have this N; another raises ValueError.
 
     F, with F_{ij} ~ h(z_i z*_j), is normalized to trace 1 (the unit
     relation of the sphere).  H, with H_{ij} ~ h(z*_i z_j), is normalized
@@ -1407,23 +1399,23 @@ def solve_invariant_forms(N: int, P: Presentation | None = None) -> dict:
     agree, H_NN = F_NN.
     """
     P = P or build("uq", N)
-    F, sys_f = _invariance_solution(N, P, "z_zstar")
+    if P.N != N:
+        raise ValueError(f"{P.name} has N = {P.N}, not {N}")
+    F, sys_f, decided_f = _invariance_solution(N, P, "z_zstar")
     tr = ZERO
     for k in range(N):
         tr = tr + F[k][k]
     if tr.is_zero:
         raise Inconsistent("trace of the z_zstar solution vanishes")
     F = [[x / tr for x in row] for row in F]
-    H, sys_h = _invariance_solution(N, P, "zstar_z")
+    H, sys_h, decided_h = _invariance_solution(N, P, "zstar_z")
     corner = H[N - 1][N - 1]
     if corner.is_zero:
         raise Inconsistent("corner entry of the zstar_z solution vanishes")
     scale = F[N - 1][N - 1] / corner
     H = [[x * scale for x in row] for row in H]
-    systems = {"z_zstar": sys_f, "zstar_z": sys_h}
-    solve = sys_f.pop("solve")
-    sys_h.pop("solve")
-    return {"F": F, "H": H, "solve": solve, "systems": systems}
+    return {"F": F, "H": H, "systems": {"z_zstar": sys_f, "zstar_z": sys_h},
+            "decided": decided_f + [r for r in decided_h if r not in decided_f]}
 
 
 def invariant_forms(N: int, P: Presentation | None = None):

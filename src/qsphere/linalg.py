@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of Scalar, eliminated plainly over the fraction
 field.  The largest system solved is the full invariant-form system (1,728
-rows by 16 columns at N = 4, on presentations outside the graded scope of
-``hopf._invariance_solution``); the graded one is 224 by 4.
+rows by 16 columns at N = 4, where ``hopf._invariance_solution`` cannot
+read the solution off the cofactor expansions).
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def rank(A) -> int:
 def nullspace(A):
     """Basis of the right nullspace, one vector per free column.  Repeated
     rows are dropped before elimination: the row space, and so its reduced
-    echelon form, stays the same (the graded invariant-form systems of uq 4
-    have 224 rows, 110 and 107 of them distinct)."""
+    echelon form, stays the same (the full invariant-form systems of uq 4
+    have 1,728 rows, 340 and 337 of them distinct)."""
     if not A:
         return []
     R, pivots = rref(list(dict.fromkeys(map(tuple, A))))

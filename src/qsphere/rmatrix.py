@@ -17,6 +17,7 @@ from .hopf import (
     antipode,
     counit,
     delta_word,
+    record,
     star_lemma,
     verify_hopf,
 )
@@ -334,12 +335,12 @@ def _commutation_holds(ev: RFormEvaluator, wa, wb) -> bool:
     return all(img.is_zero for img in P.zero_test_images(list(rhs.values())))
 
 
-def _check_reality(ev: RFormEvaluator, gens, star_is_s_tau: bool) -> str:
+def _check_reality(ev: RFormEvaluator, gens, star_is_s_tau: bool) -> dict:
     """Reality r(a, b) = r(b*, a*) on generator pairs, decided from the
     generator values as r(a, b) = r(tau b, tau a) where ``star_is_s_tau``
     (``check_cqt``), else, or where that table identity fails, by pairing
-    the cofactors b* and a*.  Returns ``"table"`` or ``"loop"``; raises
-    AxiomFails at the first pair on which the loop fails."""
+    the cofactors b* and a*.  Returns the record of how; raises AxiomFails
+    at the first pair on which the loop fails."""
     mono = NcPoly.monomial
     if star_is_s_tau and all(
         ev.eval(mono((a,)), mono((b,)))
@@ -347,13 +348,13 @@ def _check_reality(ev: RFormEvaluator, gens, star_is_s_tau: bool) -> str:
         for a in gens
         for b in gens
     ):
-        return "table"
+        return record("reality-on-generators", "braiding-table", ["star-laws", "table-symmetric"])
     star = ev.P.star
     for a in gens:
         for b in gens:
             if ev.eval(mono((a,)), mono((b,))) != ev.eval(star[b], star[a]):
                 raise AxiomFails("reality", (a, b))
-    return "loop"
+    return record("reality-on-generators")
 
 
 def check_cqt(P: Presentation) -> dict:
@@ -415,9 +416,8 @@ def check_cqt(P: Presentation) -> dict:
     legs a_i being generators.  Then the left word, for every word c:
     r(c*, (ab)*) = r(c*, b* a*) = sum r(c_1*, a*) r(c_2*, b*) =
     sum r(a, c_1) r(b, c_2) = r(ab, c).  The unit cases are
-    eps(c*) = eps(c), from eps tau = eps.  The report says which holds
-    (``reality``: ``all-degrees`` or ``generators``) and lists the
-    hypotheses of the star lemma.
+    eps(c*) = eps(c), from eps tau = eps.  Where it holds the report has
+    a record of ``reality`` by ``"star-lemma"``.
 
     Where the star lemma holds, reality on generator pairs needs no
     cofactor (``_check_reality``).  S is bijective there, with S^-1 the
@@ -430,7 +430,11 @@ def check_cqt(P: Presentation) -> dict:
     for a = u^i_j and b = u^k_l the identity reads t R[(k,i)][(j,l)] =
     t R[(j,l)][(k,i)], so it holds exactly when R is symmetric, as it is by
     construction.  Where that table identity fails the cofactor loop
-    decides; it is also the test oracle.
+    decides; it is also the test oracle.  The record of
+    ``reality-on-generators`` says which.
+
+    The report's ``decided`` lists the records of ``verify_hopf``, of the
+    star lemma where it holds, and of reality.
     """
     ev = RFormEvaluator(P)
     N = P.N
@@ -447,13 +451,8 @@ def check_cqt(P: Presentation) -> dict:
             if not _commutation_holds(ev, (a,), (b,)):
                 raise AxiomFails("commutation-law", (a, b))
 
-    star_hypotheses = star_lemma(P)
-    _check_reality(ev, gens, star_hypotheses is not None)
-
-    return {
-        "generator_pairs": len(gens) ** 2,
-        "relation_kills": kills,
-        "hopf_hypotheses": hopf_report,
-        "reality": "generators" if star_hypotheses is None else "all-degrees",
-        "star_hypotheses": star_hypotheses or [],
-    }
+    star = star_lemma(P)
+    decided = [*(star or hopf_report["decided"]), _check_reality(ev, gens, star is not None)]
+    if star is not None:
+        decided.append(record("reality", "star-lemma", ["star-laws", "reality-on-generators"]))
+    return {"generator_pairs": len(gens) ** 2, "kill_pairs": kills, "decided": decided}

@@ -124,7 +124,8 @@ def test_08_embedding_and_coactions():
 
 def test_09_cqt_structure():
     stats = check_cqt(build("suq", 2))
-    assert stats["reality"] == "all-degrees"
+    assert stats["decided"][-1] == {"fact": "reality", "by": "star-lemma",
+                                    "hypotheses": ["star-laws", "reality-on-generators"]}
     # the braiding from the r-form is t*R; divided by t it is R, and it is
     # exactly symmetric (q is real, so symmetric is hermitian)
     M = RFormEvaluator(build("suq", 2)).sigma_matrix()

@@ -10,11 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 from qsphere import cli, hopf, presentations
-from qsphere.cli import REPORT_VERSION, main
+from qsphere.cli import ALGEBRAS, REPORT_VERSION, main
 from qsphere.freealg import NcPoly, TensorPoly, u
 from qsphere.parser import _int_text
 from qsphere.rewrite import Ambiguity, AmbiguityReport, RewriteSystem
 from qsphere.scalars import Scalar
+from records import way, ways
 from variants import variant, with_tables
 
 
@@ -456,7 +457,18 @@ def test_cli_import_loads_only_the_standard_modules_it_names():
     assert not {"argparse", "gettext"} & allowed
 
 
+_EXTERIOR = ["mq-as-built", "exterior-algebra-confluent", "coaction-kills-exterior-relations"]
+_GROUPLIKE = {"fact": "det-grouplike", "by": "exterior-algebra",
+              "hypotheses": [*_EXTERIOR, "coaction-coassociative", "top-image-is-det"]}
+_COFACTORS = {"fact": "cofactor-expansions", "by": "exterior-algebra", "hypotheses": [
+    *_EXTERIOR, "top-image-is-det", "exterior-products", "row-coaction-on-minors",
+    "column-coaction-kills-exterior-relations", "column-coaction-on-minors",
+    "column-top-image-is-det"]}
+
+
 def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
+    # each fact once: the Hopf axioms and the star laws name the facts they
+    # rest on instead of repeating their hypotheses
     path = str(tmp_path / "report.json")
     code, out, _ = run(capsys, "verify", "--algebra", "suq", "--N", "2",
                        "--checks", "cqt-eq2", "--json", path)
@@ -464,26 +476,51 @@ def test_cqt_report_records_the_proof_hypotheses(capsys, tmp_path):
     (report,) = json.load(open(path))
     assert report["details"] == {
         "generator_pairs": 16,
-        "relation_kills": 56,
-        "hopf_hypotheses": {
-            "generators_checked": 4, "relations_checked": 7, "antipode_checked": True,
-            "relation_kills": "lemma",
-            "proved_by_lemma": ["antipode", "delta"],
-            "hypotheses": [
-                "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",
-                "epsilon-antipode-as-built", "antipode-laws-on-generators",
-                "cofactor-expansions-by-exterior-algebra",
-            ],
-        },
-        "reality": "all-degrees",
-        "star_hypotheses": [
-            "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike-in-mq",
-            "epsilon-antipode-as-built", "antipode-laws-on-generators",
-            "cofactor-expansions-by-exterior-algebra", "hopf-axioms",
-            "star-is-antipode-of-transpose", "transpose-kills-relations",
-            "transpose-flips-coproduct",
+        "kill_pairs": 56,
+        "decided": [
+            _GROUPLIKE,
+            _COFACTORS,
+            {"fact": "antipode-laws-on-generators", "by": "cofactor-expansions",
+             "hypotheses": ["cofactor-scope"]},
+            {"fact": "hopf-axioms", "by": "frt-lemma", "hypotheses": [
+                "relations-as-built", "delta-is-matrix-coproduct", "det-grouplike",
+                "epsilon-antipode-as-built", "antipode-laws-on-generators"]},
+            {"fact": "star-laws", "by": "star-lemma", "hypotheses": [
+                "hopf-axioms", "star-is-antipode-of-transpose", "transpose-kills-relations",
+                "transpose-flips-coproduct"]},
+            {"fact": "reality-on-generators", "by": "braiding-table",
+             "hypotheses": ["star-laws", "table-symmetric"]},
+            {"fact": "reality", "by": "star-lemma",
+             "hypotheses": ["star-laws", "reality-on-generators"]},
         ],
     }
+
+
+def test_cqt_report_says_how_reality_on_generators_was_decided(capsys, tmp_path,
+                                                               monkeypatch):
+    # star(u11) = S(u11) + (D - 1) in the construction: the same star on
+    # suq, but not S o tau on the tables, so the star lemma is refused and
+    # reality on generator pairs pairs the cofactors, and holds
+    construction = presentations._standard_construction
+
+    def shifted(name, N):
+        rules, star, structure, det = construction(name, N)
+        if star is not None:  # the mq companion has none
+            star[u(1, 1)] = star[u(1, 1)] + det - NcPoly.unit()
+        return rules, star, structure, det
+
+    monkeypatch.setattr(presentations, "_standard_construction", shifted)
+    path = str(tmp_path / "report.json")
+    code, out, _ = run(capsys, "verify", "--algebra", "suq", "--N", "2",
+                       "--checks", "cqt-eq2,star-laws", "--json", path)
+    assert (code, out) == (0, "cqt-eq2: pass\nstar-laws: pass\n")
+    cqt, laws = json.load(open(path))
+    assert ways(cqt["details"]["decided"]) == {
+        "det-grouplike": "exterior-algebra", "cofactor-expansions": "exterior-algebra",
+        "antipode-laws-on-generators": "cofactor-expansions", "hopf-axioms": "frt-lemma",
+        "reality-on-generators": "loop",
+    }
+    assert laws["details"]["decided"] == [{"fact": "star-laws", "by": "loop", "hypotheses": []}]
 
 
 @pytest.mark.parametrize(
@@ -610,9 +647,9 @@ def test_hopf_and_star_laws_reach_n4(capsys, tmp_path, algebra):
     code, out, _ = run(capsys, "verify", "--algebra", algebra, "--N", "4",
                        "--checks", "hopf-axioms,star-laws", "--json", path)
     assert (code, out) == (0, "hopf-axioms: pass\nstar-laws: pass\n")
-    reports = json.load(open(path))
-    assert [r["details"]["relation_kills"] for r in reports] == ["lemma", "lemma"]
-    assert all(r["details"]["hypotheses"] for r in reports)
+    hopf_axioms, star_laws = json.load(open(path))
+    assert way(hopf_axioms["details"], "hopf-axioms") == "frt-lemma"
+    assert way(star_laws["details"], "star-laws") == "star-lemma"
 
 
 def _coaction_maps(capsys, tmp_path, N):
@@ -621,28 +658,28 @@ def _coaction_maps(capsys, tmp_path, N):
                        "--checks", "coaction-eq20", "--json", path)
     assert (code, out) == (0, "coaction-eq20: pass\n")
     (report,) = json.load(open(path))
-    return report["details"]["maps"]
+    return report["details"]["decided"]
 
 
-def _check_coaction_maps(maps):
-    assert list(maps) == ["embedding", "deltaR", "rho_u"]
-    assert maps["embedding"] == {
-        "relation_kills": "pushed-forward", "star_step": "pushed-forward",
-        "hypotheses": ["deltaR-verified", "point-is-star-character", "images-pushed-forward"],
-    }
-    assert maps["rho_u"] == {
-        "relation_kills": "orbits", "laws": "lemma", "star_step": "lemma",
-        "hypotheses": ["source-star-swaps-generators", "star-commutes-in-free-algebra",
-                       "target-star-involution", "source-star-permutes-relations",
-                       "target-star-closure", "coefficients-as-built", "images-as-built",
-                       "coefficient-hopf-axioms"],
-    }
-    assert maps["deltaR"] == {
-        "relation_kills": "pushed-forward", "laws": "pushed-forward",
-        "star_step": "pushed-forward",
-        "hypotheses": ["rho_u-verified", "quotient-map-star-morphism",
-                       "quotient-map-hopf-on-generators", "images-pushed-forward"],
-    }
+def _check_coaction_maps(decided):
+    # rho_u by lemmas 1 and 2, deltaR pushed forward from it, and the
+    # embedding evaluated from deltaR, each naming the facts it rests on
+    rho_u = ["rho_u-star-step", "rho_u-relation-kills", "rho_u-coaction-laws"]
+    assert decided == [
+        {"fact": "rho_u-star-step", "by": "construction",
+         "hypotheses": ["source-star-swaps-generators", "star-commutes-in-free-algebra",
+                        "target-star-involution"]},
+        {"fact": "rho_u-relation-kills", "by": "star-orbits",
+         "hypotheses": ["rho_u-star-step", "source-star-permutes-relations",
+                        "target-star-closure"]},
+        {"fact": "rho_u-coaction-laws", "by": "hopf-algebra-laws",
+         "hypotheses": ["coefficients-as-built", "images-as-built", "coefficient-hopf-axioms"]},
+        {"fact": "deltaR", "by": "push-forward",
+         "hypotheses": [*rho_u, "quotient-map-star-morphism",
+                        "quotient-map-hopf-on-generators", "images-pushed-forward"]},
+        {"fact": "embedding", "by": "point-evaluation",
+         "hypotheses": ["deltaR", "point-is-star-character", "images-pushed-forward"]},
+    ]
 
 
 def test_coaction_report_says_how_the_star_step_was_decided(capsys, tmp_path):
@@ -704,8 +741,8 @@ def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):
     # the suq and uq of the check share one mq companion, and the verdict
     # on D is memoised there
     seen = []
-    decide = hopf._grouplike_by_exterior
-    monkeypatch.setattr(hopf, "_grouplike_by_exterior",
+    decide = hopf._exterior_proves_grouplike
+    monkeypatch.setattr(hopf, "_exterior_proves_grouplike",
                         lambda P, D: (seen.append(P), decide(P, D))[1])
     code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
                        "--checks", "coaction-eq20")
@@ -716,13 +753,18 @@ def test_coaction_check_decides_d_grouplike_once(capsys, monkeypatch):
 @pytest.mark.parametrize("algebra, tamper, by, status", [
     ("mq", False, "exterior-algebra", "pass"),
     ("uq", False, "exterior-algebra", "pass"),
-    ("mq", True, "coproduct", "fail"),
-])
+    ("mq", True, "loop", "fail"),
+], ids=["mq-False-exterior-algebra-pass", "uq-False-exterior-algebra-pass",
+        "mq-True-coproduct-fail"])
 def test_det_central_report_says_how_d_grouplike_was_decided(
     capsys, tmp_path, monkeypatch, algebra, tamper, by, status
 ):
     # the tampered mq is not as built, so D central takes its loop too
-    central_by = "commutators" if tamper else "exterior-algebra"
+    central = ([{"fact": "det-central", "by": "loop", "hypotheses": []}] if tamper else [
+        _COFACTORS, {"fact": "det-central", "by": "cofactor-expansions",
+                     "hypotheses": ["x-is-quantum-determinant"]}])
+    grouplike = _GROUPLIKE if by == "exterior-algebra" else {
+        "fact": "det-grouplike", "by": by, "hypotheses": []}
     if tamper:
         build = presentations.build
         monkeypatch.setattr(presentations, "build",
@@ -733,8 +775,8 @@ def test_det_central_report_says_how_d_grouplike_was_decided(
     (report,) = json.load(open(path))
     assert report["status"] == status
     assert report["details"] == {
-        "central": True, "grouplike": status == "pass", "grouplike_by": by,
-        "central_by": central_by, "counit_one": True, "decided_in": "mq",
+        "central": True, "grouplike": status == "pass", "counit_one": True,
+        "decided_in": "mq", "decided": [grouplike, *central],
     }
 
 
@@ -765,7 +807,7 @@ def _d_central_deciders(capsys, monkeypatch, refused):
     monkeypatch.setattr(hopf, "check_central",
                         lambda x, P: (commutators.append(P.name), check(x, P))[1])
     for N in (2, 3, 4):
-        assert hopf.verify_hopf(presentations.build("uq", N))["relation_kills"] == "lemma"
+        assert way(hopf.verify_hopf(presentations.build("uq", N)), "hopf-axioms") == "frt-lemma"
     code, out, _ = run(capsys, "verify", "--algebra", "sphere", "--N", "3",
                        "--checks", "coaction-eq20")
     assert (code, out, decided, commutators) == (0, "coaction-eq20: pass\n", [], [])
@@ -787,42 +829,31 @@ def test_det_central_fails_on_a_d_that_is_not_central(capsys, tmp_path, monkeypa
     assert (code, out) == (1, "det-central-rem36: fail\n")
     (report,) = json.load(open(path))
     assert report["details"] == {
-        "central": False, "grouplike": True, "grouplike_by": "exterior-algebra",
-        "central_by": "commutators", "counit_one": True, "decided_in": "mq",
+        "central": False, "grouplike": True, "counit_one": True, "decided_in": "mq",
+        "decided": [_GROUPLIKE, {"fact": "det-central", "by": "loop", "hypotheses": []}],
     }
     assert report["counterexample"] == "u[1,2]+u[1,1]*u[2,2]-q*u[1,2]*u[2,1]"
 
 
-_DECIDED_BY = {"central_by": "commutators", "decided_by": "products", "solve": "graded"}
-_CERTIFICATE = "cofactor-expansions-by-exterior-algebra"
-
-
 def _without_decided_by(report, refused):
-    """The report with the fields that say how the cofactor identities were
-    decided taken out, after checking that they name the path taken."""
+    """The report without its records and system sizes, after checking
+    that no fact was read off the cofactor certificate where it was
+    refused."""
     details = dict(report["details"])
-    for key, fallback in _DECIDED_BY.items():
-        if key in details:
-            assert details.pop(key) == (fallback if refused else "exterior-algebra")
+    decided = details.pop("decided", [])
+    assert not refused or all("cofactor-expansions" not in (r["fact"], r["by"]) for r in decided)
     details.pop("systems", None)
-    for key in ("hypotheses", "star_hypotheses"):
-        if key in details:
-            if refused:
-                assert _CERTIFICATE not in details[key]
-            details[key] = [h for h in details[key] if h != _CERTIFICATE]
-    if "hopf_hypotheses" in details:
-        details["hopf_hypotheses"] = _without_decided_by(
-            {"details": details["hopf_hypotheses"]}, refused)["details"]
     return {**report, "details": details, "timing_ms": None}
 
 
 @pytest.mark.parametrize("N", [2, 3])
-@pytest.mark.parametrize("algebra", ["mq", "suq", "uq"])
+@pytest.mark.parametrize("algebra", ["mq", "suq", "uq", "sphere"])
 def test_verify_with_the_cofactor_certificate_refused_gives_the_same_reports(
     capsys, tmp_path, monkeypatch, algebra, N
 ):
-    # every check that reads the certificate decides as its loop does; only
-    # the fields that say how differ
+    # every check that reads the certificate decides as its loop does (on
+    # the sphere, coaction-eq20 reads the Hopf axioms of uq); only the
+    # records and the system sizes differ
     path = str(tmp_path / "report.json")
     argv = ("verify", "--algebra", algebra, "--N", str(N), "--json", path)
     fast = run(capsys, *argv), json.load(open(path))
@@ -831,6 +862,52 @@ def test_verify_with_the_cofactor_certificate_refused_gives_the_same_reports(
     assert fast[0] == slow[0]
     assert [_without_decided_by(r, False) for r in fast[1]] == [
         _without_decided_by(r, True) for r in slow[1]]
+    read = [r for report in fast[1] for r in report["details"]["decided"]
+            if r["by"] == "cofactor-expansions"]
+    assert bool(read) == (algebra != "sphere")
+
+
+# the fields that said how a fact was decided before every report listed
+# its records, and the vocabulary of ``by``
+_WAY_FIELDS = {"grouplike_by", "central_by", "decided_by", "solve", "relation_kills",
+               "proved_by_lemma", "laws", "star_step", "reality", "hypotheses",
+               "hopf_hypotheses", "star_hypotheses", "maps"}
+_BY = {"loop", "exterior-algebra", "cofactor-expansions", "frt-lemma", "star-lemma",
+       "braiding-table", "construction", "star-orbits", "hopf-algebra-laws", "push-forward",
+       "point-evaluation", "normal-word-count"}
+
+
+def _keys(value):
+    """Every key of every object in a JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_every_report_lists_how_each_fact_was_decided_in_one_shape(capsys, tmp_path, N):
+    reports = []
+    for algebra in ALGEBRAS:
+        path = str(tmp_path / f"{algebra}.json")
+        run(capsys, "verify", "--algebra", algebra, "--N", str(N), "--json", path)
+        reports += json.load(open(path))
+    all_facts = {r["fact"] for report in reports for r in report["details"]["decided"]}
+    for report in reports:
+        decided = report["details"].pop("decided")
+        assert decided and all(list(r) == ["fact", "by", "hypotheses"] for r in decided)
+        facts = [r["fact"] for r in decided]
+        assert len(set(facts)) == len(facts), report["check"]
+        assert {r["by"] for r in decided} <= _BY
+        for k, r in enumerate(decided):
+            # a fact named by a record, in ``by`` or among its hypotheses,
+            # has its own record before it in the same report
+            named = {r["by"], *r["hypotheses"]} & all_facts
+            assert named <= set(facts[:k]), (report["check"], r)
+        assert not _keys(report) & _WAY_FIELDS, report["check"]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert {by for by in _BY if f"`{by}`" not in readme} == set()
 
 
 def test_verify_prints_each_check_as_it_finishes(capsys, tmp_path, monkeypatch):
@@ -965,13 +1042,12 @@ def _invariant_form_solve_report(capsys, tmp_path, refused):
     (report,) = json.load(open(path))
     details = report["details"]
     if refused:
-        # the graded solve; the full one has 16 unknowns, 256 products and
-        # 1,728 rows
-        solve, system = "graded", {"unknowns": 4, "products": 64, "rows": 224}
+        # the full solve
+        by, system = "loop", {"unknowns": 16, "products": 256, "rows": 1728}
     else:
         # read off the cofactor expansions: no system is formed
-        solve, system = "exterior-algebra", {"unknowns": 16, "products": 0, "rows": 0}
-    assert details["solve"] == solve
+        by, system = "cofactor-expansions", {"unknowns": 16, "products": 0, "rows": 0}
+    assert [way(details, f"invariance-{v}") for v in ("z_zstar", "zstar_z")] == [by, by]
     assert details["systems"] == {"z_zstar": system, "zstar_z": system}
 
 

@@ -43,6 +43,7 @@ from qsphere.presentations import (
 )
 from qsphere.rewrite import Rule, RewriteSystem
 from qsphere.scalars import ONE, QPARAM, ZERO, Scalar
+from records import parts, way, ways
 from variants import variant, with_tables
 
 q = QPARAM
@@ -263,7 +264,7 @@ def test_broken_structure_map_fails_both_checks(name, N, mutate, axiom):
 
 def _loops_only(monkeypatch):
     """Every relation kill decided by its loop, as before the lemmas."""
-    monkeypatch.setattr(hopf, "_kill_lemmas", lambda P, laws_hold: (set(), []))
+    monkeypatch.setattr(hopf, "_kill_lemmas", lambda P, laws_hold: set())
     monkeypatch.setattr(hopf, "_star_lemma", lambda P: None)
 
 
@@ -303,12 +304,12 @@ def test_lemmas_and_loops_give_the_same_verdicts(monkeypatch, name, N):
         _loops_only(m)
         slow = verify_hopf(build(name, N))
         slow_star = star_laws(build(name, N))
-    assert (fast["relation_kills"], slow["relation_kills"]) == ("lemma", "loop")
+    assert (way(fast, "hopf-axioms"), way(slow, "hopf-axioms")) == ("frt-lemma", "loop")
     for key in ("generators_checked", "relations_checked", "antipode_checked"):
         assert fast[key] == slow[key]
     assert (fast_star["closure"], fast_star["involution"]) == (True, True)
     assert (slow_star["closure"], slow_star["involution"]) == (True, True)
-    assert fast_star["relation_kills"] == ("loop" if name == "mq" else "lemma")
+    assert way(fast_star, "star-laws") == ("loop" if name == "mq" else "star-lemma")
 
 
 @pytest.mark.parametrize(
@@ -334,8 +335,8 @@ def test_standard_presentations_map_no_relation(monkeypatch, name):
     P = build(name, 3)
     relations = set(P.relations)
     seen = _spy_on_maps(monkeypatch)
-    assert verify_hopf(P)["relation_kills"] == "lemma"
-    assert star_laws(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
+    assert way(star_laws(P), "star-laws") == "star-lemma"
     assert seen and not any(a in relations for a in seen)
 
 
@@ -346,10 +347,10 @@ def test_changed_relation_takes_the_loops(monkeypatch, name):
     assert relations != set(build(name, 3).relations)
     seen = _spy_on_maps(monkeypatch)
     report = verify_hopf(P)
-    assert (report["relation_kills"], report["proved_by_lemma"]) == ("loop", [])
+    assert way(report, "hopf-axioms") == "loop"
     if P.star is not None:
         laws = star_laws(P)
-        assert (laws["closure"], laws["involution"], laws["relation_kills"]) == (True, True, "loop")
+        assert (laws["closure"], laws["involution"], way(laws, "star-laws")) == (True, True, "loop")
     assert any(a in relations for a in seen)
 
 
@@ -382,7 +383,7 @@ def test_hypotheses_catch_a_construction_broken_at_its_source(monkeypatch, facto
         with pytest.raises(AxiomFails) as exc:
             verify_hopf(P)
         assert exc.value.axiom == axiom
-        assert star_laws(P)["relation_kills"] == "loop"
+        assert way(star_laws(P), "star-laws") == "loop"
 
 
 def test_det_hypothesis_catches_a_wrong_determinant(monkeypatch):
@@ -405,6 +406,13 @@ def test_det_hypothesis_catches_a_wrong_determinant(monkeypatch):
     assert exc.value.axiom == "delta-kills-relations"
 
 
+def _grouplike(P):
+    """The verdict of ``det_grouplike`` on P and how it was decided."""
+    verdict, (decided,) = hopf.det_grouplike(P)
+    assert decided["fact"] == "det-grouplike"
+    return verdict, decided["by"]
+
+
 def _spy_grouplike(monkeypatch):
     """The presentations on which ``check_grouplike`` runs, from now on."""
     seen = []
@@ -419,7 +427,7 @@ def test_d_grouplike_through_the_exterior_algebra(monkeypatch, N):
     # N! N^N terms, is zero-tested only by the oracle below (N <= 4)
     seen = _spy_grouplike(monkeypatch)
     P = build("mq", N)
-    assert hopf.det_grouplike(P) == (True, "exterior-algebra")
+    assert _grouplike(P) == (True, "exterior-algebra")
     assert seen == []
     if N <= 4:
         assert check_grouplike(quantum_determinant(N), P)
@@ -435,8 +443,8 @@ def test_d_with_a_sign_flipped_fails_both_paths(N):
     w = sorted(D.terms)[1]
     flipped = D - NcPoly.monomial(w, D.coeff(w) + D.coeff(w))
     assert flipped.coeff(w) == -D.coeff(w)
-    assert hopf._grouplike_by_exterior(P, D)
-    assert not hopf._grouplike_by_exterior(P, flipped)
+    assert hopf._exterior_proves_grouplike(P, D)
+    assert not hopf._exterior_proves_grouplike(P, flipped)
     assert not check_grouplike(flipped, P)
 
 
@@ -451,7 +459,7 @@ def test_d_grouplike_needs_the_counit_of_d(monkeypatch):
                         lambda N: {**epsilon(N), u(1, 1): Scalar.from_int(2)})
     P = build("mq", 2)
     assert presentations.as_built(P)
-    assert hopf.det_grouplike(P) == (False, "exterior-algebra")
+    assert _grouplike(P) == (False, "exterior-algebra")
     assert not check_grouplike(quantum_determinant(2), P)
 
 
@@ -467,8 +475,8 @@ def test_exterior_algebra_with_another_sign_is_refused(monkeypatch):
 
     monkeypatch.setattr(hopf, "build_exterior", other_sign)
     P = build("mq", 3)
-    assert not hopf._grouplike_by_exterior(P, quantum_determinant(3))
-    assert hopf.det_grouplike(P) == (True, "coproduct")
+    assert not hopf._exterior_proves_grouplike(P, quantum_determinant(3))
+    assert _grouplike(P) == (True, "loop")
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -487,8 +495,8 @@ def test_non_confluent_exterior_algebra_is_refused(monkeypatch, N):
     assert not with_overlap(N).system.check_confluence().confluent
     monkeypatch.setattr(hopf, "build_exterior", with_overlap)
     P = build("mq", N)
-    assert not hopf._grouplike_by_exterior(P, quantum_determinant(N))
-    assert hopf.det_grouplike(P) == (check_grouplike(quantum_determinant(N), P), "coproduct")
+    assert not hopf._exterior_proves_grouplike(P, quantum_determinant(N))
+    assert _grouplike(P) == (check_grouplike(quantum_determinant(N), P), "loop")
     assert hopf.det_grouplike(P)[0]
 
 
@@ -509,8 +517,8 @@ def test_coproduct_broken_at_its_source_is_refused_by_the_lemmas(monkeypatch):
     P = build("suq", 2)
     assert presentations.as_built(P)
     D = quantum_determinant(2)
-    assert not hopf._grouplike_by_exterior(P.aux, D)
-    assert hopf.det_grouplike(P) == (check_grouplike(D, P.aux), "coproduct")
+    assert not hopf._exterior_proves_grouplike(P.aux, D)
+    assert _grouplike(P) == (check_grouplike(D, P.aux), "loop")
     with pytest.raises(AxiomFails) as fast:
         verify_hopf(P)
     with monkeypatch.context() as m:
@@ -520,7 +528,7 @@ def test_coproduct_broken_at_its_source_is_refused_by_the_lemmas(monkeypatch):
     assert (fast.value.axiom, fast.value.witness) == (slow.value.axiom, slow.value.witness)
     assert hopf.star_lemma(P) is None
     laws = star_laws(P)
-    assert laws["relation_kills"] == "loop"
+    assert way(laws, "star-laws") == "loop"
     assert (laws["closure"], laws["involution"]) == _star_laws_by_free_expansion(P)
     assert laws["closure"] and laws["involution"]
 
@@ -551,10 +559,10 @@ def test_star_broken_at_its_source_is_refused_by_the_star_lemma(monkeypatch, nam
     monkeypatch.setattr(presentations, "_standard_construction", star_doubled)
     P = build(name, 2)
     assert presentations.as_built(P)
-    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
     assert hopf.star_lemma(P) is None
     laws = star_laws(P)
-    assert laws["relation_kills"] == "loop"
+    assert way(laws, "star-laws") == "loop"
     assert (laws["closure"], laws["involution"]) == _star_laws_by_free_expansion(P)
     assert not laws["closure"] and not laws["involution"]
 
@@ -565,9 +573,9 @@ def test_d_grouplike_falls_back_where_delta_is_replaced(monkeypatch):
     P = build("mq", 2)
     Q = _delta_u11_grouplike(P)
     seen = _spy_grouplike(monkeypatch)
-    assert hopf.det_grouplike(Q) == (False, "coproduct")
+    assert _grouplike(Q) == (False, "loop")
     assert seen == [Q]
-    assert hopf.det_grouplike(P) == (True, "exterior-algebra")
+    assert _grouplike(P) == (True, "exterior-algebra")
     assert seen == [Q]
 
 
@@ -582,16 +590,16 @@ def test_star_lemma_needs_the_transpose_to_keep_the_ideal(monkeypatch, name):
         presentations, "_mq_rules", lambda N: rules(N) + [Rule((u(1, 2),), NcPoly())]
     )
     P = build(name, 2)
-    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
     laws = star_laws(P)
-    assert (laws["closure"], laws["relation_kills"]) == (False, "loop")
+    assert (laws["closure"], way(laws, "star-laws")) == (False, "loop")
 
 
 def test_verify_hopf_on_suq4_never_builds_det_squared():
     P = build("suq", 4)
     report = verify_hopf(P)
-    assert report["relation_kills"] == "lemma"
-    assert "det-grouplike-in-mq" in report["hypotheses"]
+    assert way(report, "hopf-axioms") == "frt-lemma"
+    assert "det-grouplike" in report["decided"][-1]["hypotheses"]
     assert len(P.det_powers()) <= 2
 
 
@@ -602,20 +610,20 @@ def test_verify_hopf_memo_follows_the_companion_parts():
     from qsphere import presentations
 
     P = build("suq", 2)
-    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
     Q = variant(P, aux=_delta_u11_grouplike(P.aux))
     assert not presentations.as_built(Q)
-    assert verify_hopf(Q)["relation_kills"] == hopf._verify_hopf(Q)["relation_kills"] == "loop"
-    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(Q), "hopf-axioms") == way(hopf._verify_hopf(Q), "hopf-axioms") == "loop"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
 
 
 def test_verify_hopf_memo_follows_replaced_tables():
     P = build("suq", 2)
-    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
     with pytest.raises(AxiomFails) as exc:
         verify_hopf(_antipode_u12_doubled(P))
     assert exc.value.axiom == "antipode-kills-relations"
-    assert verify_hopf(P)["relation_kills"] == "lemma"
+    assert way(verify_hopf(P), "hopf-axioms") == "frt-lemma"
 
 
 # -- the exact zero test on tensors -----------------------------------------
@@ -793,7 +801,7 @@ def test_quotient_map_kills_without_the_zero_test(monkeypatch, N):
     zero_test = Presentation.is_zero_elem
     monkeypatch.setattr(Presentation, "is_zero_elem",
                         lambda self, a: calls.append(a) or zero_test(self, a))
-    assert _quotient_map(uq, suq, NcPoly.unit()).verify()["relation_kills"] == "loop"
+    assert parts(_quotient_map(uq, suq, NcPoly.unit()).verify()) == {"relation-kills": "loop"}
     assert calls == []
     # dinv -> 2: the dinv-central relations still go to 0, but the first
     # determinant relation goes to neither 0 nor a relation of suq, and
@@ -814,7 +822,7 @@ def test_quotient_map_star_step_tests_only_dinv(monkeypatch):
     zero_test = Presentation.is_zero_elem
     monkeypatch.setattr(Presentation, "is_zero_elem",
                         lambda self, a: calls.append(a) or zero_test(self, a))
-    assert _quotient_map(uq, suq, NcPoly.unit()).verify()["star_step"] == "loop"
+    assert parts(_quotient_map(uq, suq, NcPoly.unit()).verify())["star-step"] == "loop"
     assert len(calls) == 1
     # a wrong star table on the target: the free images differ at u^1_2,
     # and the zero test refuses it
@@ -872,12 +880,12 @@ def test_coaction_counit_law_can_fail():
 @pytest.mark.parametrize("N", [2, 3])
 def test_star_steps_by_construction_match_the_loops(monkeypatch, N):
     maps = [embed_sphere(N), build_coaction("deltaR", N), build_coaction("rho_u", N)]
-    assert all(m.report["star_step"] == "lemma" for m in maps)
+    assert all(parts(m.report)["star-step"] == "construction" for m in maps)
     monkeypatch.setattr(hopf, "_star_step_by_construction", lambda *args: None)
     for m in maps:
-        report = m.verify()
+        report = parts(m.verify())
         # the orbits need the star step by construction
-        assert (report["star_step"], report["relation_kills"]) == ("loop", "loop")
+        assert (report["star-step"], report["relation-kills"]) == ("loop", "loop")
 
 
 def test_star_step_needs_both_hypotheses():
@@ -946,22 +954,28 @@ def _eq20_maps(N, sphere=None, doubled=()):
 @pytest.mark.parametrize("N", [2, 3])
 def test_eq20_lemmas_agree_with_the_loops(monkeypatch, N):
     maps = _eq20_maps(N)
-    fast = [m.verify() for m in maps]
-    assert [r["relation_kills"] for r in fast] == ["orbits"] * 3
-    assert [r.get("laws") for r in fast] == [None, "lemma", "lemma"]
+    fast = [parts(m.verify()) for m in maps]
+    assert [r["relation-kills"] for r in fast] == ["star-orbits"] * 3
+    assert [r.get("coaction-laws") for r in fast] == [None, "hopf-algebra-laws",
+                                                      "hopf-algebra-laws"]
     with monkeypatch.context() as m:
         _eq20_lemmas_off(m)
-        slow = [m.verify() for m in maps]
-    assert [r["relation_kills"] for r in slow] == ["loop"] * 3
-    assert [r.get("laws") for r in slow] == [None, "loop", "loop"]
-    assert [r["star_step"] for r in fast] == [r["star_step"] for r in slow] == ["lemma"] * 3
+        slow = [parts(m.verify()) for m in maps]
+    assert [r["relation-kills"] for r in slow] == ["loop"] * 3
+    assert [r.get("coaction-laws") for r in slow] == [None, "loop", "loop"]
+    assert [r["star-step"] for r in fast] == [r["star-step"] for r in slow] == [
+        "construction"] * 3
     # deltaR pushed forward from rho_u is the deltaR verified on its own,
     # and the embedding pushed forward from deltaR is the embedding
     pushed = hopf.deltaR_from_rho_u(maps[2], maps[1].coeff)
     assert pushed.images == maps[1].images
     embedding = hopf.embedding_from_deltaR(pushed)
     assert embedding.images == maps[0].images
-    assert pushed.report["relation_kills"] == embedding.report["relation_kills"] == "pushed-forward"
+    assert pushed.report == [hopf.record("deltaR", "push-forward", [
+        "coaction-star-step", "coaction-relation-kills", "coaction-coaction-laws",
+        "quotient-map-star-morphism", "quotient-map-hopf-on-generators", "images-pushed-forward"])]
+    assert embedding.report == [hopf.record("embedding", "point-evaluation", [
+        "deltaR", "point-is-star-character", "images-pushed-forward"])]
 
 
 @pytest.mark.parametrize("doubled", [(z(1), zs(1)), (z(2), zs(2))], ids=["z1", "z2"])
@@ -1006,19 +1020,20 @@ def _sphere_with_summed_relation(N):
 def test_orbits_need_the_star_to_permute_the_relations(N):
     P = _sphere_with_summed_relation(N)
     assert hopf._star_orbit_firsts(P) is None
-    reports = [m.verify() for m in _eq20_maps(N, sphere=P)]
-    assert [r["relation_kills"] for r in reports] == ["loop"] * 3
-    assert [r["star_step"] for r in reports] == ["lemma"] * 3
-    assert [r.get("laws") for r in reports] == [None, "lemma", "lemma"]
+    reports = [parts(m.verify()) for m in _eq20_maps(N, sphere=P)]
+    assert [r["relation-kills"] for r in reports] == ["loop"] * 3
+    assert [r["star-step"] for r in reports] == ["construction"] * 3
+    assert [r.get("coaction-laws") for r in reports] == [None, "hopf-algebra-laws",
+                                                         "hopf-algebra-laws"]
 
 
 def test_orbits_need_the_star_closure_of_the_target(monkeypatch):
     # without star_lemma the target star is still an involution, by the
     # loop over its generators, but nothing shows that it keeps the ideal
     monkeypatch.setattr(hopf, "star_lemma", lambda P: None)
-    reports = [m.verify() for m in _eq20_maps(2)]
-    assert [r["relation_kills"] for r in reports] == ["loop"] * 3
-    assert [r["star_step"] for r in reports] == ["lemma"] * 3
+    reports = [parts(m.verify()) for m in _eq20_maps(2)]
+    assert [r["relation-kills"] for r in reports] == ["loop"] * 3
+    assert [r["star-step"] for r in reports] == ["construction"] * 3
 
 
 @pytest.mark.parametrize("name", ["suq", "uq"])
@@ -1134,9 +1149,11 @@ def _bidegree(word, N):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_torus_bigrading_facts(N):
-    # the graded solve of hopf._invariance_solution rests on these: the mq
-    # rules are homogeneous, D has bidegree (1; 1) and S(u^i_k) has
-    # bidegree (-e_k; -e_i), on suq up to (1; 1)
+    # facts of the construction: the mq rules are homogeneous, D has
+    # bidegree (1; 1) and S(u^i_k) has bidegree (-e_k; -e_i), on suq up to
+    # (1; 1).  By them only words of torus weight zero can carry a nonzero
+    # value of an invariant functional, the argument that the functional
+    # beyond degree one (ROADMAP) reuses on the sphere
     for r in build("mq", N).system.rules:
         assert len({_bidegree(w, N) for w in (r.lhs, *r.rhs.terms)}) == 1, r
     ones = (1,) * N
@@ -1153,36 +1170,29 @@ def test_torus_bigrading_facts(N):
                 assert degs == {(e(k, shift), e(i, shift))}, (name, i, k)
 
 
-@pytest.mark.parametrize("variant", ["z_zstar", "zstar_z"])
-@pytest.mark.parametrize("name", ["uq", "suq"])
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_graded_invariance_solve_matches_full_solve(N, name, variant):
-    P = build(name, N)
-    X, graded = hopf._solve_invariance(N, P, variant, True)
-    Y, full = hopf._solve_invariance(N, P, variant, False)
-    assert X == Y
-    assert (graded["unknowns"], graded["products"]) == (N, N ** 3)
-    assert (full["unknowns"], full["products"]) == (N * N, N ** 4)
-    assert graded["rows"] <= full["rows"]
-
-
 def test_invariance_solve_off_construction_is_full(monkeypatch):
-    # S(u^1_1) scaled by q^2 keeps every bidegree, so both solves still
-    # see the system as it is: it has only the zero solution
+    # S(u^1_1) scaled by q^2: the system has only the zero solution
     P = build("uq", 3)
     P = with_tables(P, antipode={u(1, 1): P.structure.antipode[u(1, 1)].scale(q ** 2)})
     for variant in ("z_zstar", "zstar_z"):
-        for graded in (True, False):
-            with pytest.raises(Inconsistent):
-                hopf._solve_invariance(3, P, variant, graded)
+        with pytest.raises(Inconsistent):
+            hopf._solve_invariance(3, P, variant)
     seen = []
     solve = hopf._solve_invariance
     monkeypatch.setattr(
-        hopf, "_solve_invariance", lambda *a: (seen.append(a[3]), solve(*a))[1]
+        hopf, "_solve_invariance", lambda *a: (seen.append(a[2]), solve(*a))[1]
     )
     with pytest.raises(Inconsistent):
         invariant_forms(3, P)
-    assert seen == [False]
+    assert seen == ["z_zstar"]
+
+
+@pytest.mark.parametrize("N, size", [(2, 3), (3, 2)])
+def test_invariant_forms_of_another_n_are_a_usage_error(N, size):
+    # N = 2 on uq(3) once read as a failed theorem (only the zero
+    # solution), and N = 3 on uq(2) as a missing generator
+    with pytest.raises(ValueError, match=f"uq has N = {size}, not {N}"):
+        hopf.solve_invariant_forms(N, build("uq", size))
 
 
 def test_form_preserved_by_coaction():
@@ -1207,7 +1217,7 @@ def _refuse_cofactors(monkeypatch):
 def _full_solves(monkeypatch):
     """Both invariance systems solved in full, as the oracle."""
     monkeypatch.setattr(hopf, "_invariance_solution",
-                        lambda N, P, v: hopf._solve_invariance(N, P, v, False))
+                        lambda N, P, v: hopf._solve_invariance(N, P, v))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -1220,25 +1230,38 @@ def test_cofactor_consumers_agree_with_their_loops(monkeypatch, name, N):
     P = build(name, N)
     assert hopf._cofactor_scope(P) == presentations.antipode_matrix(N, "sl")
     D = quantum_determinant(N)
-    assert hopf.det_central(P, D) == (True, "exterior-algebra")
+    assert _central(P, D) == (True, "cofactor-expansions")
     assert presentations.check_central(D, P.aux)
     assert hopf._generator_law_failure(P, True) is hopf._generator_law_failure(P, False) is None
-    assert "cofactor-expansions-by-exterior-algebra" in verify_hopf(P)["hypotheses"]
+    assert way(verify_hopf(P), "antipode-laws-on-generators") == "cofactor-expansions"
     fast = hopf.check_matrix_identities(P)
     forms = hopf.solve_invariant_forms(N, P)
-    assert forms["solve"] == "exterior-algebra"
+    assert _invariance_ways(forms) == ["cofactor-expansions"] * 2
     with monkeypatch.context() as m:
         _refuse_cofactors(m)
         Q = build(name, N)
-        assert hopf.det_central(Q, D) == (True, "commutators")
-        assert "cofactor-expansions-by-exterior-algebra" not in verify_hopf(Q)["hypotheses"]
+        assert _central(Q, D) == (True, "loop")
+        assert way(verify_hopf(Q), "antipode-laws-on-generators") == "loop"
         slow = hopf.check_matrix_identities(Q)
         _full_solves(m)
         full = hopf.solve_invariant_forms(N, Q)
-    assert (fast.pop("decided_by"), slow.pop("decided_by")) == ("exterior-algebra", "products")
+    assert (way(fast, "matrix-identities"), way(slow, "matrix-identities")) == (
+        "cofactor-expansions", "loop")
+    fast.pop("decided"), slow.pop("decided")
     assert fast == slow
-    assert full["solve"] == "full"
+    assert _invariance_ways(full) == ["loop"] * 2
     assert (forms["F"], forms["H"]) == (full["F"], full["H"])
+
+
+def _central(P, x):
+    """The verdict of ``det_central`` on x and how it was decided."""
+    verdict, decided = hopf.det_central(P, x)
+    return verdict, ways(decided)["det-central"]
+
+
+def _invariance_ways(forms):
+    """How each invariance system of ``solve_invariant_forms`` was solved."""
+    return [way(forms, f"invariance-{v}") for v in ("z_zstar", "zstar_z")]
 
 
 def _with_table_entry(monkeypatch, factor):
@@ -1319,10 +1342,13 @@ def test_exterior_algebra_with_the_sign_plus_q_is_refused(monkeypatch):
     monkeypatch.setattr(hopf, "build_exterior", plus_q)
     P = build("uq", 3)
     assert hopf.cofactor_expansions(P) is None
-    assert hopf.det_central(P, quantum_determinant(3)) == (True, "commutators")
-    assert "cofactor-expansions-by-exterior-algebra" not in verify_hopf(P)["hypotheses"]
-    assert hopf.check_matrix_identities(P)["decided_by"] == "products"
-    assert hopf.solve_invariant_forms(3, P)["solve"] == "graded"
+    assert _central(P, quantum_determinant(3)) == (True, "loop")
+    assert way(verify_hopf(P), "antipode-laws-on-generators") == "loop"
+    assert way(hopf.check_matrix_identities(P), "matrix-identities") == "loop"
+    forms = hopf.solve_invariant_forms(3, P)
+    assert _invariance_ways(forms) == ["loop"] * 2
+    full = {"unknowns": 9, "products": 81, "rows": 178}
+    assert forms["systems"] == {"z_zstar": full, "zstar_z": full}
 
 
 @pytest.mark.parametrize("scales, broken", [((2, 1, 1), "minor"), ((-1, -1, -1), "determinant")])
@@ -1353,8 +1379,8 @@ def test_column_side_broken_at_its_source_is_refused(monkeypatch, scales, broken
     monkeypatch.setattr(hopf._Exterior, "coaction", scaled)
     P = build("suq", 3)
     assert hopf.cofactor_expansions(P) is None
-    assert hopf.det_central(P.aux, quantum_determinant(3)) == (True, "commutators")
-    assert hopf.check_matrix_identities(P)["decided_by"] == "products"
+    assert _central(P.aux, quantum_determinant(3)) == (True, "loop")
+    assert way(hopf.check_matrix_identities(P), "matrix-identities") == "loop"
 
 
 @pytest.mark.parametrize("N", [2, 3])

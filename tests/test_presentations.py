@@ -30,6 +30,7 @@ from qsphere.presentations import (
     quantum_determinant,
 )
 from qsphere.scalars import QPARAM, Scalar
+from records import way
 from variants import variant, with_tables
 
 q = QPARAM
@@ -488,7 +489,7 @@ def test_parts_are_fixed_when_a_presentation_is_made(monkeypatch, name):
             setattr(P.structure, table, getattr(P.structure, table))
     assert as_built(P)
     report, lemma = hopf.verify_hopf(P), hopf.star_lemma(P)
-    assert report["relation_kills"] == "lemma" and lemma is not None
+    assert way(report, "hopf-axioms") == "frt-lemma" and lemma is not None
     # a variant with every part equal, here the same objects: not as built,
     # and its verdicts are its own, computed afresh
     calls = []
@@ -497,7 +498,7 @@ def test_parts_are_fixed_when_a_presentation_is_made(monkeypatch, name):
         monkeypatch.setattr(hopf, fn, lambda A, real=real: (calls.append(A), real(A))[1])
     Q = variant(P)
     assert not as_built(Q)
-    assert hopf.verify_hopf(Q)["relation_kills"] == "loop"
+    assert way(hopf.verify_hopf(Q), "hopf-axioms") == "loop"
     assert hopf.star_lemma(Q) is None
     assert len(calls) == 2 and all(A is Q for A in calls)
     # P's verdicts are still those memoised on it
@@ -665,8 +666,9 @@ def _matrix_identities_and_zero_tests(monkeypatch, name, N, refused):
     report = check_matrix_identities(build(name, N))
     assert list(report) == ["S(u)*u", "u*S(u)", "u*ustar", "ustar*u"] + (
         ["E-relation-left", "E-relation-right"] if name == "uq" else []
-    ) + ["decided_by"]
-    assert report.pop("decided_by") == ("products" if refused else "exterior-algebra")
+    ) + ["decided"]
+    assert way(report, "matrix-identities") == ("loop" if refused else "cofactor-expansions")
+    report.pop("decided")
     assert all(report.values())
     # the certificate decides every product with no zero test of its own;
     # refused, u* = S(u) as built: the star products are the antipode

@@ -24,6 +24,7 @@ from qsphere.rmatrix import (
     rhat_inverse,
 )
 from qsphere.scalars import ONE, QPARAM, ZERO, Scalar
+from records import way, ways
 from variants import variant, with_tables
 
 q = QPARAM
@@ -339,8 +340,7 @@ def test_sigma_matrix_matches_scaled_braiding():
 def test_cqt_n2():
     stats = check_cqt(build("suq", 2))
     assert stats["generator_pairs"] == 16
-    assert list(stats) == ["generator_pairs", "relation_kills", "hopf_hypotheses",
-                           "reality", "star_hypotheses"]
+    assert list(stats) == ["generator_pairs", "kill_pairs", "decided"]
 
 
 def test_check_cqt_builds_no_presentation(monkeypatch):
@@ -360,7 +360,8 @@ def test_check_cqt_builds_no_presentation(monkeypatch):
     report = check_cqt(P)
     assert calls == []
     # decided once on P and then read from its memo
-    assert report["hopf_hypotheses"] == hopf.verify_hopf(P)
+    hopf_decided = hopf.verify_hopf(P)["decided"]
+    assert report["decided"][:len(hopf_decided)] == hopf_decided
     assert decided == [P]
 
 
@@ -485,8 +486,8 @@ def _reference_commutation_samples(N, sample=20, seed=0):
 @pytest.mark.parametrize("N", [2, 3])
 def test_proved_commutation_law_holds_on_degree2_samples(N):
     stats = check_cqt(build("suq", N))
-    assert stats["relation_kills"] == {2: 56, 3: 666}[N]
-    assert stats["hopf_hypotheses"]["antipode_checked"]
+    assert stats["kill_pairs"] == {2: 56, 3: 666}[N]
+    assert way(stats, "hopf-axioms") == "frt-lemma"
     assert "degree2_samples" not in stats
     assert _reference_commutation_samples(N) == []
     assert _reference_commutation_samples(N, seed=1) == []
@@ -610,11 +611,12 @@ def test_reality_in_every_degree_needs_the_star_lemma(N):
     # and reality is claimed on generator pairs only
     P = build("suq", N)
     report = check_cqt(P)
-    assert report["reality"] == "all-degrees"
-    assert report["star_hypotheses"] == hopf.star_lemma(P)
-    assert "star-is-antipode-of-transpose" in report["star_hypotheses"]
+    assert ways(report["decided"])["reality"] == "star-lemma"
+    assert report["decided"][:-2] == hopf.star_lemma(P)
     report = check_cqt(_with_changed_relation(build("suq", N)))
-    assert (report["reality"], report["star_hypotheses"]) == ("generators", [])
+    assert "reality" not in ways(report["decided"])
+    assert "star-laws" not in ways(report["decided"])
+    assert way(report, "reality-on-generators") == "loop"
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -622,17 +624,18 @@ def test_reality_by_table_agrees_with_the_cofactor_loop(monkeypatch, N):
     # under the star lemma check_cqt reads reality off the generator values,
     # r(a, b) = r(tau b, tau a); the loop over cofactor pairs agrees
     P = build("suq", N)
-    ways = []
+    seen = []
     check = rmatrix._check_reality
     monkeypatch.setattr(rmatrix, "_check_reality",
-                        lambda *a: (ways.append(check(*a)), ways[-1])[1])
-    check_cqt(P)
-    assert ways == ["table"]
+                        lambda *a: (seen.append(check(*a)), seen[-1])[1])
+    assert way(check_cqt(P), "reality-on-generators") == "braiding-table"
+    assert [r["by"] for r in seen] == ["braiding-table"]
     gens = [u(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-    assert check(RFormEvaluator(P), gens, False) == "loop"
+    assert check(RFormEvaluator(P), gens, False)["by"] == "loop"
     # out of the star lemma's scope the loop decides
-    check_cqt(_with_changed_relation(build("suq", N)))
-    assert ways == ["table", "loop"]
+    assert way(check_cqt(_with_changed_relation(build("suq", N))),
+               "reality-on-generators") == "loop"
+    assert [r["by"] for r in seen] == ["braiding-table", "loop"]
 
 
 def test_reality_with_a_non_symmetric_table_takes_the_loop_and_fails():
